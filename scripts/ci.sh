@@ -17,7 +17,9 @@
 #                            # resilient client, and the failover + split-brain
 #                            # chaos harnesses under ASan and TSan, plus the
 #                            # gated failover-gap and partition-heal bench rows
-#   scripts/ci.sh perf       # Fig.4 runtime bench vs bench/baselines.json
+#   scripts/ci.sh perf       # Fig.4 runtime bench vs bench/baselines.json,
+#                            # plus the warm-start bench (bit-identical warm
+#                            # answers, Protein hit >= 100x faster than cold)
 #   scripts/ci.sh coverage   # --coverage build; enforces the line floor
 #   scripts/ci.sh all        # all of the above
 set -euo pipefail
@@ -38,17 +40,18 @@ run_default() {
 
 run_tsan() {
   # ThreadSanitizer: the parallel engine, thread pool (incl. the soak
-  # layer), and the sharded metric/tracer paths must be race-free. Only the
-  # concurrency-relevant tests run here — TSan slows everything ~10x, and
-  # the rest of the suite is single-threaded.
+  # layer), the sharded metric/tracer paths and the schema memos (Flat,
+  # Fingerprint) must be race-free. Only the concurrency-relevant tests
+  # run here — TSan slows everything ~10x, and the rest of the suite is
+  # single-threaded.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DQMATCH_SANITIZE=thread
   cmake --build build-tsan -j "${JOBS}" \
         --target common_thread_pool_test common_thread_pool_soak_test \
-                 core_engine_test obs_test
+                 core_engine_test obs_test xsd_schema_test
   TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure \
-        -R 'common_thread_pool_test|common_thread_pool_soak_test|core_engine_test|obs_test'
+        -R 'common_thread_pool_test|common_thread_pool_soak_test|core_engine_test|obs_test|xsd_schema_test'
 }
 
 run_asan() {
@@ -239,16 +242,19 @@ run_ha() {
 
 # Perf regression gate: the Fig. 4 runtime bench (which includes the
 # Protein row the SoA kernel was built for) against the checked-in
-# baselines, failing on >15% regression per row. Runs uninstrumented in
-# Release. After an intentional perf change, regenerate with
+# baselines, failing on >15% regression per row, then the warm-start bench,
+# which exits nonzero unless every recovered answer is bit-identical and a
+# Protein cache hit is at least 100x faster than the cold match. Runs
+# uninstrumented in Release. After an intentional perf change, regenerate with
 #   ./build/bench/bench_fig4_runtime --benchmark_format=json \
 #       | python3 scripts/check_perf.py --update bench/baselines.json
 # and review the bench/baselines.json diff like any other code change.
 run_perf() {
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build -j "${JOBS}" --target bench_fig4_runtime
+  cmake --build build -j "${JOBS}" --target bench_fig4_runtime bench_warmstart
   ./build/bench/bench_fig4_runtime --benchmark_format=json \
     | python3 scripts/check_perf.py bench/baselines.json
+  ./build/bench/bench_warmstart
 }
 
 run_obs_off() {

@@ -178,18 +178,17 @@ void MatchEngine::InitPersist() {
     // so pushing each record to the LRU front reproduces the recency order
     // the previous process shut down with, and capacity eviction drops the
     // oldest entries first.
-    for (const persist::CacheEntryRec& rec : state.cache_entries) {
+    for (persist::CacheEntryRec& rec : state.cache_entries) {
       if (rec.config_hash != config_hash_) {
         // Written by a differently-configured engine: dropped, never
         // trusted — even though the file-level fingerprint matched.
         ++dropped;
         continue;
       }
-      UpsertCacheRecLocked(rec);
+      UpsertCacheRecLocked(
+          std::make_shared<const persist::CacheEntryRec>(std::move(rec)));
       ++recovered;
     }
-    cache_stats_.entries = cache_lru_.size();
-    QMATCH_GAUGE_SET("engine.cache.entries", cache_lru_.size());
   }
   {
     std::lock_guard<std::mutex> lock(breaker_mutex_);
@@ -205,29 +204,26 @@ void MatchEngine::InitPersist() {
   (void)dropped;
 }
 
-void MatchEngine::UpsertCacheRecLocked(const persist::CacheEntryRec& rec) const {
-  CacheEntry entry;
-  entry.key = CacheKey{rec.source_fp, rec.target_fp, rec.config_hash};
-  entry.algorithm = rec.algorithm;
-  entry.schema_qom = rec.schema_qom;
-  entry.correspondences.reserve(rec.correspondences.size());
-  for (const persist::CorrespondenceRec& c : rec.correspondences) {
-    entry.correspondences.push_back(
-        CachedCorrespondence{c.source_path, c.target_path, c.score});
-  }
-  const CacheKey key = entry.key;
+void MatchEngine::UpsertCacheRecLocked(CacheRecord rec) const {
+  const CacheKey key{rec->source_fp, rec->target_fp, rec->config_hash};
   auto it = cache_index_.find(key);
   if (it != cache_index_.end()) {
-    *it->second = std::move(entry);
+    *it->second = std::move(rec);
     cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
   } else {
-    cache_lru_.push_front(std::move(entry));
+    cache_lru_.push_front(std::move(rec));
     cache_index_[key] = cache_lru_.begin();
   }
   while (cache_lru_.size() > options_.cache_capacity) {
-    cache_index_.erase(cache_lru_.back().key);
+    const persist::CacheEntryRec& oldest = *cache_lru_.back();
+    cache_index_.erase(
+        CacheKey{oldest.source_fp, oldest.target_fp, oldest.config_hash});
     cache_lru_.pop_back();
+    ++cache_stats_.evictions;
+    QMATCH_COUNTER_ADD("engine.cache.evictions", 1);
   }
+  cache_stats_.entries = cache_lru_.size();
+  QMATCH_GAUGE_SET("engine.cache.entries", cache_lru_.size());
 }
 
 void MatchEngine::UpsertCorpusRecLocked(
@@ -279,10 +275,9 @@ void MatchEngine::ApplyReplicatedCacheEntry(const persist::CacheEntryRec& rec) {
     return;
   }
   if (options_.cache_capacity > 0) {
+    auto shared = std::make_shared<const persist::CacheEntryRec>(rec);
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    UpsertCacheRecLocked(rec);
-    cache_stats_.entries = cache_lru_.size();
-    QMATCH_GAUGE_SET("engine.cache.entries", cache_lru_.size());
+    UpsertCacheRecLocked(std::move(shared));
   }
   if (persist_ != nullptr) {
     const Status appended = persist_->AppendCache(rec);
@@ -304,29 +299,18 @@ void MatchEngine::ApplyReplicatedCorpusEntry(
   }
 }
 
-persist::StoreState MatchEngine::ExportState() const { return SnapshotState(); }
-
-persist::StoreState MatchEngine::SnapshotState() const {
+persist::StoreState MatchEngine::ExportState() const {
   persist::StoreState state;
+  std::vector<CacheRecord> cache;
   {
+    // Only pointers are copied under the lock; the records themselves are
+    // immutable, so the deep copy below cannot stall concurrent hits.
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    state.cache_entries.reserve(cache_lru_.size());
     // Oldest first (see InitPersist): reverse LRU order.
-    for (auto it = cache_lru_.rbegin(); it != cache_lru_.rend(); ++it) {
-      persist::CacheEntryRec rec;
-      rec.source_fp = it->key.source_fp;
-      rec.target_fp = it->key.target_fp;
-      rec.config_hash = it->key.config_hash;
-      rec.algorithm = it->algorithm;
-      rec.schema_qom = it->schema_qom;
-      rec.correspondences.reserve(it->correspondences.size());
-      for (const CachedCorrespondence& c : it->correspondences) {
-        rec.correspondences.push_back(
-            persist::CorrespondenceRec{c.source_path, c.target_path, c.score});
-      }
-      state.cache_entries.push_back(std::move(rec));
-    }
+    cache.assign(cache_lru_.rbegin(), cache_lru_.rend());
   }
+  state.cache_entries.reserve(cache.size());
+  for (const CacheRecord& rec : cache) state.cache_entries.push_back(*rec);
   {
     std::lock_guard<std::mutex> lock(breaker_mutex_);
     state.corpus_entries.reserve(corpus_index_.size());
@@ -347,7 +331,7 @@ persist::StoreState MatchEngine::SnapshotState() const {
 
 Status MatchEngine::CompactPersist() const {
   if (persist_ == nullptr) return Status::OK();
-  return persist_->Compact(SnapshotState());
+  return persist_->Compact(ExportState());
 }
 
 void MatchEngine::MaybeCompactPersist() const {
@@ -362,8 +346,7 @@ void MatchEngine::MaybeCompactPersist() const {
 
 MatchEngine::CacheKey MatchEngine::MakeKey(const xsd::Schema& source,
                                            const xsd::Schema& target) const {
-  return CacheKey{xsd::SchemaFingerprint(source), xsd::SchemaFingerprint(target),
-                  config_hash_};
+  return CacheKey{source.Fingerprint(), target.Fingerprint(), config_hash_};
 }
 
 bool MatchEngine::CacheLookup(const CacheKey& key, const xsd::Schema& source,
@@ -375,34 +358,44 @@ bool MatchEngine::CacheLookup(const CacheKey& key, const xsd::Schema& source,
     QMATCH_COUNTER_ADD("engine.cache.fault_misses", 1);
     return false;
   }
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  auto it = cache_index_.find(key);
-  if (it == cache_index_.end()) {
-    ++cache_stats_.misses;
+  CacheRecord rec;
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    auto it = cache_index_.find(key);
+    if (it != cache_index_.end()) {
+      cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
+      rec = *it->second;
+    }
+  }
+  // Rehydrate outside the lock: the record is immutable and pinned by
+  // `rec`, so a concurrent store or eviction cannot pull it away, and other
+  // callers' hits never wait behind this one's path descents.
+  bool hit = rec != nullptr;
+  MatchResult result;
+  if (hit) result.correspondences.reserve(rec->correspondences.size());
+  for (size_t i = 0; hit && i < rec->correspondences.size(); ++i) {
+    const persist::CorrespondenceRec& c = rec->correspondences[i];
+    const xsd::SchemaNode* s = source.FindByPath(c.source_path);
+    const xsd::SchemaNode* t = target.FindByPath(c.target_path);
+    // A fingerprint collision or a path the caller's schema cannot resolve
+    // is a miss: the caller recomputes (and its store overwrites the entry)
+    // rather than get a result pointing into the wrong trees.
+    hit = s != nullptr && t != nullptr;
+    if (hit) result.correspondences.push_back(Correspondence{s, t, c.score});
+  }
+  if (rec != nullptr && !hit) {
+    QMATCH_COUNTER_ADD("engine.cache.rehydration_failures", 1);
+  }
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    ++(hit ? cache_stats_.hits : cache_stats_.misses);
+  }
+  if (!hit) {
     QMATCH_COUNTER_ADD("engine.cache.misses", 1);
     return false;
   }
-  const CacheEntry& entry = *it->second;
-  MatchResult result;
-  result.algorithm = entry.algorithm;
-  result.schema_qom = entry.schema_qom;
-  result.correspondences.reserve(entry.correspondences.size());
-  for (const CachedCorrespondence& c : entry.correspondences) {
-    const xsd::SchemaNode* s = source.FindByPath(c.source_path);
-    const xsd::SchemaNode* t = target.FindByPath(c.target_path);
-    if (s == nullptr || t == nullptr) {
-      // Fingerprint collision or a path the caller's schema cannot
-      // resolve: treat as a miss and recompute rather than return a
-      // result pointing into the wrong trees.
-      ++cache_stats_.misses;
-      QMATCH_COUNTER_ADD("engine.cache.misses", 1);
-      QMATCH_COUNTER_ADD("engine.cache.rehydration_failures", 1);
-      return false;
-    }
-    result.correspondences.push_back(Correspondence{s, t, c.score});
-  }
-  cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-  ++cache_stats_.hits;
+  result.algorithm = rec->algorithm;
+  result.schema_qom = rec->schema_qom;
   QMATCH_COUNTER_ADD("engine.cache.hits", 1);
   QMATCH_COUNTER_ADD("engine.cache.rehydrated_correspondences",
                      result.correspondences.size());
@@ -418,68 +411,35 @@ void MatchEngine::CacheStore(const CacheKey& key,
     QMATCH_COUNTER_ADD("engine.cache.dropped_stores", 1);
     return;
   }
-  CacheEntry entry;
-  entry.key = key;
-  entry.algorithm = result.algorithm;
-  entry.schema_qom = result.schema_qom;
-  entry.correspondences.reserve(result.correspondences.size());
+  // One record serves the LRU, the local journal and the replication
+  // stream alike.
+  auto rec = std::make_shared<persist::CacheEntryRec>();
+  rec->source_fp = key.source_fp;
+  rec->target_fp = key.target_fp;
+  rec->config_hash = key.config_hash;
+  rec->algorithm = result.algorithm;
+  rec->schema_qom = result.schema_qom;
+  rec->correspondences.reserve(result.correspondences.size());
   for (const Correspondence& c : result.correspondences) {
-    entry.correspondences.push_back(
-        CachedCorrespondence{c.source->Path(), c.target->Path(), c.score});
-  }
-  persist::CacheEntryRec rec;
-  // The record feeds both the local journal and the replication stream —
-  // built whenever either consumer is attached.
-  const bool record_needed = persist_ != nullptr || HasReplicationObserver();
-  if (record_needed) {
-    rec.source_fp = key.source_fp;
-    rec.target_fp = key.target_fp;
-    rec.config_hash = key.config_hash;
-    rec.algorithm = entry.algorithm;
-    rec.schema_qom = entry.schema_qom;
-    rec.correspondences.reserve(entry.correspondences.size());
-    for (const CachedCorrespondence& c : entry.correspondences) {
-      rec.correspondences.push_back(
-          persist::CorrespondenceRec{c.source_path, c.target_path, c.score});
-    }
+    rec->correspondences.push_back(persist::CorrespondenceRec{
+        c.source->Path(), c.target->Path(), c.score});
   }
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = cache_index_.find(key);
-    if (it != cache_index_.end()) {
-      *it->second = std::move(entry);
-      cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-    } else {
-      cache_lru_.push_front(std::move(entry));
-      cache_index_[key] = cache_lru_.begin();
-      while (cache_lru_.size() > options_.cache_capacity) {
-        cache_index_.erase(cache_lru_.back().key);
-        cache_lru_.pop_back();
-        ++cache_stats_.evictions;
-        QMATCH_COUNTER_ADD("engine.cache.evictions", 1);
-      }
-      cache_stats_.entries = cache_lru_.size();
-      QMATCH_GAUGE_SET("engine.cache.entries", cache_lru_.size());
-    }
+    UpsertCacheRecLocked(rec);
   }
   if (persist_ != nullptr) {
     // Journal outside the cache lock (the store serializes on its own
     // mutex). CacheStore only ever sees full-fidelity results, so every
     // append is a trustworthy upsert; a failed append is dropped — the
     // entry is simply recomputed after the next restart.
-    Status appended = persist_->AppendCache(rec);
+    Status appended = persist_->AppendCache(*rec);
     if (!appended.ok()) {
       QMATCH_COUNTER_ADD("persist.append_dropped", 1);
     }
     MaybeCompactPersist();
   }
-  if (record_needed) NotifyReplicated(rec);
-}
-
-MatchResult MatchEngine::MatchUncached(const xsd::Schema& source,
-                                       const xsd::Schema& target,
-                                       ThreadPool* pool) const {
-  return matcher_.Match(source, target, pool);
+  NotifyReplicated(*rec);
 }
 
 MatchResult MatchEngine::Match(const xsd::Schema& source,
@@ -503,7 +463,7 @@ MatchResult MatchEngine::Match(const xsd::Schema& source,
   ThreadPool* pool =
       (threads_ > 1 && pairs >= options_.min_parallel_pairs) ? pool_.get()
                                                              : nullptr;
-  MatchResult result = MatchUncached(source, target, pool);
+  MatchResult result = matcher_.Match(source, target, pool);
   if (cached) CacheStore(key, result);
   return result;
 }
@@ -548,7 +508,7 @@ std::vector<MatchResult> MatchEngine::MatchAll(
         std::max<uint64_t>(1, jobs[i].source->NodeCount() *
                                   jobs[i].target->NodeCount()),
         &permit);
-    results[i] = MatchUncached(*jobs[i].source, *jobs[i].target, nullptr);
+    results[i] = matcher_.Match(*jobs[i].source, *jobs[i].target, nullptr);
     if (cached) CacheStore(key, results[i]);
   });
   QMATCH_HISTOGRAM_OBSERVE("engine.batch_fanout_ns",
@@ -867,7 +827,7 @@ CorpusMatchResult MatchEngine::MatchCorpus(
           rec.schema_fp = prev->second.schema_fp;
         }
         if (entry.schema.root() != nullptr) {
-          rec.schema_fp = xsd::SchemaFingerprint(entry.schema);
+          rec.schema_fp = entry.schema.Fingerprint();
         }
         auto breaker = breakers_.find(entry.path);
         if (breaker != breakers_.end()) {

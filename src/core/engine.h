@@ -69,7 +69,8 @@ struct MatchEngineOptions {
   /// caching. One entry stores the correspondences of one
   /// (source fingerprint, target fingerprint, config) triple by path, so
   /// repeated corpus queries — the schema_search workload — skip the
-  /// O(n·m) table entirely and only rehydrate node pointers.
+  /// O(n·m) table entirely and only rehydrate node pointers (one root-down
+  /// path descent per correspondence end).
   size_t cache_capacity = 128;
 
   /// Pairwise tables with fewer than this many (source, target) pairs are
@@ -315,9 +316,10 @@ class MatchEngine : public Matcher {
   void ApplyReplicatedCacheEntry(const persist::CacheEntryRec& rec);
   void ApplyReplicatedCorpusEntry(const persist::CorpusEntryRec& rec);
 
-  /// Full durable state (cache entries oldest-first + corpus index) as
-  /// persistable records — the replication snapshot anchor a primary sends
-  /// to a standby that is too far behind to catch up from the log.
+  /// Full durable state (cache entries oldest-first, so warm-start replay
+  /// reproduces today's LRU recency, + corpus index) as persistable records
+  /// — what compaction writes, and the replication snapshot anchor a
+  /// primary sends to a standby too far behind to catch up from the log.
   persist::StoreState ExportState() const;
 
   /// Live load signal in [0, 1]: max of admission pressure (cost/queue
@@ -336,23 +338,11 @@ class MatchEngine : public Matcher {
     uint64_t config_hash = 0;
     friend auto operator<=>(const CacheKey&, const CacheKey&) = default;
   };
-  /// Cached results store paths, not node pointers: a later call may pass
-  /// different Schema objects with the same fingerprint, so pointers are
-  /// rehydrated against the caller's schemas on every hit.
-  struct CachedCorrespondence {
-    std::string source_path;
-    std::string target_path;
-    double score = 0.0;
-  };
-  struct CacheEntry {
-    CacheKey key;
-    std::string algorithm;
-    double schema_qom = 0.0;
-    std::vector<CachedCorrespondence> correspondences;
-  };
+  /// A cache entry is the record the journal and replication stream carry:
+  /// paths, not node pointers, rehydrated against the caller's schemas on
+  /// every hit. Immutable once published, so hits rehydrate it unlocked.
+  using CacheRecord = std::shared_ptr<const persist::CacheEntryRec>;
 
-  MatchResult MatchUncached(const xsd::Schema& source,
-                            const xsd::Schema& target, ThreadPool* pool) const;
   bool CacheLookup(const CacheKey& key, const xsd::Schema& source,
                    const xsd::Schema& target, MatchResult* out) const;
   void CacheStore(const CacheKey& key, const MatchResult& result) const;
@@ -362,9 +352,10 @@ class MatchEngine : public Matcher {
   /// corpus index from it. A store that cannot open leaves the engine fully
   /// functional, just cold.
   void InitPersist();
-  /// Idempotent last-wins LRU upsert of one persisted cache record; caller
-  /// holds cache_mutex_ and has already verified the config hash.
-  void UpsertCacheRecLocked(const persist::CacheEntryRec& rec) const;
+  /// Idempotent last-wins LRU upsert of one cache record, then capacity
+  /// eviction; caller holds cache_mutex_ and has already verified the
+  /// config hash.
+  void UpsertCacheRecLocked(CacheRecord rec) const;
   /// Corpus-index + breaker upsert of one persisted record; caller holds
   /// breaker_mutex_.
   void UpsertCorpusRecLocked(const persist::CorpusEntryRec& rec) const;
@@ -372,9 +363,6 @@ class MatchEngine : public Matcher {
   void NotifyReplicated(const persist::CacheEntryRec& rec) const;
   void NotifyReplicated(const persist::CorpusEntryRec& rec) const;
   bool HasReplicationObserver() const;
-  /// Full in-memory state as persistable records, cache in oldest-first
-  /// order so warm-start replay reproduces today's LRU recency.
-  persist::StoreState SnapshotState() const;
   void MaybeCompactPersist() const;
 
   QMatch matcher_;
@@ -392,8 +380,8 @@ class MatchEngine : public Matcher {
   mutable std::map<std::string, CircuitBreaker> breakers_;
 
   mutable std::mutex cache_mutex_;
-  mutable std::list<CacheEntry> cache_lru_;  // front = most recent
-  mutable std::map<CacheKey, std::list<CacheEntry>::iterator> cache_index_;
+  mutable std::list<CacheRecord> cache_lru_;  // front = most recent
+  mutable std::map<CacheKey, std::list<CacheRecord>::iterator> cache_index_;
   mutable MatchEngineCacheStats cache_stats_;
 
   /// Crash-safe persistence (null = off). The store has its own mutex;

@@ -1158,7 +1158,7 @@ void Server::ExecuteSubmitSchema(uint64_t conn_id, SubmitSchemaReq req) {
     if (!schema.ok()) {
       resp.head = ResponseHead::FromStatus(schema.status());
     } else {
-      resp.fingerprint = xsd::SchemaFingerprint(*schema);
+      resp.fingerprint = schema->Fingerprint();
       resp.node_count = schema->NodeCount();
       auto shared = std::make_shared<const xsd::Schema>(std::move(*schema));
       {

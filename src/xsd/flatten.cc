@@ -135,10 +135,7 @@ Schema ReconstructFromFlat(const FlatSchema& flat, std::string name) {
 }
 
 const FlatSchema& Schema::Flat() const {
-  // One process-wide mutex for all schemas: Flat() is called once per
-  // schema per match, so contention is negligible, and keeping the Schema
-  // object free of sync members preserves its defaulted move operations.
-  static std::mutex mu;
+  std::mutex& mu = MemoMutex();
   {
     std::lock_guard<std::mutex> lock(mu);
     if (flat_ != nullptr) return *flat_;

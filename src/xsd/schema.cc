@@ -91,6 +91,7 @@ std::string SchemaNode::DebugString() const {
 
 void Schema::Finalize() {
   flat_.reset();  // any tree mutation invalidates the SoA projection
+  fingerprint_.reset();
   if (root_ == nullptr) return;
   // Iterative preorder walk assigning levels and sibling order.
   struct Item {
@@ -168,14 +169,26 @@ std::vector<SchemaNode*> Schema::AllNodes() {
   return out;
 }
 
-const SchemaNode* Schema::FindByPath(std::string_view path) const {
-  for (const SchemaNode* node : AllNodes()) {
-    if (node->Path() == path) return node;
+namespace {
+
+/// Preorder-first node under (and including) `node` whose path, read from
+/// `node`'s own step on, is exactly `rest`. Only nodes whose path is a
+/// prefix of the query are visited, so the walk follows the query down.
+const SchemaNode* FindBySteps(const SchemaNode& node, std::string_view rest) {
+  const bool attribute = node.kind() == NodeKind::kAttribute;
+  const std::string& label = node.label();
+  const size_t step = 1 + (attribute ? 1 : 0) + label.size();
+  if (rest.size() < step || rest[0] != '/' || (attribute && rest[1] != '@') ||
+      rest.compare(step - label.size(), label.size(), label) != 0) {
+    return nullptr;
+  }
+  rest.remove_prefix(step);
+  if (rest.empty()) return &node;
+  for (const auto& child : node.children()) {
+    if (const SchemaNode* hit = FindBySteps(*child, rest)) return hit;
   }
   return nullptr;
 }
-
-namespace {
 
 std::unique_ptr<SchemaNode> CloneNode(const SchemaNode& src) {
   auto copy = std::make_unique<SchemaNode>(src.label(), src.kind());
@@ -205,6 +218,10 @@ void AppendTree(const SchemaNode& node, size_t depth, std::string& out) {
 }
 
 }  // namespace
+
+const SchemaNode* Schema::FindByPath(std::string_view path) const {
+  return root_ != nullptr ? FindBySteps(*root_, path) : nullptr;
+}
 
 Schema Schema::Clone() const {
   Schema copy;
@@ -262,6 +279,28 @@ uint64_t SchemaFingerprint(const Schema& schema) {
   uint64_t h = kFnvOffset;
   if (schema.root() != nullptr) HashNode(*schema.root(), h);
   return h;
+}
+
+std::mutex& Schema::MemoMutex() {
+  static std::mutex mu;
+  return mu;
+}
+
+uint64_t Schema::Fingerprint() const {
+  // Bypassing the memo for an empty tree keeps a moved-from schema (its
+  // defaulted move copied the memo, not the tree) honest.
+  if (root_ == nullptr) return SchemaFingerprint(*this);
+  std::mutex& mu = MemoMutex();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    if (fingerprint_.has_value()) return *fingerprint_;
+  }
+  // Hash outside the lock, like Flat(): concurrent first calls compute the
+  // same value, and the first to finish publishes it.
+  const uint64_t fingerprint = SchemaFingerprint(*this);
+  std::lock_guard<std::mutex> lock(mu);
+  if (!fingerprint_.has_value()) fingerprint_ = fingerprint;
+  return *fingerprint_;
 }
 
 }  // namespace qmatch::xsd

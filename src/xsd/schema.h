@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -179,6 +180,7 @@ class Schema {
   /// schema). The schema is left empty.
   std::unique_ptr<SchemaNode> TakeRoot() {
     flat_.reset();
+    fingerprint_.reset();
     return std::move(root_);
   }
 
@@ -200,7 +202,9 @@ class Schema {
   std::vector<const SchemaNode*> AllNodes() const;
   std::vector<SchemaNode*> AllNodes();
 
-  /// Looks a node up by its `SchemaNode::Path()`; nullptr when absent.
+  /// Looks a node up by its `SchemaNode::Path()`; nullptr when absent, the
+  /// first in preorder when labels repeat. Descends from the root along the
+  /// path's steps: O(depth x siblings), no allocation.
   const SchemaNode* FindByPath(std::string_view path) const;
 
   /// The structure-of-arrays projection of this tree (see xsd/flatten.h):
@@ -212,6 +216,10 @@ class Schema {
   /// as the schema does (or until invalidation).
   const FlatSchema& Flat() const;
 
+  /// `SchemaFingerprint(*this)`, cached like Flat(): thread-safe, reset by
+  /// Finalize/set_root/TakeRoot. The engine's cache key, once per schema.
+  uint64_t Fingerprint() const;
+
   /// Deep copy of this schema.
   Schema Clone() const;
 
@@ -219,12 +227,18 @@ class Schema {
   std::string ToTreeString() const;
 
  private:
+  /// Guards the Flat() and Fingerprint() memos of every schema: each fills
+  /// once, and no sync member on Schema keeps its moves defaulted.
+  static std::mutex& MemoMutex();
+
   std::string name_;
   std::string target_namespace_;
   std::unique_ptr<SchemaNode> root_;
   /// Lazily built SoA projection; shared_ptr (not unique_ptr) so the
   /// defaulted moves stay noexcept with the incomplete FlatSchema type.
   mutable std::shared_ptr<const FlatSchema> flat_;
+  /// Memoised Fingerprint(); guarded by the same process-wide mutex.
+  mutable std::optional<uint64_t> fingerprint_;
 };
 
 /// Deterministic 64-bit structural fingerprint of a schema tree: an FNV-1a

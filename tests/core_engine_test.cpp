@@ -17,6 +17,8 @@
 #include "datagen/generator.h"
 #include "datagen/perturb.h"
 #include "match/similarity_matrix.h"
+#include "obs/obs.h"
+#include "persist/snapshot.h"
 
 namespace qmatch::core {
 namespace {
@@ -230,6 +232,53 @@ TEST(MatchEngineCacheTest, ConfigChangesTheCacheKey) {
   const MatchResult loose = loose_engine.Match(source, target);
   const MatchResult tight = strict_engine.Match(source, target);
   EXPECT_GE(loose.correspondences.size(), tight.correspondences.size());
+}
+
+TEST(MatchEngineCacheTest, UnresolvablePathIsAMissThatRecomputesAndHeals) {
+  // A record under the caller's real fingerprints and config hash whose
+  // path cannot resolve in the caller's tree: what a fingerprint collision
+  // looks like from the inside. The lookup must degrade to a recompute,
+  // never hand out pointers into the wrong tree.
+  const xsd::Schema source = datagen::MakePO1();
+  const xsd::Schema target = datagen::MakePO2();
+  MatchEngine engine(EngineOptions(1, /*cache_capacity=*/8));
+  persist::CacheEntryRec poisoned;
+  poisoned.source_fp = xsd::SchemaFingerprint(source);
+  poisoned.target_fp = xsd::SchemaFingerprint(target);
+  poisoned.config_hash = engine.config_hash();
+  poisoned.algorithm = "hybrid";
+  poisoned.schema_qom = 0.5;
+  poisoned.correspondences = {
+      {source.root()->Path(), target.root()->Path(), 0.9},
+      {source.root()->Path() + "/NoSuchElement", target.root()->Path(), 0.8}};
+  engine.ApplyReplicatedCacheEntry(poisoned);
+  ASSERT_EQ(engine.cache_stats().entries, 1u);
+
+#if QMATCH_OBS_ENABLED
+  obs::Counter& failures =
+      obs::Registry::Global().GetCounter("engine.cache.rehydration_failures");
+  const uint64_t failures_before = failures.Value();
+#endif
+  const MatchResult recomputed = engine.Match(source, target);
+  MatchEngineCacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+#if QMATCH_OBS_ENABLED
+  EXPECT_EQ(failures.Value(), failures_before + 1);
+#endif
+  const MatchResult fresh = QMatch().Match(source, target);
+  ExpectByteIdentical(recomputed, fresh, "recomputed after poisoned entry");
+
+  // The recompute overwrote the poisoned entry: the next lookup hits.
+  const MatchResult healed = engine.Match(source, target);
+  stats = engine.cache_stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+#if QMATCH_OBS_ENABLED
+  EXPECT_EQ(failures.Value(), failures_before + 1);
+#endif
+  ExpectByteIdentical(healed, fresh, "hit after the overwrite");
 }
 
 TEST(MatchEngineTest, ThreadsResolveAndEngineIsAMatcher) {
