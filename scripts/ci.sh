@@ -30,7 +30,7 @@ JOBS="${JOBS:-$(nproc)}"
 
 # Line-coverage floor (percent) enforced per instrumented directory.
 COVERAGE_FLOOR=70
-COVERAGE_DIRS=(src/core src/obs)
+COVERAGE_DIRS=(src/core src/obs src/match src/net)
 
 run_default() {
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release

@@ -1,56 +1,17 @@
 #include "core/qmatch.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "common/arena.h"
 #include "common/string_util.h"
-#include "fault/failpoint.h"
 #include "lingua/default_thesaurus.h"
 #include "lingua/name_match.h"
+#include "match/soa_kernel.h"
 #include "obs/obs.h"
 #include "xsd/flatten.h"
 
 namespace qmatch::core {
-
-#if QMATCH_OBS_ENABLED
-namespace {
-
-/// Thread-local accumulator for the per-axis TreeMatch timings. Axis
-/// timings are *sampled* (every kTreeMatchSampleEvery-th pair takes clock
-/// readings around each axis block) so the instrumented table fill stays
-/// within the < 2% overhead budget; memo-lookup counts are exact. Each
-/// worker flushes its accumulator to the registry once per source row.
-constexpr size_t kTreeMatchSampleEvery = 64;
-
-struct TreeMatchAccum {
-  uint64_t label_ns = 0;
-  uint64_t properties_ns = 0;
-  uint64_t level_ns = 0;
-  uint64_t children_ns = 0;
-  uint64_t sampled_pairs = 0;
-  uint64_t memo_lookups = 0;          // child-pair table reads (memo hits)
-  uint64_t contributing_children = 0; // lookups that cleared the threshold
-
-  void Flush() {
-    if (sampled_pairs == 0 && memo_lookups == 0) return;
-    QMATCH_COUNTER_ADD("qmatch.treematch.axis_label_ns", label_ns);
-    QMATCH_COUNTER_ADD("qmatch.treematch.axis_properties_ns", properties_ns);
-    QMATCH_COUNTER_ADD("qmatch.treematch.axis_level_ns", level_ns);
-    QMATCH_COUNTER_ADD("qmatch.treematch.axis_children_ns", children_ns);
-    QMATCH_COUNTER_ADD("qmatch.treematch.sampled_pairs", sampled_pairs);
-    QMATCH_COUNTER_ADD("qmatch.treematch.memo_lookups", memo_lookups);
-    QMATCH_COUNTER_ADD("qmatch.treematch.contributing_children",
-                       contributing_children);
-    *this = TreeMatchAccum{};
-  }
-};
-
-thread_local TreeMatchAccum t_treematch_accum;
-
-}  // namespace
-#endif  // QMATCH_OBS_ENABLED
 
 QMatch::QMatch() : QMatch(QMatchConfig{}, &lingua::DefaultThesaurus()) {}
 
@@ -59,34 +20,6 @@ QMatch::QMatch(QMatchConfig config)
 
 QMatch::QMatch(QMatchConfig config, const lingua::Thesaurus* thesaurus)
     : config_(std::move(config)), thesaurus_(thesaurus) {}
-
-namespace {
-
-qom::AxisMatch ToAxisMatch(lingua::LabelMatchClass cls) {
-  switch (cls) {
-    case lingua::LabelMatchClass::kExact:
-      return qom::AxisMatch::kExact;
-    case lingua::LabelMatchClass::kRelaxed:
-      return qom::AxisMatch::kRelaxed;
-    case lingua::LabelMatchClass::kNone:
-      return qom::AxisMatch::kNone;
-  }
-  return qom::AxisMatch::kNone;
-}
-
-qom::AxisMatch ToAxisMatch(match::PropertyMatchClass cls) {
-  switch (cls) {
-    case match::PropertyMatchClass::kExact:
-      return qom::AxisMatch::kExact;
-    case match::PropertyMatchClass::kRelaxed:
-      return qom::AxisMatch::kRelaxed;
-    case match::PropertyMatchClass::kNone:
-      return qom::AxisMatch::kNone;
-  }
-  return qom::AxisMatch::kNone;
-}
-
-}  // namespace
 
 const PairQoM* QMatch::Analysis::Pair(const xsd::SchemaNode* source,
                                       const xsd::SchemaNode* target) const {
@@ -105,7 +38,10 @@ const PairQoM* QMatch::Analysis::PairByPath(std::string_view source_path,
 }
 
 const PairQoM& QMatch::Analysis::Root() const {
-  return table_[0];  // preorder puts both roots first
+  // An empty schema on either side leaves the table empty; its root pair is
+  // the all-zero decomposition (schema QoM 0, no coverage).
+  static const PairQoM kEmpty{};
+  return table_.empty() ? kEmpty : table_[0];  // preorder: both roots first
 }
 
 std::string QMatch::Analysis::ExplainCorrespondences() const {
@@ -140,23 +76,6 @@ std::map<qom::MatchCategory, size_t> QMatch::Analysis::CategoryHistogram()
 }
 
 QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
-                                 const xsd::Schema& target) const {
-  return Analyze(source, target, nullptr, nullptr);
-}
-
-QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
-                                 const xsd::Schema& target,
-                                 ThreadPool* pool) const {
-  return Analyze(source, target, pool, nullptr);
-}
-
-QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
-                                 const xsd::Schema& target, ThreadPool* pool,
-                                 const ExecControl* control) const {
-  return Analyze(source, target, pool, control, TreeMatchOptions{});
-}
-
-QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
                                  const xsd::Schema& target, ThreadPool* pool,
                                  const ExecControl* control,
                                  const TreeMatchOptions& tree) const {
@@ -174,7 +93,6 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
   // kCappedDepth treats nodes at the cap or deeper as leaves on the
   // children axis only. kFull leaves every branch byte-for-byte unchanged.
   const bool label_only = tree.mode == MatchMode::kLabelOnly;
-  const bool capped = tree.mode == MatchMode::kCappedDepth;
   qom::Weights weights = config_.weights;
   if (label_only) {
     const double rest = weights.label + weights.properties + weights.level;
@@ -187,10 +105,6 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
     }
     weights.children = 0.0;
   }
-  auto effective_leaf = [&](const xsd::SchemaNode* node) {
-    return node->IsLeaf() ||
-           (capped && node->level() >= tree.children_depth_cap);
-  };
 
   analysis.source_nodes_ = source.AllNodes();
   analysis.target_nodes_ = target.AllNodes();
@@ -209,316 +123,35 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
   auto& table = analysis.table_;
   auto at = [&](size_t i, size_t j) -> PairQoM& { return table[i * m + j]; };
 
-  // Kernel routing (DESIGN.md §13): both implementations fill the same
-  // source-major table bit-identically. The SoA kernel batches the work
-  // over the schemas' flattened projections with arena scratch; the tree
-  // walk below is the node-at-a-time reference it is diffed against.
-  const match::KernelKind kernel =
-      tree.kernel.has_value() ? *tree.kernel : match::DefaultKernel();
+  // The table fill (DESIGN.md §13): the SoA kernel batches Fig. 3's
+  // memoised recursion over the schemas' flattened projections.
   const lingua::NameMatcher name_matcher(thesaurus_, config_.name_options);
   std::vector<char> row_done(n, 0);
-
-  if (kernel == match::KernelKind::kSoa) {
-    const xsd::FlatSchema& flat_source = source.Flat();
-    const xsd::FlatSchema& flat_target = target.Flat();
-    // Per-request scratch arena, charged against the request's memory
-    // budget block-by-block; ArenaExhausted propagates to the engine,
-    // which maps it to kResourceExhausted.
+  match::SoaKernelConfig kernel_config;
+  kernel_config.weights = weights;
+  kernel_config.threshold = config_.threshold;
+  kernel_config.best_match_accumulation =
+      config_.child_accumulation == QMatchConfig::ChildAccumulation::kBestMatch;
+  kernel_config.level_graded =
+      config_.level_mode == QMatchConfig::LevelMode::kGraded;
+  kernel_config.leaf_to_inner_children_credit =
+      config_.leaf_to_inner_children_credit;
+  kernel_config.label_only = label_only;
+  kernel_config.capped = tree.mode == MatchMode::kCappedDepth;
+  kernel_config.children_depth_cap = tree.children_depth_cap;
+  kernel_config.name_matcher = &name_matcher;
+  kernel_config.property_options = config_.property_options;
+  {
+    // All scratch comes from a per-request arena charged against the
+    // request's memory budget block-by-block (ArenaExhausted propagates to
+    // the engine, which maps it to kResourceExhausted). It lives only for
+    // the fill: its blocks and their charge are released before selection.
     Arena arena(Arena::kDefaultBlockBytes, tree.arena_budget);
-    match::SoaKernelConfig kernel_config;
-    kernel_config.weights = weights;
-    kernel_config.threshold = config_.threshold;
-    kernel_config.best_match_accumulation =
-        config_.child_accumulation ==
-        QMatchConfig::ChildAccumulation::kBestMatch;
-    kernel_config.level_graded =
-        config_.level_mode == QMatchConfig::LevelMode::kGraded;
-    kernel_config.leaf_to_inner_children_credit =
-        config_.leaf_to_inner_children_credit;
-    kernel_config.label_only = label_only;
-    kernel_config.capped = capped;
-    kernel_config.children_depth_cap = tree.children_depth_cap;
-    kernel_config.name_matcher = &name_matcher;
-    kernel_config.property_options = config_.property_options;
     const match::SoaKernelResult run =
-        match::SoaFillTable(flat_source, flat_target, kernel_config,
+        match::SoaFillTable(source.Flat(), target.Flat(), kernel_config,
                             table.data(), row_done, pool, control, &arena);
     analysis.stop_reason_ = run.stop;
     analysis.completed_rows_ = run.completed_rows;
-  } else {
-    // Tokenise every label once and memoise token-pair similarities; the
-    // O(n·m) pair loop then does array lookups.
-    std::vector<std::string> source_labels;
-    source_labels.reserve(n);
-    for (const xsd::SchemaNode* s : src) source_labels.push_back(s->label());
-    std::vector<std::string> target_labels;
-    target_labels.reserve(m);
-    for (const xsd::SchemaNode* t : tgt) target_labels.push_back(t->label());
-    lingua::PairwiseLabelScorer label_scorer(name_matcher, source_labels,
-                                             target_labels);
-    auto label_match = [&](size_t i, size_t j) {
-      return label_scorer.Match(i, j);
-    };
-
-    // One (source, target) pair of the QoM table. Reads only pairs of
-    // strictly deeper source nodes (the children of `src[i]`), so any
-    // schedule that fills deeper source levels first is valid.
-    auto compute_pair = [&](size_t i, size_t j) {
-      {
-        const xsd::SchemaNode* s = src[i];
-        const xsd::SchemaNode* t = tgt[j];
-        PairQoM& pair = at(i, j);
-#if QMATCH_OBS_ENABLED
-        // Sampled per-axis timing: clock reads bracket each axis block on
-        // every kTreeMatchSampleEvery-th pair only (deterministic choice,
-        // so parallel runs sample the same pairs).
-        TreeMatchAccum& obs_accum = t_treematch_accum;  // one TLS lookup
-        const bool obs_sampled = ((i * m + j) % kTreeMatchSampleEvery) == 0;
-        uint64_t obs_mark = obs_sampled ? obs::MonotonicNowNs() : 0;
-        auto obs_lap = [&obs_mark, obs_sampled](uint64_t* into) {
-          if (!obs_sampled) return;
-          const uint64_t now = obs::MonotonicNowNs();
-          *into += now - obs_mark;
-          obs_mark = now;
-        };
-#endif
-
-        // --- Children axis (Eq. 3-5) ---------------------------------
-        if (label_only) {
-          // Degraded mode: the axis is not evaluated at all — its weight
-          // mass was renormalized away above.
-          pair.children = 0.0;
-          pair.coverage = qom::Coverage::kNone;
-          pair.children_all_exact = false;
-        } else if (effective_leaf(s) && effective_leaf(t)) {
-          // Leaves match exactly by default along the children axis (the
-          // constant C of Eq. 2).
-          pair.children = 1.0;
-          pair.coverage = qom::Coverage::kTotal;
-          pair.children_all_exact = true;
-        } else if (effective_leaf(s)) {
-          // No source children to cover: vacuously total, never exact, and
-          // only partial credit (see QMatchConfig).
-          pair.children = config_.leaf_to_inner_children_credit;
-          pair.coverage = qom::Coverage::kTotal;
-          pair.children_all_exact = false;
-        } else if (effective_leaf(t)) {
-          pair.children = 0.0;
-          pair.coverage = qom::Coverage::kNone;
-          pair.children_all_exact = false;
-        } else {
-          const double child_total = static_cast<double>(s->child_count());
-          double qom_sum = 0.0;
-          double matched = 0.0;
-          bool all_exact = true;
-          // Both accumulation modes read every (source child, target child)
-          // table cell, and `matched` counts exactly the children that
-          // contribute — so the memoisation/contribution counters fall out
-          // arithmetically, once per pair, off the inner loops.
-          QMATCH_OBS_ONLY(obs_accum.memo_lookups +=
-                          uint64_t{s->child_count()} * t->child_count();)
-          if (config_.child_accumulation ==
-              QMatchConfig::ChildAccumulation::kBestMatch) {
-            for (const auto& sc : s->children()) {
-              size_t ci = analysis.source_index_.at(sc.get());
-              double best = 0.0;
-              const PairQoM* best_pair = nullptr;
-              for (const auto& tc : t->children()) {
-                size_t cj = analysis.target_index_.at(tc.get());
-                const PairQoM& child_pair = at(ci, cj);
-                if (child_pair.qom > best) {
-                  best = child_pair.qom;
-                  best_pair = &child_pair;
-                }
-              }
-              if (best_pair != nullptr && best >= config_.threshold) {
-                qom_sum += best;
-                matched += 1.0;
-                if (best_pair->category != qom::MatchCategory::kTotalExact) {
-                  all_exact = false;
-                }
-              }
-            }
-          } else {
-            // Paper-literal accumulation: every child pair above threshold
-            // contributes (Fig. 3 pseudo-code).
-            for (const auto& sc : s->children()) {
-              size_t ci = analysis.source_index_.at(sc.get());
-              for (const auto& tc : t->children()) {
-                size_t cj = analysis.target_index_.at(tc.get());
-                const PairQoM& child_pair = at(ci, cj);
-                if (child_pair.qom >= config_.threshold) {
-                  qom_sum += child_pair.qom;
-                  matched += 1.0;
-                  if (child_pair.category !=
-                      qom::MatchCategory::kTotalExact) {
-                    all_exact = false;
-                  }
-                }
-              }
-            }
-          }
-          QMATCH_OBS_ONLY(obs_accum.contributing_children +=
-                          static_cast<uint64_t>(matched);)
-          double rw = qom_sum / child_total;   // Eq. 3
-          double rs = matched / child_total;   // Eq. 4
-          pair.children = std::min(1.0, (rw + rs) / 2.0);  // Eq. 5
-          if (matched <= 0.0) {
-            pair.coverage = qom::Coverage::kNone;
-            all_exact = false;
-          } else if (matched >= child_total) {
-            pair.coverage = qom::Coverage::kTotal;
-          } else {
-            pair.coverage = qom::Coverage::kPartial;
-            all_exact = false;
-          }
-          pair.children_all_exact = all_exact;
-        }
-#if QMATCH_OBS_ENABLED
-        obs_lap(&obs_accum.children_ns);
-#endif
-
-        // --- Label axis -----------------------------------------------
-        lingua::LabelMatch lm = label_match(i, j);
-        pair.label = lm.cls == lingua::LabelMatchClass::kNone ? 0.0 : lm.score;
-        pair.label_cls = ToAxisMatch(lm.cls);
-#if QMATCH_OBS_ENABLED
-        obs_lap(&obs_accum.label_ns);
-#endif
-
-        // --- Properties axis ------------------------------------------
-        match::PropertyMatch pm =
-            match::MatchProperties(*s, *t, config_.property_options);
-        pair.properties = pm.score;
-        pair.properties_cls = ToAxisMatch(pm.cls);
-#if QMATCH_OBS_ENABLED
-        obs_lap(&obs_accum.properties_ns);
-#endif
-
-        // --- Level axis -------------------------------------------------
-        if (s->level() == t->level()) {
-          pair.level = 1.0;
-          pair.level_cls = qom::AxisMatch::kExact;
-        } else {
-          pair.level_cls = qom::AxisMatch::kNone;
-          switch (config_.level_mode) {
-            case QMatchConfig::LevelMode::kBinary:
-              pair.level = 0.0;
-              break;
-            case QMatchConfig::LevelMode::kGraded: {
-              double gap = static_cast<double>(
-                  s->level() > t->level() ? s->level() - t->level()
-                                          : t->level() - s->level());
-              pair.level = 1.0 / (1.0 + gap);
-              break;
-            }
-          }
-        }
-
-#if QMATCH_OBS_ENABLED
-        obs_lap(&obs_accum.level_ns);
-        if (obs_sampled) ++obs_accum.sampled_pairs;
-#endif
-
-        // --- Weighted total (Eq. 1/6) and taxonomy category -------------
-        const qom::Weights& w = weights;
-        pair.qom = w.label * pair.label + w.properties * pair.properties +
-                   w.level * pair.level + w.children * pair.children;
-        pair.category =
-            qom::Categorize(pair.label_cls, pair.properties_cls,
-                            pair.level_cls, pair.coverage,
-                            pair.children_all_exact);
-      }
-    };
-
-#if QMATCH_OBS_ENABLED
-    // Once per completed source row: record the row's recursion depth (the
-    // source node's level — the memo table stands in for the paper's
-    // recursive TreeMatch, so level = recursion depth) and flush the
-    // thread-local axis accumulator to the process registry.
-    auto obs_row_done = [&src](size_t i) {
-      static obs::Histogram& depth_hist = obs::Registry::Global().GetHistogram(
-          "qmatch.treematch.recursion_depth",
-          obs::Histogram::ExponentialBounds(1.0, 2.0, 8),
-          "TreeMatch recursion depth (source node level) per table row");
-      depth_hist.Observe(static_cast<double>(src[i]->level()));
-      t_treematch_accum.Flush();
-    };
-#endif
-
-    // Cooperative stop machinery. `stop` latches the first StopReason any
-    // worker observes; every worker polls it (one relaxed load) per pair,
-    // so a tripped deadline/cancellation drains the fill within one pair
-    // per worker. With no active control the whole block is one branch per
-    // pair and the fill is byte-for-byte the uncontrolled path.
-    const bool controlled = control != nullptr && control->active();
-    std::atomic<int> stop{0};  // 0 = running, else static_cast<int>(StopReason)
-    auto should_stop = [&]() -> bool {
-      if (!controlled) return false;
-      if (stop.load(std::memory_order_relaxed) != 0) return true;
-      const StopReason reason = control->Check();
-      if (reason == StopReason::kNone) return false;
-      int expected = 0;
-      stop.compare_exchange_strong(expected, static_cast<int>(reason),
-                                   std::memory_order_relaxed);
-      return true;
-    };
-    // One full table row; marks the row complete only after every cell is
-    // computed, so partial-result extraction below can trust row_done[i].
-    // The `treematch.pair` failpoint is the chaos suite's hook for making a
-    // single pair slow (kDelay) — which is exactly what the deadline check
-    // must bound.
-    auto fill_row = [&](size_t i) {
-      for (size_t j = m; j-- > 0;) {
-        if (should_stop()) return;
-        compute_pair(i, j);
-        QMATCH_FAILPOINT("treematch.pair");
-      }
-      row_done[i] = 1;
-#if QMATCH_OBS_ENABLED
-      obs_row_done(i);
-#endif
-    };
-
-    if (pool == nullptr || pool->worker_count() == 0) {
-      // Bottom-up over both trees: reverse preorder guarantees all child
-      // pairs are evaluated before their parents (the recursive TreeMatch
-      // of Fig. 3, memoised into an O(n·m) table).
-      for (size_t i = n; i-- > 0;) {
-        if (stop.load(std::memory_order_relaxed) != 0) break;
-        fill_row(i);
-      }
-    } else {
-      // Row-parallel fill, sharded by source *level*: rows within one level
-      // never read each other (a pair depends only on child pairs, and
-      // children live on strictly deeper levels), so levels run deepest
-      // first with a barrier between them and rows fan out inside a level.
-      // Each pair runs the identical arithmetic as the sequential branch,
-      // so the table is bit-identical for any worker count.
-      label_scorer.Precompute();  // freeze the shared token cache (see lingua)
-      size_t max_level = 0;
-      for (const xsd::SchemaNode* s : src) {
-        max_level = std::max(max_level, s->level());
-      }
-      std::vector<std::vector<size_t>> rows_by_level(max_level + 1);
-      for (size_t i = 0; i < n; ++i) {
-        rows_by_level[src[i]->level()].push_back(i);
-      }
-      for (size_t level = max_level + 1; level-- > 0;) {
-        if (stop.load(std::memory_order_relaxed) != 0) break;
-        const std::vector<size_t>& rows = rows_by_level[level];
-        pool->ParallelFor(rows.size(), [&](size_t r) {
-          if (stop.load(std::memory_order_relaxed) != 0) return;
-          fill_row(rows[r]);
-        });
-      }
-    }
-
-    analysis.stop_reason_ =
-        static_cast<StopReason>(stop.load(std::memory_order_relaxed));
-    size_t completed = 0;
-    for (size_t i = 0; i < n; ++i) completed += row_done[i] != 0 ? 1u : 0u;
-    analysis.completed_rows_ = completed;
   }
 
   if (analysis.stop_reason_ == StopReason::kNone) {

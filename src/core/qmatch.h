@@ -2,7 +2,6 @@
 #define QMATCH_CORE_QMATCH_H_
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,15 +11,14 @@
 #include "core/config.h"
 #include "lingua/thesaurus.h"
 #include "match/matcher.h"
-#include "match/soa_kernel.h"
 #include "qom/pair_qom.h"
 #include "qom/taxonomy.h"
 #include "xsd/schema.h"
 
 namespace qmatch::core {
 
-/// The per-node-pair QoM decomposition now lives in the qom layer (both
-/// table-fill kernels produce it); the alias keeps every existing
+/// The per-node-pair QoM decomposition lives in the qom layer (the SoA
+/// table-fill kernel produces it); the alias keeps every existing
 /// `core::PairQoM` reference working.
 using PairQoM = qom::PairQoM;
 
@@ -31,15 +29,9 @@ struct TreeMatchOptions {
   /// kCappedDepth only: nodes at this level or deeper are treated as
   /// leaves on the children axis (their subtrees are not recursed into).
   size_t children_depth_cap = 3;
-  /// Which table-fill implementation runs (DESIGN.md §13). Both produce
-  /// bit-identical tables; unset defers to the QMATCH_KERNEL environment
-  /// variable (default: the SoA kernel). Tests pin it explicitly to gate
-  /// both implementations against the same goldens.
-  std::optional<match::KernelKind> kernel;
-  /// Budget (borrowed, nullable) the SoA kernel's scratch arena charges
-  /// block-by-block; exhaustion throws ArenaExhausted, which the engine
-  /// maps to kResourceExhausted. The tree kernel allocates no scratch and
-  /// ignores it.
+  /// Budget (borrowed, nullable) the table-fill kernel's scratch arena
+  /// charges block-by-block; exhaustion throws ArenaExhausted, which the
+  /// engine maps to kResourceExhausted.
   MemoryBudget* arena_budget = nullptr;
 };
 
@@ -121,7 +113,8 @@ class QMatch : public Matcher {
     const PairQoM* PairByPath(std::string_view source_path,
                               std::string_view target_path) const;
 
-    /// The root-pair decomposition (the tree match of Section 3).
+    /// The root-pair decomposition (the tree match of Section 3); the
+    /// all-zero PairQoM when either schema is empty.
     const PairQoM& Root() const;
 
     /// Multi-line, human-readable explanation of every reported
@@ -159,36 +152,31 @@ class QMatch : public Matcher {
     size_t completed_rows_ = 0;
   };
 
-  Analysis Analyze(const xsd::Schema& source, const xsd::Schema& target) const;
-
-  /// Pool-parallel variant (nullptr = sequential; see the three-argument
-  /// Match for the determinism contract).
+  /// Runs TreeMatch over `source` × `target` and keeps the full pairwise
+  /// table. Every argument past the schemas is optional:
+  ///
+  ///  - `pool` (nullptr = sequential) fans the table fill out; see the
+  ///    three-argument Match for the determinism contract.
+  ///  - `control` (nullable) is polled at node-pair granularity during the
+  ///    table fill. When it trips, the fill stops cooperatively and the
+  ///    returned Analysis carries stop_reason() plus a *monotone partial
+  ///    result*: correspondences are extracted only from fully completed
+  ///    source rows, whose cells are bit-identical to the uninterrupted
+  ///    run's, so every reported pair is one the fault-free run would also
+  ///    report (kBestPerSource only — the injective strategies need the
+  ///    whole table, so a stopped run reports no correspondences there). A
+  ///    null or inactive `control` is byte-for-byte the uncontrolled run.
+  ///  - `tree.mode` selects the rung of the overload ladder. kLabelOnly
+  ///    skips the children axis entirely and renormalizes the remaining
+  ///    weights per Eq. 6/7 (the label, property and level axis values stay
+  ///    bit-identical to the full run — only the weighting and the dropped
+  ///    axis change). kCappedDepth treats nodes at
+  ///    `tree.children_depth_cap` or deeper as leaves on the children axis.
+  ///    The result records the active mode.
   Analysis Analyze(const xsd::Schema& source, const xsd::Schema& target,
-                   ThreadPool* pool) const;
-
-  /// Deadline/cancellation-aware variant: `control` (nullable) is polled at
-  /// node-pair granularity during the table fill. When it trips, the fill
-  /// stops cooperatively and the returned Analysis carries stop_reason()
-  /// plus a *monotone partial result*: correspondences are extracted only
-  /// from fully completed source rows, whose cells are bit-identical to the
-  /// uninterrupted run's, so every reported pair is one the fault-free run
-  /// would also report (kBestPerSource only — the injective strategies need
-  /// the whole table, so a stopped run reports no correspondences there).
-  /// A null or inactive `control` is byte-for-byte the plain Analyze.
-  Analysis Analyze(const xsd::Schema& source, const xsd::Schema& target,
-                   ThreadPool* pool, const ExecControl* control) const;
-
-  /// Degradation-aware variant: `tree.mode` selects the rung of the
-  /// overload ladder. kLabelOnly skips the children axis entirely and
-  /// renormalizes the remaining weights per Eq. 6/7 (the label, property
-  /// and level axis values stay bit-identical to the full run — only the
-  /// weighting and the dropped axis change). kCappedDepth treats nodes at
-  /// `tree.children_depth_cap` or deeper as leaves on the children axis.
-  /// The result records the active mode. kFull is byte-for-byte the
-  /// four-argument Analyze.
-  Analysis Analyze(const xsd::Schema& source, const xsd::Schema& target,
-                   ThreadPool* pool, const ExecControl* control,
-                   const TreeMatchOptions& tree) const;
+                   ThreadPool* pool = nullptr,
+                   const ExecControl* control = nullptr,
+                   const TreeMatchOptions& tree = {}) const;
 
  private:
   QMatchConfig config_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 
 #include "fault/failpoint.h"
 #include "obs/obs.h"
@@ -11,30 +10,10 @@
 
 namespace qmatch::match {
 
-std::string_view KernelKindName(KernelKind kind) {
-  switch (kind) {
-    case KernelKind::kTree:
-      return "tree";
-    case KernelKind::kSoa:
-      return "soa";
-  }
-  return "?";
-}
-
-KernelKind DefaultKernel() {
-  const char* env = std::getenv("QMATCH_KERNEL");
-  if (env != nullptr) {
-    const std::string_view value(env);
-    if (value == "tree") return KernelKind::kTree;
-    if (value == "soa") return KernelKind::kSoa;
-  }
-  return KernelKind::kSoa;
-}
-
 namespace {
 
-// The same class mappings the tree walk applies (core/qmatch.cc); the
-// numeric encoding in the uint8 matrices is the qom::AxisMatch enum value.
+// Axis class → qom::AxisMatch, stored as the enum value in the uint8
+// matrices.
 uint8_t ToAxisByte(lingua::LabelMatchClass cls) {
   switch (cls) {
     case lingua::LabelMatchClass::kExact:
@@ -80,7 +59,7 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
   // thread-safe, so all scratch is carved out before rows fan out.
 
   // Label-axis matrix over *distinct* labels. The stored score is already
-  // gated the way the tree walk gates it (0.0 when the class is kNone).
+  // gated (0.0 when the class is kNone).
   const size_t nl = source.labels.size();
   const size_t ml = target.labels.size();
   double* label_score = arena->MakeArray<double>(nl * ml);
@@ -122,8 +101,8 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
     }
   }
 
-  // Level-axis matrix over distinct (source level, target level) pairs —
-  // identical arithmetic to the tree walk's per-pair branch.
+  // Level-axis matrix over distinct (source level, target level) pairs:
+  // exact on equal levels, else 0 (binary) or 1/(1+gap) (graded).
   const size_t nlev = static_cast<size_t>(source.max_level) + 1;
   const size_t mlev = static_cast<size_t>(target.max_level) + 1;
   double* level_score = arena->MakeArray<double>(nlev * mlev);
@@ -165,7 +144,11 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
   double* qom_col = arena->MakeArray<double>(n * m);
   uint8_t* cat_col = arena->MakeArray<uint8_t>(n * m);
 
-  // ---- cooperative stop (same latch protocol as the tree walk) ----------
+  // ---- cooperative stop ---------------------------------------------------
+  // `stop` latches the first StopReason any worker observes; every worker
+  // polls it (one relaxed load) per pair, so a tripped deadline or
+  // cancellation drains the fill within one pair per worker. With no
+  // active control this is one branch per pair.
   const bool controlled = control != nullptr && control->active();
   std::atomic<int> stop{0};  // 0 = running, else static_cast<int>(StopReason)
   auto should_stop = [&]() -> bool {
@@ -365,9 +348,8 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
     }
 
 #if QMATCH_OBS_ENABLED
-    // Per-row flush (the tree walk flushes a sampled TLS accumulator per
-    // row; the kernel's pass structure makes exact per-axis timing cheap —
-    // a handful of clock reads per row).
+    // Per-row flush: the pass structure makes exact per-axis timing cheap —
+    // a handful of clock reads per row. The combine pass is not timed.
     QMATCH_COUNTER_ADD("qmatch.treematch.axis_children_ns", children_ns);
     QMATCH_COUNTER_ADD("qmatch.treematch.axis_label_ns", label_ns);
     QMATCH_COUNTER_ADD("qmatch.treematch.axis_properties_ns", properties_ns);
@@ -390,7 +372,7 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
     if (fill_row(i)) row_done[i] = 1;
   };
 
-  // ---- drivers (same schedules as the tree walk) -------------------------
+  // ---- drivers -------------------------------------------------------------
   if (pool == nullptr || pool->worker_count() == 0) {
     // Reverse preorder = bottom-up: every child row is complete before any
     // row that reads it.

@@ -2,7 +2,6 @@
 #define QMATCH_MATCH_SOA_KERNEL_H_
 
 #include <cstddef>
-#include <string_view>
 #include <vector>
 
 #include "common/arena.h"
@@ -15,23 +14,6 @@
 #include "xsd/flatten.h"
 
 namespace qmatch::match {
-
-/// Which pairwise table-fill implementation TreeMatch runs (DESIGN.md §13).
-/// Both produce bit-identical tables — the equivalence the kernel diff
-/// suite and the (kernel-parameterized) golden suite enforce.
-enum class KernelKind {
-  /// The node-at-a-time tree walk in core/qmatch.cc (the reference).
-  kTree,
-  /// The structure-of-arrays batch kernel in this header (the default).
-  kSoa,
-};
-
-std::string_view KernelKindName(KernelKind kind);
-
-/// Kernel selected by the QMATCH_KERNEL environment variable ("tree" or
-/// "soa"); unset or unrecognised values select kSoa. Read per call so
-/// tests can flip it between matches.
-KernelKind DefaultKernel();
 
 /// Everything the SoA fill needs from QMatchConfig, flattened so the match
 /// layer does not depend on core. `weights` must already carry any
@@ -60,13 +42,15 @@ struct SoaKernelResult {
 };
 
 /// Fills `table` (source-major, size source.size()*target.size()) with the
-/// per-pair QoM decomposition — bit-identical to the tree walk, cell for
-/// cell, because every axis value is the same pure function evaluated on
-/// the same inputs in the same order; the kernel only *deduplicates*:
-/// label matches are computed once per distinct (source label, target
-/// label), property matches once per distinct packed-descriptor pair, and
-/// level matches once per distinct (source level, target level), then
-/// broadcast through the interned id columns.
+/// per-pair QoM decomposition of TreeMatch (PAPER.md §4, Fig. 3) — cell for
+/// cell bit-identical to the literal memoised recursion, which
+/// tests/qmatch_oracle.h keeps as the differential oracle: every axis value
+/// is the same pure function evaluated on the same inputs, and child QoMs
+/// are summed in tree order. The kernel only *deduplicates*: label matches
+/// are computed once per distinct (source label, target label), property
+/// matches once per distinct packed-descriptor pair, and level matches once
+/// per distinct (source level, target level), then broadcast through the
+/// interned id columns.
 ///
 /// All scratch (similarity matrices, SoA score columns) comes from
 /// `arena`, allocated on the calling thread before any fan-out to `pool`.
@@ -74,8 +58,8 @@ struct SoaKernelResult {
 /// on a trip the fill stops cooperatively and `row_done` marks exactly the
 /// source rows whose every cell is complete (the monotone-partial contract
 /// of DESIGN.md §10). The `treematch.pair` failpoint fires once per
-/// computed pair, as in the tree walk, so the chaos suite's slow-pair and
-/// deadline scenarios exercise both kernels identically.
+/// computed pair, the chaos suite's hook for slow-pair and deadline
+/// scenarios.
 SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
                              const xsd::FlatSchema& target,
                              const SoaKernelConfig& config,

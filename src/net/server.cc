@@ -356,7 +356,8 @@ void Server::SetReplicaStatus(uint64_t applied_seq, uint64_t head_seq,
   replica_applied_.store(applied_seq, std::memory_order_relaxed);
   replica_head_.store(head_seq, std::memory_order_relaxed);
   replica_connected_.store(connected, std::memory_order_release);
-  const uint64_t lag = head_seq > applied_seq ? head_seq - applied_seq : 0;
+  [[maybe_unused]] const uint64_t lag =
+      head_seq > applied_seq ? head_seq - applied_seq : 0;
   QMATCH_GAUGE_SET("replica.lag_records", static_cast<int64_t>(lag));
 }
 
@@ -1146,7 +1147,8 @@ std::shared_ptr<const xsd::Schema> Server::LookupSchema(
 
 void Server::ExecuteSubmitSchema(uint64_t conn_id, SubmitSchemaReq req) {
   QMATCH_SPAN(span, "net.submit_schema");
-  const steady_clock::time_point start = steady_clock::now();
+  [[maybe_unused]] const steady_clock::time_point start =
+      steady_clock::now();
   SubmitSchemaResp resp;
   xsd::ParseOptions parse = options_.parse;
   parse.schema_name = req.name;
@@ -1183,7 +1185,8 @@ void Server::ExecuteSubmitSchema(uint64_t conn_id, SubmitSchemaReq req) {
 
 void Server::ExecuteMatchPair(uint64_t conn_id, MatchPairReq req) {
   QMATCH_SPAN(span, "net.match_pair");
-  const steady_clock::time_point start = steady_clock::now();
+  [[maybe_unused]] const steady_clock::time_point start =
+      steady_clock::now();
   MatchPairResp resp;
   const std::shared_ptr<const xsd::Schema> source = LookupSchema(req.source);
   const std::shared_ptr<const xsd::Schema> target = LookupSchema(req.target);
@@ -1220,7 +1223,8 @@ void Server::ExecuteMatchPair(uint64_t conn_id, MatchPairReq req) {
 
 void Server::ExecuteMatchCorpus(uint64_t conn_id, MatchCorpusReq req) {
   QMATCH_SPAN(span, "net.match_corpus");
-  const steady_clock::time_point start = steady_clock::now();
+  [[maybe_unused]] const steady_clock::time_point start =
+      steady_clock::now();
   MatchCorpusResp resp;
   const std::shared_ptr<const xsd::Schema> query = LookupSchema(req.query);
   if (query == nullptr) {

@@ -12,10 +12,8 @@ namespace qmatch::qom {
 /// category and weighted total (paper Sections 2-3).
 ///
 /// Lives in the qom layer (not core) because it is the cell type of the
-/// pairwise table that both table-fill implementations produce: the
-/// node-at-a-time tree walk in core/qmatch and the structure-of-arrays
-/// batch kernel in match/soa_kernel. `core::PairQoM` aliases this type, so
-/// existing callers are unaffected.
+/// pairwise table the structure-of-arrays kernel in match/soa_kernel fills.
+/// `core::PairQoM` aliases this type, so existing callers are unaffected.
 struct PairQoM {
   double label = 0.0;
   double properties = 0.0;

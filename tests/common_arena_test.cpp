@@ -145,7 +145,7 @@ TEST(ArenaTest, AllocFailpointThrowsArenaExhausted) {
 }
 
 TEST(ArenaTest, EngineMapsArenaExhaustionToResourceExhausted) {
-  // End-to-end: with the SoA kernel active, a fired arena.alloc failpoint
+  // End-to-end: a fired arena.alloc failpoint in the table fill
   // must surface as the typed kResourceExhausted — not kInternal — per the
   // engine's status contract (MatchEngine::Match catches ArenaExhausted
   // ahead of the std::exception catch-all).
@@ -157,7 +157,6 @@ TEST(ArenaTest, EngineMapsArenaExhaustionToResourceExhausted) {
   options.cache_capacity = 0;
   core::MatchEngine engine(options);
 
-  ::setenv("QMATCH_KERNEL", "soa", 1);
   fault::FaultSpec spec;
   spec.action = fault::FaultAction::kError;
   {
@@ -170,7 +169,6 @@ TEST(ArenaTest, EngineMapsArenaExhaustionToResourceExhausted) {
   // Disarmed, the same request succeeds.
   core::EngineMatchResult ok = engine.Match(source, target, {});
   EXPECT_TRUE(ok.ok()) << ok.status.ToString();
-  ::unsetenv("QMATCH_KERNEL");
 }
 #endif  // QMATCH_FAULT_ENABLED
 

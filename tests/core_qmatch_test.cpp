@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/qmatch.h"
 #include "datagen/corpus.h"
 #include "xsd/builder.h"
@@ -325,6 +327,20 @@ TEST(QMatchTest, EmptySchemasProduceEmptyResult) {
   EXPECT_TRUE(matcher.Match(empty, po).correspondences.empty());
   EXPECT_TRUE(matcher.Match(po, empty).correspondences.empty());
   EXPECT_DOUBLE_EQ(matcher.Match(empty, po).schema_qom, 0.0);
+
+  // The analysis of an empty side has an empty table: Root() is the
+  // all-zero pair and every lookup misses instead of reading past it.
+  for (const auto& [source, target] :
+       {std::pair<const Schema*, const Schema*>{&empty, &po},
+        std::pair<const Schema*, const Schema*>{&po, &empty}}) {
+    const QMatch::Analysis analysis = matcher.Analyze(*source, *target);
+    EXPECT_EQ(analysis.total_rows(), 0u);
+    EXPECT_DOUBLE_EQ(analysis.Root().qom, 0.0);
+    EXPECT_EQ(analysis.Root().category, qom::MatchCategory::kNoMatch);
+    EXPECT_TRUE(analysis.result().correspondences.empty());
+    EXPECT_EQ(analysis.Pair(po.root(), po.root()), nullptr);
+    EXPECT_EQ(analysis.PairByPath("/PO", "/PO"), nullptr);
+  }
 }
 
 }  // namespace

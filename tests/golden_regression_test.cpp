@@ -3,10 +3,9 @@
 // on the five paper domains are snapshotted under data/expected/*.qom.
 // Any behaviour change — intended or not — shows up as a readable diff.
 //
-// Every snapshot is checked against *both* table-fill kernels (the
-// node-at-a-time tree walk and the SoA batch kernel of DESIGN.md §13),
-// pinned explicitly per test: one golden file gates two implementations,
-// which is the bit-identity contract expressed as a regression suite.
+// The production path (QMatch::Analyze, i.e. the SoA table fill of
+// DESIGN.md §13) both writes and checks the snapshots; match_kernel_diff_test
+// holds that fill bit-identical to the literal Fig. 3 oracle.
 //
 // To regenerate after an *intentional* scoring change:
 //   ./golden_regression_test --update-golden
@@ -16,7 +15,6 @@
 
 #include <cstdio>
 #include <string>
-#include <tuple>
 
 #include "common/file_util.h"
 #include "common/string_util.h"
@@ -24,7 +22,6 @@
 #include "datagen/corpus.h"
 #include "datagen/generator.h"
 #include "eval/metrics.h"
-#include "match/soa_kernel.h"
 
 #ifndef QMATCH_SOURCE_DIR
 #error "build must define QMATCH_SOURCE_DIR (see tests/CMakeLists.txt)"
@@ -43,18 +40,8 @@ std::string GoldenPath(const std::string& task_name) {
          ".qom";
 }
 
-/// One full match run with the table-fill kernel pinned explicitly.
-MatchResult MatchWithKernel(const xsd::Schema& source,
-                            const xsd::Schema& target,
-                            match::KernelKind kernel) {
-  const core::QMatch matcher;
-  core::TreeMatchOptions tree;
-  tree.kernel = kernel;
-  return matcher.Analyze(source, target, nullptr, nullptr, tree).TakeResult();
-}
-
 /// Renders the observable outcome of one match run. Scores print with 12
-/// significant digits — far below the bit-identity the kernel differential
+/// significant digits — far below the bit-identity the kernel-oracle
 /// tests enforce, but tight enough that any real scoring change moves the
 /// snapshot.
 std::string Snapshot(const std::string& task_name, const xsd::Schema& source,
@@ -85,8 +72,7 @@ std::string Snapshot(const std::string& task_name, const xsd::Schema& source,
 
 /// Gates `snapshot` against the golden file for `task_name` (or rewrites it
 /// under --update-golden).
-void CheckGolden(const std::string& task_name, const std::string& snapshot,
-                 const std::string& detail) {
+void CheckGolden(const std::string& task_name, const std::string& snapshot) {
   const std::string path = GoldenPath(task_name);
   if (g_update_golden) {
     // Atomic: an interrupted --update-golden run must not leave a torn
@@ -100,44 +86,29 @@ void CheckGolden(const std::string& task_name, const std::string& snapshot,
       << path << " missing — run golden_regression_test --update-golden "
       << "and commit data/expected/";
   EXPECT_EQ(golden.value(), snapshot)
-      << "snapshot drift for task " << task_name << " (" << detail << ")"
+      << "snapshot drift for task " << task_name
       << "; if intentional, regenerate with --update-golden and review the "
       << "data/expected diff";
 }
 
-using GoldenParam = std::tuple<size_t, match::KernelKind>;
-
-class GoldenRegressionTest : public testing::TestWithParam<GoldenParam> {};
+class GoldenRegressionTest : public testing::TestWithParam<size_t> {};
 
 TEST_P(GoldenRegressionTest, MatchesSnapshot) {
-  const auto [task_index, kernel] = GetParam();
-  const datagen::MatchTask& task = datagen::Tasks()[task_index];
+  const datagen::MatchTask& task = datagen::Tasks()[GetParam()];
   const xsd::Schema source = task.source();
   const xsd::Schema target = task.target();
-  const MatchResult result = MatchWithKernel(source, target, kernel);
+  const MatchResult result = core::QMatch().Match(source, target);
   const eval::QualityMetrics metrics = eval::Evaluate(result, task.gold());
-  // Only one kernel writes under --update-golden; the other still *checks*,
-  // so a golden a kernel cannot reproduce fails the update run itself.
-  const bool writer = kernel == match::KernelKind::kTree;
-  const bool saved = g_update_golden;
-  if (!writer) g_update_golden = false;
   CheckGolden(task.name,
-              Snapshot(task.name, source, target, result, &metrics),
-              std::string("kernel=") + std::string(KernelKindName(kernel)));
-  g_update_golden = saved;
+              Snapshot(task.name, source, target, result, &metrics));
 }
 
-std::string GoldenName(const testing::TestParamInfo<GoldenParam>& info) {
-  return datagen::Tasks()[std::get<0>(info.param)].name + "_" +
-         std::string(match::KernelKindName(std::get<1>(info.param)));
+std::string GoldenName(const testing::TestParamInfo<size_t>& info) {
+  return datagen::Tasks()[info.param].name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PaperDomains, GoldenRegressionTest,
-    testing::Combine(testing::Range<size_t>(0, 5),
-                     testing::Values(match::KernelKind::kTree,
-                                     match::KernelKind::kSoa)),
-    GoldenName);
+INSTANTIATE_TEST_SUITE_P(PaperDomains, GoldenRegressionTest,
+                         testing::Range<size_t>(0, 5), GoldenName);
 
 TEST(GoldenRegressionSetupTest, CoversTheFivePaperDomains) {
   ASSERT_EQ(datagen::Tasks().size(), 5u);
@@ -148,10 +119,9 @@ TEST(GoldenRegressionSetupTest, CoversTheFivePaperDomains) {
 
 TEST(GoldenRegressionTest, GeneratedProteinScalePair) {
   // Seed-pinned synthetic pair at the paper's Protein shape (231-element
-  // source vs 3753-element target, protein vocabulary) — the SoA kernel's
+  // source vs 3753-element target, protein vocabulary) — the table fill's
   // headline workload, snapshotted so scoring regressions at scale are
-  // caught even where no hand-made gold standard exists. Both kernels gate
-  // against the same file.
+  // caught even where no hand-made gold standard exists.
   datagen::GeneratorOptions small;
   small.seed = 20260808;
   small.element_count = 231;
@@ -167,17 +137,9 @@ TEST(GoldenRegressionTest, GeneratedProteinScalePair) {
   const xsd::Schema source = datagen::GenerateSchema(small);
   const xsd::Schema target = datagen::GenerateSchema(big);
 
-  const MatchResult tree =
-      MatchWithKernel(source, target, match::KernelKind::kTree);
-  const std::string snapshot =
-      Snapshot("GeneratedProteinScale", source, target, tree, nullptr);
-  CheckGolden("GeneratedProteinScale", snapshot, "kernel=tree");
-
-  const MatchResult soa =
-      MatchWithKernel(source, target, match::KernelKind::kSoa);
-  EXPECT_EQ(Snapshot("GeneratedProteinScale", source, target, soa, nullptr),
-            snapshot)
-      << "SoA kernel diverged from the tree walk at Protein scale";
+  const MatchResult result = core::QMatch().Match(source, target);
+  CheckGolden("GeneratedProteinScale", Snapshot("GeneratedProteinScale", source,
+                                                target, result, nullptr));
 }
 
 }  // namespace

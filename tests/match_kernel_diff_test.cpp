@@ -1,9 +1,10 @@
-// Kernel-equivalence layer (DESIGN.md §13): the structure-of-arrays batch
-// kernel and the node-at-a-time tree walk must fill *bit-identical*
-// pairwise QoM tables — every per-axis score, classification, coverage,
-// category and weighted total, for every pair, on every input, in every
-// MatchMode, sequential and pool-parallel, and (under fault injection) for
-// the completed rows of a cancelled or deadline-stopped fill.
+// Kernel-oracle layer (DESIGN.md §13): the production table fill (the
+// structure-of-arrays kernel behind QMatch::Analyze) must be
+// *bit-identical* to the literal Fig. 3 recursion in qmatch_oracle.h —
+// every per-axis score, classification, coverage, category and weighted
+// total, for every pair, on every input, in every MatchMode, sequential
+// and pool-parallel, and (under fault injection) for the completed rows of
+// a cancelled or deadline-stopped fill.
 //
 // Coverage: all ordered pairs of the shipped small paper schemas, the full
 // Protein task (PIR 231 x PDB 3753 — the paper's largest), and a seeded
@@ -29,6 +30,9 @@
 #include "datagen/generator.h"
 #include "datagen/perturb.h"
 #include "fault/failpoint.h"
+#include "lingua/default_thesaurus.h"
+#include "lingua/name_match.h"
+#include "qmatch_oracle.h"
 #include "xsd/parser.h"
 #include "xsd/schema.h"
 
@@ -44,88 +48,97 @@ bool BitEqual(double a, double b) {
 }
 
 /// Field-for-field bit equality of one table cell.
-void ExpectPairIdentical(const PairQoM& soa, const PairQoM& tree,
+void ExpectPairIdentical(const PairQoM& got, const PairQoM& want,
                          const std::string& context) {
-  EXPECT_TRUE(BitEqual(soa.label, tree.label)) << context << " label";
-  EXPECT_TRUE(BitEqual(soa.properties, tree.properties))
+  EXPECT_TRUE(BitEqual(got.label, want.label)) << context << " label";
+  EXPECT_TRUE(BitEqual(got.properties, want.properties))
       << context << " properties";
-  EXPECT_TRUE(BitEqual(soa.level, tree.level)) << context << " level";
-  EXPECT_TRUE(BitEqual(soa.children, tree.children)) << context << " children";
-  EXPECT_TRUE(BitEqual(soa.qom, tree.qom)) << context << " qom";
-  EXPECT_EQ(soa.label_cls, tree.label_cls) << context << " label_cls";
-  EXPECT_EQ(soa.properties_cls, tree.properties_cls)
+  EXPECT_TRUE(BitEqual(got.level, want.level)) << context << " level";
+  EXPECT_TRUE(BitEqual(got.children, want.children)) << context << " children";
+  EXPECT_TRUE(BitEqual(got.qom, want.qom)) << context << " qom";
+  EXPECT_EQ(got.label_cls, want.label_cls) << context << " label_cls";
+  EXPECT_EQ(got.properties_cls, want.properties_cls)
       << context << " properties_cls";
-  EXPECT_EQ(soa.level_cls, tree.level_cls) << context << " level_cls";
-  EXPECT_EQ(soa.coverage, tree.coverage) << context << " coverage";
-  EXPECT_EQ(soa.children_all_exact, tree.children_all_exact)
+  EXPECT_EQ(got.level_cls, want.level_cls) << context << " level_cls";
+  EXPECT_EQ(got.coverage, want.coverage) << context << " coverage";
+  EXPECT_EQ(got.children_all_exact, want.children_all_exact)
       << context << " children_all_exact";
-  EXPECT_EQ(soa.category, tree.category) << context << " category";
+  EXPECT_EQ(got.category, want.category) << context << " category";
 }
 
-/// Extracted-output equivalence: the mapping set (source, target, score in
-/// order), the schema QoM, and the recorded mode.
-void ExpectResultsIdentical(const QMatch::Analysis& soa,
-                            const QMatch::Analysis& tree,
-                            const std::string& context) {
-  const MatchResult& sr = soa.result();
-  const MatchResult& tr = tree.result();
-  EXPECT_TRUE(BitEqual(sr.schema_qom, tr.schema_qom)) << context;
-  EXPECT_EQ(sr.mode, tr.mode) << context;
-  ASSERT_EQ(sr.correspondences.size(), tr.correspondences.size()) << context;
-  for (size_t k = 0; k < sr.correspondences.size(); ++k) {
-    EXPECT_EQ(sr.correspondences[k].source, tr.correspondences[k].source)
-        << context << " corr #" << k;
-    EXPECT_EQ(sr.correspondences[k].target, tr.correspondences[k].target)
-        << context << " corr #" << k;
-    EXPECT_TRUE(
-        BitEqual(sr.correspondences[k].score, tr.correspondences[k].score))
-        << context << " corr #" << k;
-  }
+/// The same check without diagnostics, cheap enough for every cell of a
+/// Protein-scale table; a mismatch is then reported field by field.
+bool PairIdentical(const PairQoM& a, const PairQoM& b) {
+  return BitEqual(a.label, b.label) && BitEqual(a.properties, b.properties) &&
+         BitEqual(a.level, b.level) && BitEqual(a.children, b.children) &&
+         BitEqual(a.qom, b.qom) && a.label_cls == b.label_cls &&
+         a.properties_cls == b.properties_cls && a.level_cls == b.level_cls &&
+         a.coverage == b.coverage &&
+         a.children_all_exact == b.children_all_exact &&
+         a.category == b.category;
 }
 
-/// Full-table equivalence, cell by cell via Analysis::Pair.
-void ExpectTablesIdentical(const QMatch::Analysis& soa,
-                           const QMatch::Analysis& tree,
-                           const xsd::Schema& source, const xsd::Schema& target,
-                           const std::string& context) {
+/// Full-table equivalence of a production run against the oracle, cell by
+/// cell via Analysis::Pair, plus the schema QoM (the root cell) and the
+/// recorded mode.
+void ExpectMatchesOracle(const QMatch::Analysis& got,
+                         const std::vector<PairQoM>& oracle,
+                         const xsd::Schema& source, const xsd::Schema& target,
+                         MatchMode mode, const std::string& context) {
+  ASSERT_EQ(got.stop_reason(), StopReason::kNone) << context;
+  EXPECT_EQ(got.result().mode, mode) << context;
   const std::vector<const xsd::SchemaNode*> src = source.AllNodes();
   const std::vector<const xsd::SchemaNode*> tgt = target.AllNodes();
+  ASSERT_EQ(oracle.size(), src.size() * tgt.size()) << context;
+  ASSERT_FALSE(oracle.empty()) << context;
+  EXPECT_TRUE(BitEqual(got.result().schema_qom, oracle[0].qom)) << context;
   for (size_t i = 0; i < src.size(); ++i) {
     for (size_t j = 0; j < tgt.size(); ++j) {
-      const PairQoM* sp = soa.Pair(src[i], tgt[j]);
-      const PairQoM* tp = tree.Pair(src[i], tgt[j]);
-      ASSERT_NE(sp, nullptr) << context;
-      ASSERT_NE(tp, nullptr) << context;
-      ExpectPairIdentical(*sp, *tp, context + " pair (" + std::to_string(i) +
-                                        "," + std::to_string(j) + ")");
-      if (::testing::Test::HasFailure()) return;  // one bad cell is enough
+      const PairQoM* cell = got.Pair(src[i], tgt[j]);
+      ASSERT_NE(cell, nullptr) << context;
+      const PairQoM& want = oracle[i * tgt.size() + j];
+      if (PairIdentical(*cell, want)) continue;
+      ExpectPairIdentical(*cell, want,
+                          context + " pair (" + std::to_string(i) + "," +
+                              std::to_string(j) + ")");
+      return;  // one bad cell is enough
     }
   }
 }
 
-TreeMatchOptions KernelOptions(match::KernelKind kernel,
-                               MatchMode mode = MatchMode::kFull) {
-  TreeMatchOptions options;
-  options.kernel = kernel;
-  options.mode = mode;
-  return options;
+/// Diffs production against the oracle for one schema pair under one
+/// mode, once per entry of `pools` (nullptr = sequential).
+void DiffOnePair(const QMatch& matcher, const oracle::TreeMatchOracle& oracle,
+                 const xsd::Schema& source, const xsd::Schema& target,
+                 const TreeMatchOptions& tree,
+                 const std::vector<ThreadPool*>& pools,
+                 const std::string& context) {
+  const std::vector<PairQoM> table = oracle.Table(matcher.config(), tree);
+  for (ThreadPool* pool : pools) {
+    const std::string where =
+        context + (pool == nullptr ? " sequential" : " pool");
+    ExpectMatchesOracle(matcher.Analyze(source, target, pool, nullptr, tree),
+                        table, source, target, tree.mode, where);
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
-/// Runs both kernels over one pair under one mode/pool and checks full
-/// equivalence (tables + extracted mappings + schema QoM).
-void DiffOnePair(const QMatch& matcher, const xsd::Schema& source,
-                 const xsd::Schema& target, MatchMode mode, ThreadPool* pool,
-                 const std::string& context) {
-  const QMatch::Analysis tree =
-      matcher.Analyze(source, target, pool, nullptr,
-                      KernelOptions(match::KernelKind::kTree, mode));
-  const QMatch::Analysis soa =
-      matcher.Analyze(source, target, pool, nullptr,
-                      KernelOptions(match::KernelKind::kSoa, mode));
-  ASSERT_EQ(tree.stop_reason(), StopReason::kNone) << context;
-  ASSERT_EQ(soa.stop_reason(), StopReason::kNone) << context;
-  ExpectResultsIdentical(soa, tree, context);
-  ExpectTablesIdentical(soa, tree, source, target, context);
+/// The oracle for one schema pair, with the paper-default axis options
+/// (every matcher in this suite keeps them).
+oracle::TreeMatchOracle MakeOracle(const xsd::Schema& source,
+                                   const xsd::Schema& target) {
+  const QMatchConfig defaults;
+  return oracle::TreeMatchOracle(
+      source, target,
+      lingua::NameMatcher(&lingua::DefaultThesaurus(), defaults.name_options),
+      defaults.property_options);
+}
+
+TreeMatchOptions ModeOptions(MatchMode mode, size_t cap = 3) {
+  TreeMatchOptions options;
+  options.mode = mode;
+  options.children_depth_cap = cap;
+  return options;
 }
 
 const std::vector<std::string>& SmallCorpusFiles() {
@@ -157,9 +170,11 @@ TEST(KernelDiffTest, AllPairsOfShippedSchemasAllModes) {
   const std::vector<xsd::Schema> schemas = LoadSmallCorpus();
   for (size_t a = 0; a < schemas.size(); ++a) {
     for (size_t b = 0; b < schemas.size(); ++b) {
+      const oracle::TreeMatchOracle oracle = MakeOracle(schemas[a], schemas[b]);
       for (MatchMode mode :
            {MatchMode::kFull, MatchMode::kCappedDepth, MatchMode::kLabelOnly}) {
-        DiffOnePair(matcher, schemas[a], schemas[b], mode, nullptr,
+        DiffOnePair(matcher, oracle, schemas[a], schemas[b], ModeOptions(mode),
+                    {nullptr},
                     SmallCorpusFiles()[a] + " x " + SmallCorpusFiles()[b] +
                         " mode=" + std::string(MatchModeName(mode)));
         if (HasFailure()) return;
@@ -180,11 +195,9 @@ TEST(KernelDiffTest, ProteinTaskFullScale) {
   ASSERT_NE(protein, nullptr);
   const xsd::Schema source = protein->source();
   const xsd::Schema target = protein->target();
-  DiffOnePair(matcher, source, target, MatchMode::kFull, nullptr,
-              "Protein sequential");
   ThreadPool pool(4);
-  DiffOnePair(matcher, source, target, MatchMode::kFull, &pool,
-              "Protein pool=4");
+  DiffOnePair(matcher, MakeOracle(source, target), source, target,
+              ModeOptions(MatchMode::kFull), {nullptr, &pool}, "Protein");
 }
 
 struct GeneratedCase {
@@ -243,36 +256,50 @@ std::vector<GeneratedCase> GeneratedCases() {
   return cases;
 }
 
-TEST(KernelDiffTest, GeneratedCorporaAllModes) {
-  const QMatch matcher;
-  for (const GeneratedCase& c : GeneratedCases()) {
-    for (MatchMode mode :
-         {MatchMode::kFull, MatchMode::kCappedDepth, MatchMode::kLabelOnly}) {
-      DiffOnePair(matcher, c.source, c.target, mode, nullptr,
-                  c.name + " mode=" + std::string(MatchModeName(mode)));
-      if (HasFailure()) return;
+/// The generated cases, each with its oracle, built once and shared by the
+/// tests that diff whole tables over them. (The oracle points at the
+/// schemas' heap-owned nodes, which moving a Schema leaves in place.)
+struct OracleCase {
+  GeneratedCase pair;
+  oracle::TreeMatchOracle oracle;
+};
+const std::vector<OracleCase>& GeneratedOracleCases() {
+  static const std::vector<OracleCase> cases = [] {
+    std::vector<OracleCase> out;
+    for (GeneratedCase& c : GeneratedCases()) {
+      oracle::TreeMatchOracle o = MakeOracle(c.source, c.target);
+      out.push_back({std::move(c), std::move(o)});
     }
-  }
+    return out;
+  }();
+  return cases;
 }
 
-TEST(KernelDiffTest, PoolParallelMatchesSequential) {
-  // Within one kernel and across kernels: the pool-parallel SoA fill must
-  // equal both the sequential SoA fill and the tree reference.
+TEST(KernelDiffTest, GeneratedCorporaAllModes) {
+  // Every mode sequentially and across a 4-worker pool, plus the depth cap
+  // at 1 and 5 (either side of the default 3) for kCappedDepth.
   const QMatch matcher;
   ThreadPool pool(4);
-  for (const GeneratedCase& c : GeneratedCases()) {
-    const QMatch::Analysis seq =
-        matcher.Analyze(c.source, c.target, nullptr, nullptr,
-                        KernelOptions(match::KernelKind::kSoa));
-    const QMatch::Analysis par =
-        matcher.Analyze(c.source, c.target, &pool, nullptr,
-                        KernelOptions(match::KernelKind::kSoa));
-    ExpectResultsIdentical(par, seq, c.name + " soa pool-vs-seq");
-    ExpectTablesIdentical(par, seq, c.source, c.target,
-                          c.name + " soa pool-vs-seq");
-    DiffOnePair(matcher, c.source, c.target, MatchMode::kFull, &pool,
-                c.name + " pool cross-kernel");
-    if (HasFailure()) return;
+  struct Variant {
+    MatchMode mode;
+    size_t cap;
+    std::vector<ThreadPool*> pools;
+  };
+  const Variant variants[] = {
+      {MatchMode::kFull, 3, {nullptr, &pool}},
+      {MatchMode::kCappedDepth, 3, {nullptr, &pool}},
+      {MatchMode::kCappedDepth, 1, {nullptr}},
+      {MatchMode::kCappedDepth, 5, {nullptr}},
+      {MatchMode::kLabelOnly, 3, {nullptr, &pool}},
+  };
+  for (const auto& [c, oracle] : GeneratedOracleCases()) {
+    for (const Variant& v : variants) {
+      DiffOnePair(matcher, oracle, c.source, c.target,
+                  ModeOptions(v.mode, v.cap), v.pools,
+                  c.name + " mode=" + std::string(MatchModeName(v.mode)) +
+                      " cap=" + std::to_string(v.cap));
+      if (HasFailure()) return;
+    }
   }
 }
 
@@ -289,109 +316,105 @@ TEST(KernelDiffTest, NonDefaultConfigKnobs) {
   config.weights.children = 0.3;
   ASSERT_TRUE(config.Validate().ok());
   const QMatch matcher(config);
-  for (const GeneratedCase& c : GeneratedCases()) {
-    DiffOnePair(matcher, c.source, c.target, MatchMode::kFull, nullptr,
+  for (const auto& [c, oracle] : GeneratedOracleCases()) {
+    DiffOnePair(matcher, oracle, c.source, c.target,
+                ModeOptions(MatchMode::kFull), {nullptr},
                 c.name + " non-default config");
     if (HasFailure()) return;
   }
 }
 
 #if QMATCH_FAULT_ENABLED
+/// The monotone-partial contract of DESIGN.md §10: every correspondence a
+/// stopped run reports appears in the uninterrupted run with the same
+/// target and a bit-identical score (kBestPerSource, the default, decides
+/// each source from its own row), and every cell of a reporting source's
+/// row is bit-identical to the full table's.
+void ExpectPartialIsSubset(const QMatch::Analysis& partial,
+                           const QMatch::Analysis& full,
+                           const xsd::Schema& target,
+                           const std::string& context) {
+  for (const Correspondence& pc : partial.result().correspondences) {
+    bool found = false;
+    for (const Correspondence& fc : full.result().correspondences) {
+      if (fc.source == pc.source) {
+        EXPECT_EQ(fc.target, pc.target) << context;
+        EXPECT_TRUE(BitEqual(fc.score, pc.score)) << context;
+        found = true;
+        break;
+      }
+    }
+    EXPECT_TRUE(found) << context
+                       << " reported a pair the full run never reports: "
+                       << pc.source->Path();
+    for (const xsd::SchemaNode* t : target.AllNodes()) {
+      const PairQoM* pp = partial.Pair(pc.source, t);
+      const PairQoM* fpair = full.Pair(pc.source, t);
+      ASSERT_NE(pp, nullptr) << context;
+      ASSERT_NE(fpair, nullptr) << context;
+      ExpectPairIdentical(*pp, *fpair, context + " completed-row cell");
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 TEST(KernelDiffTest, CancelledPartialsAreBitIdenticalSubsets) {
-  // Mid-flight cancellation: slow every pair down via the shared
+  // Mid-flight cancellation: slow every pair down via the
   // treematch.pair failpoint, cancel after a few row-times, and require
-  // that (a) both kernels stop with kCancelled and a non-trivial partial,
-  // and (b) every completed-row cell and reported correspondence is
-  // bit-identical to the uninterrupted tree reference — the monotone-
-  // partial contract of DESIGN.md §10, now cross-kernel.
+  // that (a) the fill stops with kCancelled and a non-trivial partial, and
+  // (b) every completed-row cell and reported correspondence is
+  // bit-identical to the uninterrupted run — the monotone-partial
+  // contract of DESIGN.md §10.
   const QMatch matcher;
   std::vector<GeneratedCase> cases = GeneratedCases();
   const GeneratedCase& c = cases[1];  // 60 nodes x perturbed partner
-  const QMatch::Analysis full = matcher.Analyze(
-      c.source, c.target, nullptr, nullptr,
-      KernelOptions(match::KernelKind::kTree));
+  const QMatch::Analysis full = matcher.Analyze(c.source, c.target);
   const std::vector<const xsd::SchemaNode*> tgt = c.target.AllNodes();
   // ~1ms per pair => one table row takes ~|target| ms; cancel after about
   // four row-times so some rows complete and many do not.
   const auto cancel_after =
       std::chrono::milliseconds(4 * static_cast<int64_t>(tgt.size()));
 
-  for (match::KernelKind kernel :
-       {match::KernelKind::kTree, match::KernelKind::kSoa}) {
-    fault::FaultSpec slow;
-    slow.action = fault::FaultAction::kDelay;
-    slow.delay = std::chrono::milliseconds(1);
-    fault::ScopedFailpoint fp("treematch.pair", slow);
+  fault::FaultSpec slow;
+  slow.action = fault::FaultAction::kDelay;
+  slow.delay = std::chrono::milliseconds(1);
+  fault::ScopedFailpoint fp("treematch.pair", slow);
 
-    CancellationToken token;
-    ExecControl control;
-    control.cancel = &token;
-    std::thread canceller([&token, cancel_after] {
-      std::this_thread::sleep_for(cancel_after);
-      token.Cancel();
-    });
-    const QMatch::Analysis partial = matcher.Analyze(
-        c.source, c.target, nullptr, &control, KernelOptions(kernel));
-    canceller.join();
-    const std::string context =
-        c.name + " cancelled kernel=" + std::string(KernelKindName(kernel));
-    ASSERT_EQ(partial.stop_reason(), StopReason::kCancelled) << context;
-    EXPECT_GT(partial.completed_rows(), 0u)
-        << context << ": cancellation landed before any row completed";
-    EXPECT_LT(partial.completed_rows(), partial.total_rows()) << context;
+  CancellationToken token;
+  ExecControl control;
+  control.cancel = &token;
+  std::thread canceller([&token, cancel_after] {
+    std::this_thread::sleep_for(cancel_after);
+    token.Cancel();
+  });
+  const QMatch::Analysis partial =
+      matcher.Analyze(c.source, c.target, nullptr, &control);
+  canceller.join();
+  const std::string context = c.name + " cancelled";
+  ASSERT_EQ(partial.stop_reason(), StopReason::kCancelled) << context;
+  EXPECT_GT(partial.completed_rows(), 0u)
+      << context << ": cancellation landed before any row completed";
+  EXPECT_LT(partial.completed_rows(), partial.total_rows()) << context;
 
-    // Every reported correspondence must appear in the full run with the
-    // same target and a bit-identical score (kBestPerSource is the default
-    // strategy, so completed rows report exactly what the full run would).
-    for (const Correspondence& pc : partial.result().correspondences) {
-      bool found = false;
-      for (const Correspondence& fc : full.result().correspondences) {
-        if (fc.source == pc.source) {
-          EXPECT_EQ(fc.target, pc.target) << context;
-          EXPECT_TRUE(BitEqual(fc.score, pc.score)) << context;
-          found = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(found) << context
-                         << " reported a pair the full run never reports: "
-                         << pc.source->Path();
-    }
-    // Cell-level: a source node with a reported correspondence has a
-    // completed row, and every cell of that row must be bit-identical to
-    // the full table's.
-    for (const Correspondence& pc : partial.result().correspondences) {
-      for (const xsd::SchemaNode* t : tgt) {
-        const PairQoM* pp = partial.Pair(pc.source, t);
-        const PairQoM* fpair = full.Pair(pc.source, t);
-        ASSERT_NE(pp, nullptr) << context;
-        ASSERT_NE(fpair, nullptr) << context;
-        ExpectPairIdentical(*pp, *fpair, context + " completed-row cell");
-        if (HasFailure()) return;
-      }
-    }
-  }
+  ExpectPartialIsSubset(partial, full, c.target, context);
 }
 
-TEST(KernelDiffTest, DeadlineStopsBothKernelsWithPartials) {
+TEST(KernelDiffTest, DeadlineStopsTheFillWithPartials) {
   const QMatch matcher;
   std::vector<GeneratedCase> cases = GeneratedCases();
   const GeneratedCase& c = cases[2];  // 250 nodes x perturbed partner
-  for (match::KernelKind kernel :
-       {match::KernelKind::kTree, match::KernelKind::kSoa}) {
-    fault::FaultSpec slow;
-    slow.action = fault::FaultAction::kDelay;
-    slow.delay = std::chrono::milliseconds(1);
-    fault::ScopedFailpoint fp("treematch.pair", slow);
-    ExecControl control;
-    control.deadline = Deadline::After(std::chrono::milliseconds(30));
-    const QMatch::Analysis stopped = matcher.Analyze(
-        c.source, c.target, nullptr, &control, KernelOptions(kernel));
-    const std::string context =
-        "deadline kernel=" + std::string(KernelKindName(kernel));
-    EXPECT_EQ(stopped.stop_reason(), StopReason::kDeadlineExceeded) << context;
-    EXPECT_LT(stopped.completed_rows(), stopped.total_rows()) << context;
-  }
+  const QMatch::Analysis full = matcher.Analyze(c.source, c.target);
+  fault::FaultSpec slow;
+  slow.action = fault::FaultAction::kDelay;
+  slow.delay = std::chrono::milliseconds(1);
+  fault::ScopedFailpoint fp("treematch.pair", slow);
+  ExecControl control;
+  control.deadline = Deadline::After(std::chrono::milliseconds(30));
+  const QMatch::Analysis stopped =
+      matcher.Analyze(c.source, c.target, nullptr, &control);
+  EXPECT_EQ(stopped.stop_reason(), StopReason::kDeadlineExceeded);
+  EXPECT_LT(stopped.completed_rows(), stopped.total_rows());
+  ExpectPartialIsSubset(stopped, full, c.target, c.name + " deadline");
 }
 #endif  // QMATCH_FAULT_ENABLED
 
