@@ -95,7 +95,7 @@ int PreloadSchemas(net::Server& server, const std::string& dir) {
       return -1;
     }
     const std::string name = entry.path().stem().string();
-    const Status status = server.RegisterSchema(name, *text);
+    const Status status = server.RegisterSchema(name, *text).status();
     if (!status.ok()) {
       std::fprintf(stderr, "qmatchd: %s: %s\n", entry.path().c_str(),
                    status.ToString().c_str());

@@ -22,6 +22,9 @@
 #                            # answers, Protein hit >= 100x faster than cold)
 #   scripts/ci.sh coverage   # --coverage build; enforces the line floor
 #   scripts/ci.sh all        # all of the above
+#   scripts/ci.sh loc [base] # added/removed/net production lines (src/ and
+#                            # examples/) of the working tree vs a git ref
+#                            # (default HEAD~1); no build
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -334,6 +337,24 @@ run_coverage() {
   return "${failed}"
 }
 
+# Net production LoC: what the working tree adds and removes under src/ and
+# examples/ relative to a base ref, per directory and in total, from
+# `git diff --numstat` (binary files count as 0).
+run_loc() {
+  local base="$1"
+  git diff --numstat "${base}" -- src examples | awk -v base="${base}" '
+    { dir = $3; sub(/\/.*/, "", dir)
+      add[dir] += $1; del[dir] += $2; added += $1; removed += $2 }
+    END {
+      for (dir in add) {
+        printf "%-9s +%d -%d net %+d\n", dir "/", add[dir], del[dir],
+               add[dir] - del[dir]
+      }
+      printf "total     +%d -%d net %+d (vs %s)\n", added, removed,
+             added - removed, base
+    }' | sort
+}
+
 case "${MODE}" in
   default)   run_default ;;
   tsan)      run_tsan ;;
@@ -348,10 +369,11 @@ case "${MODE}" in
   ha)        run_ha ;;
   perf)      run_perf ;;
   coverage)  run_coverage ;;
+  loc)       run_loc "${2:-HEAD~1}" ;;
   all)       run_default; run_tsan; run_asan; run_ubsan; run_obs_off
              run_fault_off; run_chaos; run_stress; run_recovery
              run_serve; run_ha; run_perf; run_coverage ;;
   *) echo "unknown mode '${MODE}'" \
-          "(default|tsan|asan|ubsan|obs-off|fault-off|chaos|stress|recovery|serve|ha|perf|coverage|all)" >&2
+          "(default|tsan|asan|ubsan|obs-off|fault-off|chaos|stress|recovery|serve|ha|perf|coverage|all|loc)" >&2
      exit 2 ;;
 esac

@@ -158,75 +158,4 @@ uint64_t AdmissionController::shed_total() const {
   return shed_;
 }
 
-bool CircuitBreaker::Allow() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  switch (state_) {
-    case State::kClosed:
-      return true;
-    case State::kOpen:
-      if (std::chrono::steady_clock::now() - opened_at_ >= options_.cooldown) {
-        state_ = State::kHalfOpen;
-        probe_inflight_ = true;
-        return true;
-      }
-      return false;
-    case State::kHalfOpen:
-      // Exactly one probe at a time.
-      if (probe_inflight_) return false;
-      probe_inflight_ = true;
-      return true;
-  }
-  return true;
-}
-
-void CircuitBreaker::RecordSuccess() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  state_ = State::kClosed;
-  consecutive_failures_ = 0;
-  probe_inflight_ = false;
-}
-
-void CircuitBreaker::RecordFailure() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ == State::kHalfOpen) {
-    // The probe failed: reopen for another cooldown.
-    state_ = State::kOpen;
-    opened_at_ = std::chrono::steady_clock::now();
-    probe_inflight_ = false;
-    return;
-  }
-  ++consecutive_failures_;
-  if (consecutive_failures_ >= options_.failure_threshold) {
-    state_ = State::kOpen;
-    opened_at_ = std::chrono::steady_clock::now();
-  }
-}
-
-void CircuitBreaker::RecordNeutral() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  probe_inflight_ = false;
-}
-
-CircuitBreaker::State CircuitBreaker::state() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return state_;
-}
-
-int CircuitBreaker::consecutive_failures() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return consecutive_failures_;
-}
-
-void CircuitBreaker::Restore(int consecutive_failures) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  consecutive_failures_ = consecutive_failures;
-  if (consecutive_failures_ >= options_.failure_threshold) {
-    state_ = State::kOpen;
-    opened_at_ = std::chrono::steady_clock::now();
-  } else {
-    state_ = State::kClosed;
-  }
-  probe_inflight_ = false;
-}
-
 }  // namespace qmatch

@@ -129,68 +129,6 @@ class AdmissionController {
   uint64_t shed_ = 0;           // guarded by mutex_
 };
 
-/// Tuning knobs of the CircuitBreaker.
-struct CircuitBreakerOptions {
-  /// Consecutive failures that open the circuit.
-  int failure_threshold = 3;
-  /// How long the circuit stays open before allowing a half-open probe.
-  std::chrono::milliseconds cooldown{250};
-};
-
-/// Per-corpus-entry circuit breaker: after `failure_threshold` consecutive
-/// failures the circuit opens and Allow() rejects (the engine maps that to
-/// kOverloaded) until `cooldown` passes; then a single half-open probe is
-/// let through — success closes the circuit, failure reopens it for
-/// another cooldown. Builds on the per-load retry from the corpus loader:
-/// retry handles transient blips, the breaker stops re-admitting entries
-/// that keep failing across requests.
-///
-/// Thread-safe; non-copyable (store in a node-based map).
-class CircuitBreaker {
- public:
-  enum class State { kClosed, kOpen, kHalfOpen };
-
-  explicit CircuitBreaker(CircuitBreakerOptions options = {})
-      : options_(options) {}
-
-  CircuitBreaker(const CircuitBreaker&) = delete;
-  CircuitBreaker& operator=(const CircuitBreaker&) = delete;
-
-  /// True when a request may proceed. An open circuit past its cooldown
-  /// transitions to half-open and admits exactly one probe.
-  bool Allow();
-
-  /// Reports the outcome of an allowed request.
-  void RecordSuccess();
-  void RecordFailure();
-  /// Outcome that says nothing about the entry's health (deadline expiry,
-  /// cancellation, admission shed): leaves the failure count and state
-  /// alone, but returns a half-open probe slot so the breaker cannot wedge
-  /// waiting for a probe that never reported.
-  void RecordNeutral();
-
-  State state() const;
-
-  /// Failure history for persistence (the engine journals it per corpus
-  /// entry).
-  int consecutive_failures() const;
-
-  /// Restores persisted failure history at warm start: sets the
-  /// consecutive-failure count and, when it is at or over the threshold,
-  /// opens the circuit with a fresh cooldown starting now (the persisted
-  /// open time is a steady-clock instant from a dead process — a fresh
-  /// cooldown is the conservative reading).
-  void Restore(int consecutive_failures);
-
- private:
-  const CircuitBreakerOptions options_;
-  mutable std::mutex mutex_;
-  State state_ = State::kClosed;              // guarded by mutex_
-  int consecutive_failures_ = 0;              // guarded by mutex_
-  bool probe_inflight_ = false;               // guarded by mutex_
-  std::chrono::steady_clock::time_point opened_at_{};  // guarded by mutex_
-};
-
 }  // namespace qmatch
 
 #endif  // QMATCH_COMMON_ADMISSION_H_

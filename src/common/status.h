@@ -30,8 +30,8 @@ enum class StatusCode {
   /// request is rejected, the process survives.
   kResourceExhausted = 11,
   /// The system refused to admit the request because it is at capacity
-  /// (admission queue full, or a circuit breaker is open). The request was
-  /// shed before any work ran — retrying later may succeed.
+  /// (the admission queue is full). The request was shed before any work
+  /// ran — retrying later may succeed.
   kOverloaded = 12,
   /// Persisted state is unrecoverable: a snapshot or journal failed its
   /// checksum/framing validation (bit rot, torn non-tail write, hostile

@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "common/arena.h"
-#include "common/file_util.h"
-#include "common/random.h"
 #include "fault/failpoint.h"
 #include "obs/obs.h"
 
@@ -70,22 +68,13 @@ size_t ResolveThreads(size_t requested) {
   return hw > 0 ? hw : 1;
 }
 
-uint64_t HashBytes(std::string_view bytes) {
-  uint64_t h = kFnvOffset;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 Status StopStatus(StopReason reason, const std::string& what) {
   return reason == StopReason::kCancelled
              ? Status::Cancelled(what + ": request cancelled")
              : Status::DeadlineExceeded(what + ": request deadline exceeded");
 }
 
-/// Every typed request (direct or per corpus entry) is tallied exactly once
+/// Every typed request (direct or per batch job) is tallied exactly once
 /// here, so `engine.requests` always equals the sum of the four outcome
 /// counters — the accounting invariant the chaos suite asserts.
 void CountRequestOutcome(const Status& status) {
@@ -190,16 +179,8 @@ void MatchEngine::InitPersist() {
       ++recovered;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(breaker_mutex_);
-    for (const persist::CorpusEntryRec& rec : state.corpus_entries) {
-      UpsertCorpusRecLocked(rec);
-    }
-  }
   QMATCH_COUNTER_ADD("persist.recovered_entries", recovered);
   QMATCH_COUNTER_ADD("persist.dropped_entries", dropped);
-  QMATCH_COUNTER_ADD("persist.recovered_corpus_entries",
-                     state.corpus_entries.size());
   (void)recovered;
   (void)dropped;
 }
@@ -226,27 +207,9 @@ void MatchEngine::UpsertCacheRecLocked(CacheRecord rec) const {
   QMATCH_GAUGE_SET("engine.cache.entries", cache_lru_.size());
 }
 
-void MatchEngine::UpsertCorpusRecLocked(
-    const persist::CorpusEntryRec& rec) const {
-  corpus_index_[rec.path] = rec;
-  CircuitBreaker& breaker =
-      breakers_
-          .try_emplace(rec.path,
-                       CircuitBreakerOptions{
-                           options_.overload.breaker_failure_threshold,
-                           options_.overload.breaker_cooldown})
-          .first->second;
-  breaker.Restore(static_cast<int>(rec.breaker_failures));
-}
-
 void MatchEngine::SetReplicationObserver(ReplicationObserver observer) {
   std::lock_guard<std::mutex> lock(observer_mutex_);
   observer_ = std::move(observer);
-}
-
-bool MatchEngine::HasReplicationObserver() const {
-  std::lock_guard<std::mutex> lock(observer_mutex_);
-  return observer_.cache != nullptr || observer_.corpus != nullptr;
 }
 
 void MatchEngine::NotifyReplicated(const persist::CacheEntryRec& rec) const {
@@ -254,15 +217,6 @@ void MatchEngine::NotifyReplicated(const persist::CacheEntryRec& rec) const {
   {
     std::lock_guard<std::mutex> lock(observer_mutex_);
     cb = observer_.cache;
-  }
-  if (cb) cb(rec);
-}
-
-void MatchEngine::NotifyReplicated(const persist::CorpusEntryRec& rec) const {
-  std::function<void(const persist::CorpusEntryRec&)> cb;
-  {
-    std::lock_guard<std::mutex> lock(observer_mutex_);
-    cb = observer_.corpus;
   }
   if (cb) cb(rec);
 }
@@ -286,19 +240,6 @@ void MatchEngine::ApplyReplicatedCacheEntry(const persist::CacheEntryRec& rec) {
   }
 }
 
-void MatchEngine::ApplyReplicatedCorpusEntry(
-    const persist::CorpusEntryRec& rec) {
-  {
-    std::lock_guard<std::mutex> lock(breaker_mutex_);
-    UpsertCorpusRecLocked(rec);
-  }
-  if (persist_ != nullptr) {
-    const Status appended = persist_->AppendCorpus(rec);
-    if (!appended.ok()) QMATCH_COUNTER_ADD("persist.append_dropped", 1);
-    MaybeCompactPersist();
-  }
-}
-
 persist::StoreState MatchEngine::ExportState() const {
   persist::StoreState state;
   std::vector<CacheRecord> cache;
@@ -311,21 +252,6 @@ persist::StoreState MatchEngine::ExportState() const {
   }
   state.cache_entries.reserve(cache.size());
   for (const CacheRecord& rec : cache) state.cache_entries.push_back(*rec);
-  {
-    std::lock_guard<std::mutex> lock(breaker_mutex_);
-    state.corpus_entries.reserve(corpus_index_.size());
-    for (const auto& [path, rec] : corpus_index_) {
-      persist::CorpusEntryRec fresh = rec;
-      // The live breaker count supersedes what the last journal append
-      // recorded (failures may have accrued since).
-      auto breaker = breakers_.find(path);
-      if (breaker != breakers_.end()) {
-        fresh.breaker_failures = static_cast<uint32_t>(
-            std::max(0, breaker->second.consecutive_failures()));
-      }
-      state.corpus_entries.push_back(std::move(fresh));
-    }
-  }
   return state;
 }
 
@@ -442,11 +368,14 @@ void MatchEngine::CacheStore(const CacheKey& key,
   NotifyReplicated(*rec);
 }
 
-MatchResult MatchEngine::Match(const xsd::Schema& source,
-                               const xsd::Schema& target) const {
-  QMATCH_SPAN(span, "engine.match");
-  QMATCH_SPAN_ARG(span, "source_nodes", source.NodeCount());
-  QMATCH_SPAN_ARG(span, "target_nodes", target.NodeCount());
+ThreadPool* MatchEngine::PoolFor(size_t pairs) const {
+  return (threads_ > 1 && pairs >= options_.min_parallel_pairs) ? pool_.get()
+                                                                : nullptr;
+}
+
+MatchResult MatchEngine::MatchBlocking(const xsd::Schema& source,
+                                       const xsd::Schema& target,
+                                       ThreadPool* pool) const {
   const bool cached = options_.cache_capacity > 0;
   CacheKey key;
   if (cached) {
@@ -454,27 +383,30 @@ MatchResult MatchEngine::Match(const xsd::Schema& source,
     MatchResult hit;
     if (CacheLookup(key, source, target, &hit)) return hit;
   }
-  const size_t pairs = source.NodeCount() * target.NodeCount();
   // The untyped API has no deadline to bound a queue wait and no way to
   // return a typed shed, so it applies pure backpressure: block until
   // capacity frees up. Callers that want load shedding use the typed Match.
   AdmissionPermit permit;
-  admission_.AdmitBlocking(std::max<uint64_t>(1, pairs), &permit);
-  ThreadPool* pool =
-      (threads_ > 1 && pairs >= options_.min_parallel_pairs) ? pool_.get()
-                                                             : nullptr;
+  admission_.AdmitBlocking(
+      std::max<uint64_t>(1, source.NodeCount() * target.NodeCount()), &permit);
   MatchResult result = matcher_.Match(source, target, pool);
   if (cached) CacheStore(key, result);
   return result;
 }
 
+MatchResult MatchEngine::Match(const xsd::Schema& source,
+                               const xsd::Schema& target) const {
+  QMATCH_SPAN(span, "engine.match");
+  QMATCH_SPAN_ARG(span, "source_nodes", source.NodeCount());
+  QMATCH_SPAN_ARG(span, "target_nodes", target.NodeCount());
+  return MatchBlocking(source, target,
+                       PoolFor(source.NodeCount() * target.NodeCount()));
+}
+
 match::SimilarityMatrix MatchEngine::Similarity(
     const xsd::Schema& source, const xsd::Schema& target) const {
-  const size_t pairs = source.NodeCount() * target.NodeCount();
-  ThreadPool* pool =
-      (threads_ > 1 && pairs >= options_.min_parallel_pairs) ? pool_.get()
-                                                             : nullptr;
-  return matcher_.Similarity(source, target, pool);
+  return matcher_.Similarity(source, target,
+                             PoolFor(source.NodeCount() * target.NodeCount()));
 }
 
 std::vector<MatchResult> MatchEngine::MatchAll(
@@ -495,21 +427,7 @@ std::vector<MatchResult> MatchEngine::MatchAll(
   QMATCH_SPAN_ARG(span, "jobs", jobs.size());
   QMATCH_OBS_ONLY(const uint64_t fanout_start_ns = obs::MonotonicNowNs();)
   pool_->ParallelFor(jobs.size(), [&](size_t i) {
-    const bool cached = options_.cache_capacity > 0;
-    CacheKey key;
-    if (cached) {
-      key = MakeKey(*jobs[i].source, *jobs[i].target);
-      if (CacheLookup(key, *jobs[i].source, *jobs[i].target, &results[i])) {
-        return;
-      }
-    }
-    AdmissionPermit permit;
-    admission_.AdmitBlocking(
-        std::max<uint64_t>(1, jobs[i].source->NodeCount() *
-                                  jobs[i].target->NodeCount()),
-        &permit);
-    results[i] = matcher_.Match(*jobs[i].source, *jobs[i].target, nullptr);
-    if (cached) CacheStore(key, results[i]);
+    results[i] = MatchBlocking(*jobs[i].source, *jobs[i].target, nullptr);
   });
   QMATCH_HISTOGRAM_OBSERVE("engine.batch_fanout_ns",
                            obs::MonotonicNowNs() - fanout_start_ns);
@@ -596,12 +514,9 @@ EngineMatchResult MatchEngine::Match(const xsd::Schema& source,
   // The SoA kernel's scratch arena charges the same request budget as the
   // table, block-by-block; exhaustion surfaces as ArenaExhausted below.
   tree.arena_budget = &request_budget;
-  ThreadPool* pool =
-      (threads_ > 1 && pairs >= options_.min_parallel_pairs) ? pool_.get()
-                                                             : nullptr;
   try {
     QMatch::Analysis analysis =
-        matcher_.Analyze(source, target, pool, &control, tree);
+        matcher_.Analyze(source, target, PoolFor(pairs), &control, tree);
     out.completed_rows = analysis.completed_rows();
     out.total_rows = analysis.total_rows();
     switch (analysis.stop_reason()) {
@@ -651,210 +566,6 @@ std::vector<EngineMatchResult> MatchEngine::MatchAll(
     results[i] = Match(*jobs[i].source, *jobs[i].target, options);
   });
   return results;
-}
-
-namespace {
-
-/// Loads one corpus file, retrying transient (kIoError) failures with
-/// seeded jittered exponential backoff. The `engine.corpus.load` failpoint
-/// injects exactly such transient failures ahead of the real read.
-Result<std::string> LoadCorpusFile(const std::string& path,
-                                   const CorpusMatchOptions& options,
-                                   const ExecControl& control,
-                                   size_t* attempts_out) {
-  const size_t max_attempts = std::max<size_t>(1, options.max_load_attempts);
-  Status last = Status::IoError(path + ": no load attempt ran");
-  for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    *attempts_out = attempt + 1;
-    const StopReason stopped = control.Check();
-    if (stopped != StopReason::kNone) return StopStatus(stopped, path);
-    if (QMATCH_FAILPOINT_FIRED("engine.corpus.load")) {
-      last = Status::IoError(path + ": injected transient load failure");
-    } else {
-      Result<std::string> text = ReadFile(path);
-      if (text.ok()) return text;
-      last = text.status();
-    }
-    QMATCH_COUNTER_ADD("engine.corpus.load_failures", 1);
-    // Only I/O failures are presumed transient; anything else is final.
-    if (last.code() != StatusCode::kIoError) return last;
-    if (attempt + 1 >= max_attempts) break;
-    QMATCH_COUNTER_ADD("engine.corpus.load_retries", 1);
-    // Backoff for attempt k: base * 2^k jittered to [50%, 100%], capped,
-    // and clamped so a sleep can never outlive the request deadline. The
-    // jitter stream is seeded per (seed, path, attempt): deterministic to
-    // replay, decorrelated across files so retries do not stampede.
-    Random jitter(options.backoff_seed ^ HashBytes(path) ^
-                  (0x9E3779B97F4A7C15ULL * (attempt + 1)));
-    const auto shift = std::min<size_t>(attempt, 10);
-    auto backoff = std::min<std::chrono::milliseconds>(
-        options.backoff_base * (uint64_t{1} << shift), options.backoff_cap);
-    auto backoff_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(backoff);
-    if (backoff_ns.count() > 0) {
-      const uint64_t span_ns = static_cast<uint64_t>(backoff_ns.count());
-      auto sleep_ns = std::chrono::nanoseconds(
-          static_cast<int64_t>(span_ns / 2 + jitter.Uniform(span_ns / 2 + 1)));
-      const auto remaining = control.deadline.Remaining();
-      if (remaining < sleep_ns) {
-        sleep_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-            remaining);
-      }
-      if (sleep_ns.count() > 0) std::this_thread::sleep_for(sleep_ns);
-    }
-  }
-  return last;
-}
-
-}  // namespace
-
-CorpusMatchResult MatchEngine::MatchCorpus(
-    const xsd::Schema& query, const std::vector<std::string>& paths,
-    const CorpusMatchOptions& options) const {
-  QMATCH_SPAN(span, "engine.match_corpus");
-  QMATCH_SPAN_ARG(span, "paths", paths.size());
-  QMATCH_COUNTER_ADD("engine.corpus.requests", 1);
-  CorpusMatchResult out;
-  out.entries.resize(paths.size());
-  if (paths.empty()) return out;
-  const ExecControl control{options.request.deadline, options.request.cancel};
-  // One corpus entry, start to finish: load (with retry), parse, match.
-  // Failures are contained per entry — a poisoned file degrades its own
-  // slot and nothing else. Entries that fail before reaching the typed
-  // Match are tallied here so the request accounting stays exact.
-  auto process = [&](size_t i) {
-    CorpusEntryResult& entry = out.entries[i];
-    entry.path = paths[i];
-    // Per-entry circuit breaker: an entry that repeatedly failed (load,
-    // parse or internal) across requests is rejected up front instead of
-    // burning retries on it again. Deadline/cancellation/shed outcomes are
-    // the request's fault, not the entry's, and leave the breaker alone.
-    CircuitBreaker* breaker;
-    {
-      std::lock_guard<std::mutex> lock(breaker_mutex_);
-      breaker = &breakers_
-                     .try_emplace(paths[i],
-                                  CircuitBreakerOptions{
-                                      options_.overload.breaker_failure_threshold,
-                                      options_.overload.breaker_cooldown})
-                     .first->second;
-    }
-    if (!breaker->Allow()) {
-      entry.status = Status::Overloaded(paths[i] + ": circuit breaker open");
-      CountRequestOutcome(entry.status);
-      QMATCH_COUNTER_ADD("engine.corpus.breaker_rejections", 1);
-      return;
-    }
-    // Reports the entry's final outcome to its breaker on every exit path.
-    struct BreakerRecord {
-      CircuitBreaker* breaker;
-      const Status* status;
-      ~BreakerRecord() {
-        switch (status->code()) {
-          case StatusCode::kOk:
-            breaker->RecordSuccess();
-            break;
-          case StatusCode::kIoError:
-          case StatusCode::kParseError:
-          case StatusCode::kInternal:
-          case StatusCode::kResourceExhausted:
-            breaker->RecordFailure();
-            break;
-          default:
-            breaker->RecordNeutral();
-            break;
-        }
-      }
-    } breaker_record{breaker, &entry.status};
-    try {
-      const StopReason stopped = control.Check();
-      if (stopped != StopReason::kNone) {
-        entry.status = StopStatus(stopped, paths[i]);
-        CountRequestOutcome(entry.status);
-        return;
-      }
-      Result<std::string> text =
-          LoadCorpusFile(paths[i], options, control, &entry.load_attempts);
-      if (!text.ok()) {
-        entry.status = text.status();
-        CountRequestOutcome(entry.status);
-        return;
-      }
-      Result<xsd::Schema> schema =
-          xsd::ParseSchema(*text, options.parse);
-      if (!schema.ok()) {
-        entry.status = schema.status().WithContext(paths[i]);
-        CountRequestOutcome(entry.status);
-        return;
-      }
-      // The entry owns the schema so the correspondences (which point into
-      // its node tree) outlive this task.
-      entry.schema = std::move(*schema);
-      EngineMatchResult match = Match(query, entry.schema, options.request);
-      entry.status = std::move(match.status);
-      entry.result = std::move(match.result);
-      entry.completed_rows = match.completed_rows;
-      entry.total_rows = match.total_rows;
-    } catch (const std::exception& e) {
-      entry.status =
-          Status::Internal(paths[i] + ": corpus entry failed: " + e.what());
-      CountRequestOutcome(entry.status);
-    }
-  };
-  pool_->ParallelFor(paths.size(), process);
-  for (const CorpusEntryResult& entry : out.entries) {
-    if (entry.ok()) {
-      ++out.ok;
-    } else {
-      ++out.degraded;
-      QMATCH_COUNTER_ADD("engine.corpus.degraded_entries", 1);
-    }
-  }
-  QMATCH_COUNTER_ADD("engine.corpus.entries", out.entries.size());
-  if (persist_ != nullptr || HasReplicationObserver()) {
-    // Journal the corpus index: last-seen schema fingerprint and breaker
-    // failure count per path, appended only when something changed so a
-    // steady-state corpus query costs zero journal growth.
-    std::vector<persist::CorpusEntryRec> changed;
-    {
-      std::lock_guard<std::mutex> lock(breaker_mutex_);
-      for (const CorpusEntryResult& entry : out.entries) {
-        persist::CorpusEntryRec rec;
-        rec.path = entry.path;
-        auto prev = corpus_index_.find(entry.path);
-        if (prev != corpus_index_.end()) {
-          // A failed load/parse keeps the last-known fingerprint.
-          rec.schema_fp = prev->second.schema_fp;
-        }
-        if (entry.schema.root() != nullptr) {
-          rec.schema_fp = entry.schema.Fingerprint();
-        }
-        auto breaker = breakers_.find(entry.path);
-        if (breaker != breakers_.end()) {
-          rec.breaker_failures = static_cast<uint32_t>(
-              std::max(0, breaker->second.consecutive_failures()));
-        }
-        if (prev == corpus_index_.end() || !(prev->second == rec)) {
-          corpus_index_[entry.path] = rec;
-          changed.push_back(std::move(rec));
-        }
-      }
-    }
-    if (persist_ != nullptr) {
-      for (const persist::CorpusEntryRec& rec : changed) {
-        Status appended = persist_->AppendCorpus(rec);
-        if (!appended.ok()) {
-          QMATCH_COUNTER_ADD("persist.append_dropped", 1);
-          break;
-        }
-      }
-      MaybeCompactPersist();
-    }
-    // Replicate every changed record even when a local append failed — the
-    // in-memory state moved, and the stream mirrors state, not the disk.
-    for (const persist::CorpusEntryRec& rec : changed) NotifyReplicated(rec);
-  }
-  return out;
 }
 
 std::vector<MatchResult> MatchEngine::MatchOneToMany(

@@ -20,7 +20,6 @@
 #include "core/qmatch.h"
 #include "match/matcher.h"
 #include "persist/store.h"
-#include "xsd/parser.h"
 #include "xsd/schema.h"
 
 namespace qmatch::core {
@@ -51,12 +50,6 @@ struct OverloadOptions {
 
   /// Subtree-depth cap of the kCappedDepth rung (see TreeMatchOptions).
   size_t children_depth_cap = 3;
-
-  /// Per-corpus-entry circuit breaker (see CircuitBreaker): consecutive
-  /// load/parse/internal failures before the entry stops being admitted,
-  /// and how long it stays open.
-  int breaker_failure_threshold = 3;
-  std::chrono::milliseconds breaker_cooldown{250};
 };
 
 /// Tuning knobs for the parallel batch-match engine.
@@ -83,8 +76,7 @@ struct MatchEngineOptions {
   OverloadOptions overload;
 
   /// Directory of the crash-safe persistence layer (DESIGN.md §12). When
-  /// set, the result cache and the corpus index are journaled there and
-  /// reloaded on construction (warm start); recovered cache entries serve
+  /// set, the result cache is journaled there and reloaded on construction (warm start); recovered cache entries serve
   /// bit-identical QoM to a fresh compute. Entries whose config fingerprint
   /// does not match this engine's are dropped, never trusted. Empty (the
   /// default) = persistence off.
@@ -139,55 +131,6 @@ struct EngineMatchResult {
   size_t total_rows = 0;
 
   bool ok() const { return status.ok(); }
-};
-
-/// Options of MatchCorpus — corpus loading plus the request envelope.
-struct CorpusMatchOptions {
-  /// Budget/cancellation shared by every schema in the corpus request.
-  EngineRequestOptions request;
-
-  /// XSD parse options applied to each loaded file.
-  xsd::ParseOptions parse;
-
-  /// Total load attempts per file (1 = no retry). Only kIoError failures
-  /// are retried — transient by assumption (NFS blips, the
-  /// `engine.corpus.load` failpoint); parse errors are deterministic and
-  /// never retried.
-  size_t max_load_attempts = 3;
-
-  /// Exponential backoff between load attempts: attempt k sleeps
-  /// base * 2^k, jittered to [50%, 100%] on a seeded stream and capped —
-  /// deterministic for a given (seed, path, attempt), never past the
-  /// request deadline.
-  std::chrono::milliseconds backoff_base{1};
-  std::chrono::milliseconds backoff_cap{50};
-  uint64_t backoff_seed = 0x51D3CAFEULL;
-};
-
-/// Outcome of one corpus file inside a MatchCorpus request.
-struct CorpusEntryResult {
-  std::string path;
-  Status status;  ///< OK | kIoError | kParseError | kDeadlineExceeded | kCancelled | kInternal
-  /// The parsed candidate schema, owned here because `result`'s
-  /// correspondences point into its node tree (moving a Schema keeps node
-  /// addresses stable, so vector growth in `entries` is safe). Empty
-  /// (null root) when loading or parsing failed.
-  xsd::Schema schema;
-  MatchResult result;
-  size_t completed_rows = 0;
-  size_t total_rows = 0;
-  size_t load_attempts = 0;
-
-  bool ok() const { return status.ok(); }
-};
-
-/// Aggregate result of MatchCorpus: entries[i] always corresponds to
-/// paths[i], every entry carries a typed status, and the tallies account
-/// for every request (ok + degraded == entries.size()).
-struct CorpusMatchResult {
-  std::vector<CorpusEntryResult> entries;
-  size_t ok = 0;
-  size_t degraded = 0;  ///< deadline + cancelled + load/parse errors
 };
 
 /// MatchEngine — the production front door to QMatch for corpus-scale
@@ -266,16 +209,6 @@ class MatchEngine : public Matcher {
       const std::vector<MatchJob>& jobs,
       const EngineRequestOptions& options) const;
 
-  /// The production corpus entry point: loads, parses and matches `query`
-  /// against every schema file in `paths`, fanning entries across the
-  /// pool. Transient (kIoError) load failures are retried with seeded,
-  /// jittered exponential backoff; parse failures, deadline expiry and
-  /// cancellation degrade that entry to a typed status without disturbing
-  /// the others. entries[i] always corresponds to paths[i].
-  CorpusMatchResult MatchCorpus(const xsd::Schema& query,
-                                const std::vector<std::string>& paths,
-                                const CorpusMatchOptions& options = {}) const;
-
   MatchEngineCacheStats cache_stats() const;
   void ClearCache();
 
@@ -290,20 +223,18 @@ class MatchEngine : public Matcher {
   }
 
   /// Compacts the persistence journal into a fresh snapshot of the current
-  /// in-memory state (cache + corpus index). No-op (OK) when persistence is
+  /// in-memory cache. No-op (OK) when persistence is
   /// off. Runs automatically every `persist_compact_interval` journal
   /// appends and once more at destruction.
   Status CompactPersist() const;
 
   /// Replication hooks (DESIGN.md §15). The observer is invoked after each
-  /// durable state mutation — a cache store or a corpus-index update — with
-  /// the *same record* the local journal receives, so a primary can ship
+  /// cache store with the *same record* the local journal receives, so a primary can ship
   /// its journal stream to a warm standby byte-for-byte. Callbacks run on
-  /// whatever thread performed the mutation, outside the engine's cache/
-  /// breaker locks; they must not call back into the engine.
+  /// whatever thread performed the mutation, outside the engine's cache
+  /// lock; they must not call back into the engine.
   struct ReplicationObserver {
     std::function<void(const persist::CacheEntryRec&)> cache;
-    std::function<void(const persist::CorpusEntryRec&)> corpus;
   };
   void SetReplicationObserver(ReplicationObserver observer);
 
@@ -314,10 +245,9 @@ class MatchEngine : public Matcher {
   /// replication observer — a standby cannot loop records back. Safe to
   /// call concurrently with serving reads.
   void ApplyReplicatedCacheEntry(const persist::CacheEntryRec& rec);
-  void ApplyReplicatedCorpusEntry(const persist::CorpusEntryRec& rec);
 
   /// Full durable state (cache entries oldest-first, so warm-start replay
-  /// reproduces today's LRU recency, + corpus index) as persistable records
+  /// reproduces today's LRU recency) as persistable records
   /// — what compaction writes, and the replication snapshot anchor a
   /// primary sends to a standby too far behind to catch up from the log.
   persist::StoreState ExportState() const;
@@ -347,22 +277,24 @@ class MatchEngine : public Matcher {
                    const xsd::Schema& target, MatchResult* out) const;
   void CacheStore(const CacheKey& key, const MatchResult& result) const;
   CacheKey MakeKey(const xsd::Schema& source, const xsd::Schema& target) const;
+  /// The pool a table of `pairs` cells is filled on: null (sequential)
+  /// below `min_parallel_pairs` or on a single-threaded engine.
+  ThreadPool* PoolFor(size_t pairs) const;
+  /// The untyped match body shared by Match and MatchAll: cache lookup,
+  /// blocking admission, match on `pool` (null = sequential fill, what a
+  /// batch job uses), cache store.
+  MatchResult MatchBlocking(const xsd::Schema& source,
+                            const xsd::Schema& target, ThreadPool* pool) const;
 
-  /// Opens the persistent store and warm-starts the cache, breakers and
-  /// corpus index from it. A store that cannot open leaves the engine fully
+  /// Opens the persistent store and warm-starts the cache from it. A store that cannot open leaves the engine fully
   /// functional, just cold.
   void InitPersist();
   /// Idempotent last-wins LRU upsert of one cache record, then capacity
   /// eviction; caller holds cache_mutex_ and has already verified the
   /// config hash.
   void UpsertCacheRecLocked(CacheRecord rec) const;
-  /// Corpus-index + breaker upsert of one persisted record; caller holds
-  /// breaker_mutex_.
-  void UpsertCorpusRecLocked(const persist::CorpusEntryRec& rec) const;
   /// Invoke the replication observer (if set) outside every engine lock.
   void NotifyReplicated(const persist::CacheEntryRec& rec) const;
-  void NotifyReplicated(const persist::CorpusEntryRec& rec) const;
-  bool HasReplicationObserver() const;
   void MaybeCompactPersist() const;
 
   QMatch matcher_;
@@ -373,11 +305,6 @@ class MatchEngine : public Matcher {
 
   mutable AdmissionController admission_;
   mutable MemoryBudget process_budget_;
-  mutable std::mutex breaker_mutex_;
-  /// Per-corpus-path circuit breakers, created on first use and persistent
-  /// across MatchCorpus requests (that persistence is the point: repeated
-  /// failures across requests open the circuit).
-  mutable std::map<std::string, CircuitBreaker> breakers_;
 
   mutable std::mutex cache_mutex_;
   mutable std::list<CacheRecord> cache_lru_;  // front = most recent
@@ -388,10 +315,6 @@ class MatchEngine : public Matcher {
   /// lock order is always engine mutex -> store mutex, never the reverse.
   mutable std::unique_ptr<persist::PersistentStore> persist_;
   persist::LoadStats persist_load_stats_;
-  /// Last journaled record per corpus path — MatchCorpus appends an update
-  /// only when the fingerprint or breaker count actually changed. Guarded
-  /// by breaker_mutex_ (it shadows the breakers).
-  mutable std::map<std::string, persist::CorpusEntryRec> corpus_index_;
 
   /// Replication observer (DESIGN.md §15); guarded by its own mutex so a
   /// primary can attach/detach while requests are in flight. Lock order:

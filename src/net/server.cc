@@ -361,8 +361,8 @@ void Server::SetReplicaStatus(uint64_t applied_seq, uint64_t head_seq,
   QMATCH_GAUGE_SET("replica.lag_records", static_cast<int64_t>(lag));
 }
 
-Status Server::RegisterSchema(const std::string& name,
-                              std::string_view xsd_text, bool replicated) {
+Result<std::shared_ptr<const xsd::Schema>> Server::RegisterSchema(
+    const std::string& name, std::string_view xsd_text, bool replicated) {
   if (name.empty()) {
     return Status::InvalidArgument("schema name must be non-empty");
   }
@@ -373,14 +373,14 @@ Status Server::RegisterSchema(const std::string& name,
   auto shared = std::make_shared<const xsd::Schema>(std::move(*schema));
   {
     std::lock_guard<std::mutex> lock(schemas_mutex_);
-    schemas_[name] = SchemaEntry{std::move(shared), std::string(xsd_text)};
+    schemas_[name] = SchemaEntry{shared, std::string(xsd_text)};
   }
   // A replicated registration must not echo back into the stream — the
   // standby applies records, it does not originate them.
   if (!replicated && options_.schema_observer) {
     options_.schema_observer(name, std::string(xsd_text));
   }
-  return Status::OK();
+  return shared;
 }
 
 size_t Server::schema_count() const {
@@ -856,10 +856,6 @@ void Server::PumpReplica(Connection* conn) {
       for (const persist::CacheEntryRec& rec : state.cache_entries) {
         snap.cache_payloads.push_back(persist::EncodeCacheRecordPayload(rec));
       }
-      snap.corpus_payloads.reserve(state.corpus_entries.size());
-      for (const persist::CorpusEntryRec& rec : state.corpus_entries) {
-        snap.corpus_payloads.push_back(persist::EncodeCorpusRecordPayload(rec));
-      }
       std::string payload = replica::EncodeSnapshotMsg(snap);
       if (payload.size() > kMaxFramePayload) {
         // Unshippable state: close rather than send a frame the peer is
@@ -1150,27 +1146,13 @@ void Server::ExecuteSubmitSchema(uint64_t conn_id, SubmitSchemaReq req) {
   [[maybe_unused]] const steady_clock::time_point start =
       steady_clock::now();
   SubmitSchemaResp resp;
-  xsd::ParseOptions parse = options_.parse;
-  parse.schema_name = req.name;
-  if (req.name.empty()) {
-    resp.head = ResponseHead::FromStatus(
-        Status::InvalidArgument("schema name must be non-empty"));
+  const Result<std::shared_ptr<const xsd::Schema>> registered =
+      RegisterSchema(req.name, req.xsd_text);
+  if (registered.ok()) {
+    resp.fingerprint = (*registered)->Fingerprint();
+    resp.node_count = (*registered)->NodeCount();
   } else {
-    Result<xsd::Schema> schema = xsd::ParseSchema(req.xsd_text, parse);
-    if (!schema.ok()) {
-      resp.head = ResponseHead::FromStatus(schema.status());
-    } else {
-      resp.fingerprint = schema->Fingerprint();
-      resp.node_count = schema->NodeCount();
-      auto shared = std::make_shared<const xsd::Schema>(std::move(*schema));
-      {
-        std::lock_guard<std::mutex> lock(schemas_mutex_);
-        schemas_[req.name] = SchemaEntry{std::move(shared), req.xsd_text};
-      }
-      if (options_.schema_observer) {
-        options_.schema_observer(req.name, req.xsd_text);
-      }
-    }
+    resp.head = ResponseHead::FromStatus(registered.status());
   }
   QMATCH_HISTOGRAM_OBSERVE(
       "net.request_ns",
@@ -1231,8 +1213,8 @@ void Server::ExecuteMatchCorpus(uint64_t conn_id, MatchCorpusReq req) {
     resp.head = ResponseHead::FromStatus(
         Status::NotFound("unknown schema: " + req.query));
   } else {
-    // One shared deadline across every candidate, same as MatchCorpus's
-    // request envelope: candidates matched after expiry degrade typed.
+    // One shared deadline across every candidate: candidates matched after
+    // expiry degrade typed.
     core::EngineRequestOptions opts;
     opts.deadline = RequestDeadline(req.deadline_ms);
     std::vector<std::pair<std::string, std::shared_ptr<const xsd::Schema>>>

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
@@ -242,12 +243,15 @@ class Server {
   /// Resolved listen port (after Start with port 0).
   uint16_t port() const { return port_; }
 
-  /// Registers a schema under `name` outside the protocol — qmatchd's
-  /// --preload path, the replication applier and test fixtures.
-  /// Thread-safe; same code path as a SubmitSchema request. `replicated`
-  /// suppresses the schema_observer (a standby must not echo the stream).
-  Status RegisterSchema(const std::string& name, std::string_view xsd_text,
-                        bool replicated = false);
+  /// Parses `xsd_text` and registers it under `name`, replacing any
+  /// previous entry; returns the registered schema. The one registration
+  /// path: SubmitSchema requests, qmatchd's --preload, the replication
+  /// applier and test fixtures all come through here. Thread-safe.
+  /// `replicated` suppresses the schema_observer (a standby must not echo
+  /// the stream).
+  Result<std::shared_ptr<const xsd::Schema>> RegisterSchema(
+      const std::string& name, std::string_view xsd_text,
+      bool replicated = false);
 
   size_t schema_count() const;
 

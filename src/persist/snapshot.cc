@@ -54,14 +54,6 @@ std::string EncodeCacheRecordPayload(const CacheEntryRec& entry) {
   return enc.Take();
 }
 
-std::string EncodeCorpusRecordPayload(const CorpusEntryRec& entry) {
-  Encoder enc;
-  enc.PutString(entry.path);
-  enc.PutU64(entry.schema_fp);
-  enc.PutU32(entry.breaker_failures);
-  return enc.Take();
-}
-
 bool DecodeCacheRecordPayload(std::string_view payload, CacheEntryRec* out) {
   Decoder dec(payload);
   uint32_t count = 0;
@@ -84,12 +76,6 @@ bool DecodeCacheRecordPayload(std::string_view payload, CacheEntryRec* out) {
     out->correspondences.push_back(std::move(c));
   }
   return dec.remaining() == 0;
-}
-
-bool DecodeCorpusRecordPayload(std::string_view payload, CorpusEntryRec* out) {
-  Decoder dec(payload);
-  return dec.GetString(&out->path) && dec.GetU64(&out->schema_fp) &&
-         dec.GetU32(&out->breaker_failures) && dec.remaining() == 0;
 }
 
 namespace {
@@ -178,17 +164,9 @@ Status DecodeRecords(std::string_view bytes, bool fingerprint_matches,
         state->cache_entries.push_back(std::move(entry));
         break;
       }
-      case RecordType::kCorpusEntry: {
-        CorpusEntryRec entry;
-        if (!DecodeCorpusRecordPayload(payload, &entry)) {
-          return Status::DataLoss("persist corpus record payload malformed");
-        }
-        state->corpus_entries.push_back(std::move(entry));
-        break;
-      }
       default:
-        // Valid CRC, unknown type: a future format extension. Skipped and
-        // counted, never trusted, never fatal.
+        // Valid CRC, unknown type: a future format extension or a retired
+        // one (type 2). Skipped and counted, never trusted, never fatal.
         ++stats->dropped_records;
         break;
     }
@@ -204,9 +182,6 @@ std::string EncodeSnapshot(const StoreState& state,
   for (const CacheEntryRec& entry : state.cache_entries) {
     out += EncodeCacheRecord(entry);
   }
-  for (const CorpusEntryRec& entry : state.corpus_entries) {
-    out += EncodeCorpusRecord(entry);
-  }
   return out;
 }
 
@@ -216,10 +191,6 @@ std::string EncodeJournalHeader(uint64_t config_fingerprint) {
 
 std::string EncodeCacheRecord(const CacheEntryRec& entry) {
   return FrameRecord(RecordType::kCacheEntry, EncodeCacheRecordPayload(entry));
-}
-
-std::string EncodeCorpusRecord(const CorpusEntryRec& entry) {
-  return FrameRecord(RecordType::kCorpusEntry, EncodeCorpusRecordPayload(entry));
 }
 
 Status DecodeSnapshot(std::string_view bytes, uint64_t config_fingerprint,

@@ -56,8 +56,7 @@ inline constexpr uint32_t kMaxPayloadBytes = 1u << 26;  // 64 MiB
 enum class RecordType : uint32_t {
   /// One result-cache entry (upsert, keyed by the fingerprint triple).
   kCacheEntry = 1,
-  /// One corpus-index entry (upsert, keyed by path).
-  kCorpusEntry = 2,
+  // 2 was kCorpusEntry (retired): old stores still hold it; never reuse.
 };
 
 /// Persisted form of one cached correspondence: endpoint paths (node
@@ -84,26 +83,12 @@ struct CacheEntryRec {
   friend bool operator==(const CacheEntryRec&, const CacheEntryRec&) = default;
 };
 
-/// Persisted form of one corpus-index entry: the schema fingerprint seen at
-/// the last successful parse (0 = never parsed) and the circuit breaker's
-/// consecutive-failure count, so repeatedly-failing entries stay rejected
-/// across restarts.
-struct CorpusEntryRec {
-  std::string path;
-  uint64_t schema_fp = 0;
-  uint32_t breaker_failures = 0;
-
-  friend bool operator==(const CorpusEntryRec&,
-                         const CorpusEntryRec&) = default;
-};
-
-/// Decoded store content, in record order (oldest first). Both record kinds
+/// Decoded store content, in record order (oldest first). Cache records
 /// are upserts: replaying duplicates is idempotent and last-wins, which is
 /// what makes "snapshot committed, journal not yet reset" a consistent
 /// crash state.
 struct StoreState {
   std::vector<CacheEntryRec> cache_entries;
-  std::vector<CorpusEntryRec> corpus_entries;
 };
 
 /// Accounting of one load: what was read, dropped, or truncated.
@@ -113,7 +98,7 @@ struct LoadStats {
   size_t snapshot_records = 0;
   size_t journal_records = 0;
   /// Records dropped untrusted: config-fingerprint mismatch or an unknown
-  /// (future) record type with a valid CRC.
+  /// (future or retired) record type with a valid CRC.
   size_t dropped_records = 0;
   /// Bytes of torn journal tail discarded (the crash artefact).
   size_t truncated_tail_bytes = 0;
@@ -135,16 +120,13 @@ std::string EncodeJournalHeader(uint64_t config_fingerprint);
 
 /// Encodes one appendable journal record.
 std::string EncodeCacheRecord(const CacheEntryRec& entry);
-std::string EncodeCorpusRecord(const CorpusEntryRec& entry);
 
 /// Record *payloads* without the [type][len][crc] frame — the unit the
 /// replication stream ships (src/replica/): the primary encodes exactly
 /// what its journal holds, the standby decodes with the same hostile-input
 /// discipline, and a replicated entry is bit-identical to a journaled one.
 std::string EncodeCacheRecordPayload(const CacheEntryRec& entry);
-std::string EncodeCorpusRecordPayload(const CorpusEntryRec& entry);
 bool DecodeCacheRecordPayload(std::string_view payload, CacheEntryRec* out);
-bool DecodeCorpusRecordPayload(std::string_view payload, CorpusEntryRec* out);
 
 /// Decodes snapshot bytes. Appends decoded entries to `state` and tallies
 /// into `stats` (both must be non-null). Any framing/CRC violation →

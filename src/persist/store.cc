@@ -203,11 +203,6 @@ Status PersistentStore::AppendCache(const CacheEntryRec& entry) {
   return AppendRecordLocked(EncodeCacheRecord(entry));
 }
 
-Status PersistentStore::AppendCorpus(const CorpusEntryRec& entry) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return AppendRecordLocked(EncodeCorpusRecord(entry));
-}
-
 Status PersistentStore::Compact(const StoreState& full_state) {
   std::lock_guard<std::mutex> lock(mutex_);
   QMATCH_COUNTER_ADD("persist.save", 1);

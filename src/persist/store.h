@@ -18,7 +18,7 @@ namespace qmatch::persist {
 ///   <dir>/journal.qmj    header + appended incremental updates
 ///
 /// Durable state at any instant = snapshot + journal replayed over it.
-/// Both record kinds are idempotent upserts, so every crash point in the
+/// Cache records are idempotent upserts, so every crash point in the
 /// save/compact sequence lands on a consistent state:
 ///
 ///   crash during snapshot temp write  -> old snapshot + old journal (old)
@@ -60,7 +60,6 @@ class PersistentStore {
   /// the journal — a failed append leaves no trace; only a crash can leave
   /// a torn tail, and the loader drops it.
   Status AppendCache(const CacheEntryRec& entry);
-  Status AppendCorpus(const CorpusEntryRec& entry);
 
   /// Rewrites the snapshot to `full_state` (atomically) and resets the
   /// journal. On failure the previous durable state remains loadable.

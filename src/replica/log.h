@@ -28,7 +28,7 @@ struct LogRecord {
 /// first Append is assigned 2. A brand-new subscriber asking from 1
 /// therefore ALWAYS gets `Fetch() == false` and takes a snapshot anchor
 /// first — which is what makes state the primary held before this log
-/// existed (a warm-started cache, a recovered corpus, preloaded schemas)
+/// existed (a warm-started cache, preloaded schemas)
 /// reach the standby at all. From there the ring retains the most recent
 /// `capacity` records; a subscriber asking for an evicted sequence is
 /// anchored the same way, then resumes from the log — the classic

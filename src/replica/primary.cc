@@ -12,10 +12,6 @@ void AttachPrimary(core::MatchEngine* engine, net::ServerOptions* options,
     log->Append(static_cast<uint32_t>(RecordType::kCacheEntry),
                 persist::EncodeCacheRecordPayload(rec));
   };
-  observer.corpus = [log](const persist::CorpusEntryRec& rec) {
-    log->Append(static_cast<uint32_t>(RecordType::kCorpusEntry),
-                persist::EncodeCorpusRecordPayload(rec));
-  };
   engine->SetReplicationObserver(std::move(observer));
   options->schema_observer = [log](const std::string& name,
                                    const std::string& xsd_text) {

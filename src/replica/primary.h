@@ -9,7 +9,7 @@ namespace qmatch::replica {
 
 /// Wires a primary's mutation sources into a replication log, BEFORE the
 /// server is constructed from `options`:
-///   - the engine's ReplicationObserver appends cache/corpus journal
+///   - the engine's ReplicationObserver appends cache journal
 ///     payloads (the exact bytes the local journal gets);
 ///   - the server's schema_observer appends schema registrations;
 ///   - options->replication_log points the server at the log so

@@ -222,9 +222,10 @@ bool Standby::ApplySnapshot(const SnapshotMsg& msg) {
   // next_seq - 1, so the position is taken from the message even when it
   // moves backwards (epoch change after a primary restart).
   for (const SchemaRec& rec : msg.schemas) {
-    const Status registered =
-        server_->RegisterSchema(rec.name, rec.xsd_text, /*replicated=*/true);
-    if (!registered.ok()) {
+    const bool registered =
+        server_->RegisterSchema(rec.name, rec.xsd_text, /*replicated=*/true)
+            .ok();
+    if (!registered) {
       // The primary parsed this text; a standby that cannot is running a
       // divergent build. Count loudly and keep the stream alive.
       QMATCH_COUNTER_ADD("replica.schema_apply_errors", 1);
@@ -237,14 +238,6 @@ bool Standby::ApplySnapshot(const SnapshotMsg& msg) {
       return false;
     }
     engine_->ApplyReplicatedCacheEntry(rec);
-  }
-  for (const std::string& payload : msg.corpus_payloads) {
-    persist::CorpusEntryRec rec;
-    if (!persist::DecodeCorpusRecordPayload(payload, &rec)) {
-      QMATCH_COUNTER_ADD("replica.undecodable_records", 1);
-      return false;
-    }
-    engine_->ApplyReplicatedCorpusEntry(rec);
   }
   applied_.store(msg.next_seq > 0 ? msg.next_seq - 1 : 0,
                  std::memory_order_relaxed);
@@ -264,18 +257,13 @@ bool Standby::ApplyOne(uint32_t type, const std::string& payload) {
       engine_->ApplyReplicatedCacheEntry(rec);
       return true;
     }
-    case RecordType::kCorpusEntry: {
-      persist::CorpusEntryRec rec;
-      if (!persist::DecodeCorpusRecordPayload(payload, &rec)) return false;
-      engine_->ApplyReplicatedCorpusEntry(rec);
-      return true;
-    }
     case RecordType::kSchema: {
       SchemaRec rec;
       if (!DecodeSchemaRecPayload(payload, &rec)) return false;
-      const Status registered =
-          server_->RegisterSchema(rec.name, rec.xsd_text, /*replicated=*/true);
-      if (!registered.ok()) {
+      const bool registered =
+          server_->RegisterSchema(rec.name, rec.xsd_text, /*replicated=*/true)
+              .ok();
+      if (!registered) {
         QMATCH_COUNTER_ADD("replica.schema_apply_errors", 1);
       }
       return true;  // a bad schema is counted, not fatal to the stream

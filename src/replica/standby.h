@@ -42,9 +42,10 @@ struct StandbyStats {
 
 /// The warm-standby side of replication (DESIGN.md §15): a thread that
 /// subscribes to the primary's stream and continuously applies it — cache
-/// records and corpus/breaker records into the local engine (which also
-/// journals them, so the standby's own persist store stays promotable),
-/// schema registrations into the local server.
+/// records into the local engine (which also journals them, so the
+/// standby's own persist store stays promotable), schema registrations
+/// into the local server. Both peers run the same build: nothing on the
+/// stream negotiates a version.
 ///
 /// Correctness rules, in order of appearance:
 ///   - resume: each (re)subscription asks from applied_seq + 1, so nothing

@@ -85,10 +85,6 @@ std::string EncodeSnapshotMsg(const SnapshotMsg& msg) {
   for (const std::string& payload : msg.cache_payloads) {
     enc.PutString(payload);
   }
-  enc.PutU32(static_cast<uint32_t>(msg.corpus_payloads.size()));
-  for (const std::string& payload : msg.corpus_payloads) {
-    enc.PutString(payload);
-  }
   return enc.Take();
 }
 
@@ -115,14 +111,6 @@ bool DecodeSnapshotMsg(std::string_view payload, SnapshotMsg* out) {
     std::string body;
     if (!dec.GetString(&body)) return false;
     out->cache_payloads.push_back(std::move(body));
-  }
-  if (!dec.GetU32(&count)) return false;
-  if (static_cast<size_t>(count) * 4 > dec.remaining()) return false;
-  out->corpus_payloads.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string body;
-    if (!dec.GetString(&body)) return false;
-    out->corpus_payloads.push_back(std::move(body));
   }
   return dec.remaining() == 0;
 }

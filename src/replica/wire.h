@@ -10,15 +10,15 @@
 
 namespace qmatch::replica {
 
-/// Replicated record types. Values 1 and 2 are persist::RecordType's
-/// kCacheEntry/kCorpusEntry on purpose: their payloads ARE the journal
-/// record payloads (persist::Encode*RecordPayload), shipped unmodified.
-/// kSchema is replication-only — schemas live in the server's in-memory
+/// Replicated record types. kCacheEntry is persist::RecordType's value on
+/// purpose: its payload IS the journal record payload
+/// (persist::EncodeCacheRecordPayload), shipped unmodified. 2 is retired
+/// with the persist corpus record and never reused. kSchema is
+/// replication-only — schemas live in the server's in-memory
 /// registry, not the persist store, but a warm standby needs them to
 /// answer its first request without re-submission.
 enum class RecordType : uint32_t {
   kCacheEntry = 1,
-  kCorpusEntry = 2,
   kSchema = 3,
 };
 
@@ -77,10 +77,9 @@ struct SnapshotMsg {
   /// epoch's snapshot.
   uint64_t epoch = 0;
   std::vector<SchemaRec> schemas;
-  /// Encoded persist record payloads (cache then corpus), exactly what the
-  /// primary's snapshot file would hold.
+  /// Encoded persist cache record payloads, exactly what the primary's
+  /// snapshot file would hold.
   std::vector<std::string> cache_payloads;
-  std::vector<std::string> corpus_payloads;
 };
 
 std::string EncodeSubscribeReq(const SubscribeReq& req);

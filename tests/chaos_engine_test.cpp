@@ -1,6 +1,7 @@
-// Chaos suite for the match engine (ISSUE 3 tentpole): randomized but
-// seed-deterministic fault schedules driven over the shipped
-// data/schemas/ corpus, asserting the robustness contract end to end:
+// Chaos suite for the match engine: randomized but seed-deterministic
+// fault schedules driven through the typed MatchAll fan-out of one query
+// against the shipped data/schemas/ corpus (parsed in memory), asserting
+// the robustness contract end to end:
 //
 //  * no crash or leak under ASan/TSan (scripts/ci.sh chaos runs this
 //    binary under both);
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/file_util.h"
 #include "common/random.h"
 #include "core/engine.h"
 #include "datagen/corpus.h"
@@ -38,6 +40,7 @@
 #include "fault/failpoint.h"
 #include "obs/obs.h"
 #include "test_util.h"
+#include "xsd/parser.h"
 
 #ifndef QMATCH_SOURCE_DIR
 #error "build must define QMATCH_SOURCE_DIR (see tests/CMakeLists.txt)"
@@ -57,16 +60,45 @@ using std::chrono::steady_clock;
 using qmatch::test::kDeadlineSlack;
 using qmatch::test::kSanitized;
 
-std::vector<std::string> CorpusPaths() {
-  static const char* kFiles[] = {
-      "Article.xsd", "Book.xsd",    "DCMDItem.xsd",      "DCMDOrder.xsd",
-      "Human.xsd",   "Library.xsd", "PDB.xsd",           "PIR.xsd",
-      "PO1.xsd",     "PO2.xsd",     "XBenchCatalog.xsd", "XBenchOrder.xsd"};
-  std::vector<std::string> paths;
-  for (const char* file : kFiles) {
-    paths.push_back(std::string(QMATCH_SOURCE_DIR) + "/data/schemas/" + file);
+/// The shipped corpus, parsed once with no failpoint armed. Schemas are
+/// stable in memory (the vector is never resized), so jobs can point into
+/// it.
+const std::vector<xsd::Schema>& CorpusSchemas() {
+  static const std::vector<xsd::Schema> schemas = [] {
+    static const char* kFiles[] = {
+        "Article.xsd", "Book.xsd",    "DCMDItem.xsd",      "DCMDOrder.xsd",
+        "Human.xsd",   "Library.xsd", "PDB.xsd",           "PIR.xsd",
+        "PO1.xsd",     "PO2.xsd",     "XBenchCatalog.xsd", "XBenchOrder.xsd"};
+    std::vector<xsd::Schema> parsed;
+    for (const char* file : kFiles) {
+      const std::string path =
+          std::string(QMATCH_SOURCE_DIR) + "/data/schemas/" + file;
+      Result<std::string> text = ReadFile(path);
+      if (!text.ok()) {
+        ADD_FAILURE() << path << ": " << text.status();
+        continue;
+      }
+      xsd::ParseOptions options;
+      options.schema_name = file;
+      Result<xsd::Schema> schema = xsd::ParseSchema(*text, options);
+      if (!schema.ok()) {
+        ADD_FAILURE() << path << ": " << schema.status();
+        continue;
+      }
+      parsed.push_back(std::move(*schema));
+    }
+    return parsed;
+  }();
+  return schemas;
+}
+
+/// One job per corpus schema, all against `query`.
+std::vector<MatchJob> CorpusJobs(const xsd::Schema& query) {
+  std::vector<MatchJob> jobs;
+  for (const xsd::Schema& candidate : CorpusSchemas()) {
+    jobs.push_back(MatchJob{&query, &candidate});
   }
-  return paths;
+  return jobs;
 }
 
 std::vector<uint64_t> ChaosSeeds() {
@@ -130,42 +162,43 @@ class ChaosEngineTest : public ::testing::Test {
 };
 
 TEST_F(ChaosEngineTest, FaultFreeCorpusRunIsBitIdenticalToReference) {
-  // Failpoint sites are compiled in but disarmed: the corpus pipeline must
+  // Failpoint sites are compiled in but disarmed: the corpus fan-out must
   // reproduce the sequential QMatch reference bit for bit.
-  const std::vector<std::string> paths = CorpusPaths();
   const xsd::Schema query = datagen::MakePO1();
+  const std::vector<MatchJob> jobs = CorpusJobs(query);
+  ASSERT_EQ(jobs.size(), 12u);
   const QMatch reference;
   MatchEngine engine(EngineOptions(4, /*cache_capacity=*/8));
-  const CorpusMatchResult corpus = engine.MatchCorpus(query, paths);
-  ASSERT_EQ(corpus.entries.size(), paths.size());
-  EXPECT_EQ(corpus.ok, paths.size());
-  EXPECT_EQ(corpus.degraded, 0u);
-  for (const CorpusEntryResult& entry : corpus.entries) {
-    ASSERT_TRUE(entry.ok()) << entry.path << ": " << entry.status;
-    const MatchResult expected = reference.Match(query, entry.schema);
-    EXPECT_EQ(std::bit_cast<uint64_t>(entry.result.schema_qom),
+  const std::vector<EngineMatchResult> results =
+      engine.MatchAll(jobs, EngineRequestOptions{});
+  ASSERT_EQ(results.size(), jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const std::string& name = jobs[i].target->name();
+    ASSERT_TRUE(results[i].ok()) << name << ": " << results[i].status;
+    const MatchResult expected = reference.Match(query, *jobs[i].target);
+    EXPECT_EQ(std::bit_cast<uint64_t>(results[i].result.schema_qom),
               std::bit_cast<uint64_t>(expected.schema_qom))
-        << entry.path;
-    EXPECT_EQ(CorrespondenceMap(entry.result), CorrespondenceMap(expected))
-        << entry.path;
+        << name;
+    EXPECT_EQ(CorrespondenceMap(results[i].result),
+              CorrespondenceMap(expected))
+        << name;
   }
 }
 
 TEST_F(ChaosEngineTest, SeededFaultSchedulesAlwaysReturnTypedStatuses) {
-  const std::vector<std::string> paths = CorpusPaths();
   const xsd::Schema query = datagen::MakePO1();
+  const std::vector<MatchJob> jobs = CorpusJobs(query);
 
-  // Fault-free reference per corpus file, for the monotonicity check.
-  std::map<std::string, std::map<std::string, uint64_t>> reference;
-  std::map<std::string, uint64_t> reference_qom;
+  // Fault-free reference per corpus schema, for the monotonicity check.
+  std::vector<std::map<std::string, uint64_t>> reference;
+  std::vector<uint64_t> reference_qom;
   {
     MatchEngine engine(EngineOptions(4));
-    const CorpusMatchResult clean = engine.MatchCorpus(query, paths);
-    ASSERT_EQ(clean.ok, paths.size());
-    for (const CorpusEntryResult& entry : clean.entries) {
-      reference[entry.path] = CorrespondenceMap(entry.result);
-      reference_qom[entry.path] =
-          std::bit_cast<uint64_t>(entry.result.schema_qom);
+    for (const EngineMatchResult& clean :
+         engine.MatchAll(jobs, EngineRequestOptions{})) {
+      ASSERT_TRUE(clean.ok()) << clean.status;
+      reference.push_back(CorrespondenceMap(clean.result));
+      reference_qom.push_back(std::bit_cast<uint64_t>(clean.result.schema_qom));
     }
   }
 
@@ -182,10 +215,10 @@ TEST_F(ChaosEngineTest, SeededFaultSchedulesAlwaysReturnTypedStatuses) {
     };
     // treematch.pair runs O(n·m) times per match: keep its fire
     // probability low and its delay at 1ms so a full run stays bounded.
+    // The schemas are parsed before any site is armed, so the parser's
+    // failpoints are not on this path (net_protocol_test covers them on
+    // the submit path).
     const SiteSpec kSites[] = {
-        {"xml.parse", 0.4, true, true},
-        {"xsd.parse", 0.4, true, true},
-        {"engine.corpus.load", 0.6, false, false},
         {"engine.cache.lookup", 0.4, false, false},
         {"engine.cache.store", 0.4, false, false},
         {"treematch.pair", 0.5, true, true},
@@ -213,8 +246,7 @@ TEST_F(ChaosEngineTest, SeededFaultSchedulesAlwaysReturnTypedStatuses) {
       fault::FaultRegistry::Global().Arm(site.name, spec);
     }
 
-    CorpusMatchOptions options;
-    options.backoff_base = milliseconds(1);
+    EngineRequestOptions options;
     const bool bounded = rng.Bernoulli(0.5);
     const milliseconds budget{20 + static_cast<int64_t>(rng.Uniform(60))};
 
@@ -233,49 +265,44 @@ TEST_F(ChaosEngineTest, SeededFaultSchedulesAlwaysReturnTypedStatuses) {
 
     MatchEngine engine(EngineOptions(4, /*cache_capacity=*/8));
     const steady_clock::time_point start = steady_clock::now();
-    if (bounded) options.request.deadline = Deadline::After(budget);
-    const CorpusMatchResult corpus = engine.MatchCorpus(query, paths, options);
+    if (bounded) options.deadline = Deadline::After(budget);
+    const std::vector<EngineMatchResult> results =
+        engine.MatchAll(jobs, options);
     const auto elapsed = steady_clock::now() - start;
     fault::FaultRegistry::Global().DisarmAll();
 
-    // Every entry came back, every status is typed, and degraded + ok
-    // accounts for all of them.
-    ASSERT_EQ(corpus.entries.size(), paths.size());
-    EXPECT_EQ(corpus.ok + corpus.degraded, paths.size());
-    size_t degraded_seen = 0;
-    for (size_t i = 0; i < corpus.entries.size(); ++i) {
-      const CorpusEntryResult& entry = corpus.entries[i];
-      EXPECT_EQ(entry.path, paths[i]);
-      if (!entry.ok()) ++degraded_seen;
+    // Every job came back in its own slot with a typed status.
+    ASSERT_EQ(results.size(), jobs.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      const EngineMatchResult& result = results[i];
+      const std::string& name = jobs[i].target->name();
       // Monotone partial results: whatever was reported is a subset of
-      // the fault-free run for this file, bit-identically scored.
-      ExpectSubsetOfReference(entry.result, reference[entry.path],
-                              entry.path);
-      if (entry.ok()) {
+      // the fault-free run for this schema, bit-identically scored.
+      ExpectSubsetOfReference(result.result, reference[i], name);
+      if (result.ok()) {
         // A completed request is not merely a subset — it is the whole
         // fault-free result (injected cache misses, dropped stores and
         // contained throws may cost time, never correctness).
-        EXPECT_EQ(CorrespondenceMap(entry.result).size(),
-                  reference[entry.path].size())
-            << entry.path;
-        EXPECT_EQ(std::bit_cast<uint64_t>(entry.result.schema_qom),
-                  reference_qom[entry.path])
-            << entry.path;
-        EXPECT_EQ(entry.completed_rows, entry.total_rows) << entry.path;
+        EXPECT_EQ(CorrespondenceMap(result.result).size(),
+                  reference[i].size())
+            << name;
+        EXPECT_EQ(std::bit_cast<uint64_t>(result.result.schema_qom),
+                  reference_qom[i])
+            << name;
+        EXPECT_EQ(result.completed_rows, result.total_rows) << name;
       }
     }
-    EXPECT_EQ(degraded_seen, corpus.degraded);
 
-    // A bounded request never hangs: the whole corpus call returns within
-    // deadline + slack (per-pair polling + clamped retry sleeps).
+    // A bounded request never hangs: the whole fan-out returns within
+    // deadline + slack (per-pair polling).
     if (bounded) {
       EXPECT_LE(elapsed, budget + kDeadlineSlack)
-          << "corpus call overran its deadline";
+          << "corpus fan-out overran its deadline";
     }
 
 #if QMATCH_OBS_ENABLED
-    // Counter accounting: every request (one per corpus entry) was tallied
-    // exactly once, and the outcome counters sum to the request counter.
+    // Counter accounting: every request (one per job) was tallied exactly
+    // once, and the outcome counters sum to the request counter.
     const uint64_t requests_delta =
         registry.GetCounter("engine.requests").Value() - requests_before;
     const uint64_t outcomes_delta =
@@ -286,7 +313,7 @@ TEST_F(ChaosEngineTest, SeededFaultSchedulesAlwaysReturnTypedStatuses) {
         registry.GetCounter("engine.requests_resource_exhausted").Value() +
         registry.GetCounter("engine.requests_error").Value() -
         outcomes_before;
-    EXPECT_EQ(requests_delta, paths.size());
+    EXPECT_EQ(requests_delta, jobs.size());
     EXPECT_EQ(outcomes_delta, requests_delta);
 #endif
   }

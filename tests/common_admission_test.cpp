@@ -1,7 +1,6 @@
 // Unit tests for cost-based admission control (immediate admit, FIFO
 // queueing with backpressure, typed kOverloaded shed, deadline/cancel while
-// queued, cost clamping, pressure) and the per-entry circuit breaker state
-// machine (closed → open → half-open probe → closed/reopen).
+// queued, cost clamping, pressure).
 
 #include "common/admission.h"
 
@@ -183,74 +182,6 @@ TEST(AdmissionControllerTest, AdmitFailpointInjectsShed) {
   EXPECT_EQ(admission.shed_total(), 1u);
 }
 #endif
-
-TEST(CircuitBreakerTest, OpensAfterConsecutiveFailures) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 3;
-  options.cooldown = std::chrono::milliseconds(10000);
-  CircuitBreaker breaker(options);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(breaker.Allow());
-    breaker.RecordFailure();
-  }
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.Allow());
-}
-
-TEST(CircuitBreakerTest, SuccessResetsTheFailureStreak) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 3;
-  CircuitBreaker breaker(options);
-  breaker.RecordFailure();
-  breaker.RecordFailure();
-  breaker.RecordSuccess();
-  breaker.RecordFailure();
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-}
-
-TEST(CircuitBreakerTest, HalfOpenProbeClosesOnSuccess) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 1;
-  options.cooldown = Scaled(std::chrono::milliseconds(10));
-  CircuitBreaker breaker(options);
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordFailure();
-  ASSERT_FALSE(breaker.Allow());  // open, cooling down
-  std::this_thread::sleep_for(Scaled(std::chrono::milliseconds(20)));
-  EXPECT_TRUE(breaker.Allow());  // the half-open probe
-  EXPECT_FALSE(breaker.Allow());  // exactly one probe at a time
-  breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(breaker.Allow());
-}
-
-TEST(CircuitBreakerTest, HalfOpenProbeReopensOnFailure) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 1;
-  options.cooldown = Scaled(std::chrono::milliseconds(10));
-  CircuitBreaker breaker(options);
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordFailure();
-  std::this_thread::sleep_for(Scaled(std::chrono::milliseconds(20)));
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(breaker.Allow());
-}
-
-TEST(CircuitBreakerTest, NeutralOutcomeFreesTheProbeSlot) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 1;
-  options.cooldown = Scaled(std::chrono::milliseconds(10));
-  CircuitBreaker breaker(options);
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordFailure();
-  std::this_thread::sleep_for(Scaled(std::chrono::milliseconds(20)));
-  ASSERT_TRUE(breaker.Allow());  // probe in flight...
-  breaker.RecordNeutral();       // ...ends without a verdict (deadline)
-  EXPECT_TRUE(breaker.Allow());  // the slot is free for the next probe
-}
 
 }  // namespace
 }  // namespace qmatch

@@ -1,8 +1,7 @@
-// Error-path tests for the typed MatchEngine request API: status
-// propagation through the corpus batch fan-out when individual schemas
-// fail to load or parse (ISSUE 3 satellite c), transient-failure retry
-// with seeded backoff, and the deadline/cancellation partial-result
-// contract at the API boundary.
+// Error-path tests for the typed MatchEngine request API: per-job status
+// containment in the batch fan-out of one query against in-memory corpus
+// schemas, and the deadline/cancellation partial-result contract at the
+// API boundary.
 
 #include "core/engine.h"
 
@@ -14,10 +13,11 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/file_util.h"
 #include "common/status.h"
 #include "datagen/corpus.h"
+#include "datagen/generator.h"
 #include "fault/failpoint.h"
+#include "xsd/parser.h"
 
 namespace qmatch::core {
 namespace {
@@ -38,19 +38,10 @@ constexpr char kGoodXsd[] = R"(<?xml version="1.0"?>
 </xs:schema>
 )";
 
-constexpr char kMalformedXml[] = "<xs:schema><unclosed";
-
-constexpr char kNotASchema[] = R"(<?xml version="1.0"?>
-<catalog><item/></catalog>
-)";
-
-/// Writes `contents` under a unique name in the test temp dir and returns
-/// the path. Files are tiny and the dir is per-run, so no cleanup needed.
-std::string WriteTempSchema(const std::string& name,
-                            const std::string& contents) {
-  const std::string path = ::testing::TempDir() + "qmatch_corpus_" + name;
-  EXPECT_TRUE(WriteFile(path, contents).ok()) << path;
-  return path;
+xsd::Schema ParseGood() {
+  Result<xsd::Schema> schema = xsd::ParseSchema(kGoodXsd);
+  EXPECT_TRUE(schema.ok()) << schema.status();
+  return std::move(*schema);
 }
 
 MatchEngineOptions EngineOptions(size_t threads, size_t cache_capacity = 0) {
@@ -67,131 +58,57 @@ class EngineCorpusTest : public ::testing::Test {
 };
 
 TEST_F(EngineCorpusTest, AllGoodEntriesSucceedAndAccountingBalances) {
-  const std::vector<std::string> paths = {
-      WriteTempSchema("good_a.xsd", kGoodXsd),
-      WriteTempSchema("good_b.xsd", kGoodXsd)};
   const xsd::Schema query = datagen::MakePO1();
+  const xsd::Schema first = ParseGood();
+  const xsd::Schema second = ParseGood();
+  const std::vector<MatchJob> jobs = {MatchJob{&query, &first},
+                                      MatchJob{&query, &second}};
   for (size_t threads : {1u, 4u}) {
     MatchEngine engine(EngineOptions(threads));
-    const CorpusMatchResult result = engine.MatchCorpus(query, paths);
-    ASSERT_EQ(result.entries.size(), paths.size());
-    EXPECT_EQ(result.ok, paths.size());
-    EXPECT_EQ(result.degraded, 0u);
-    for (size_t i = 0; i < paths.size(); ++i) {
-      const CorpusEntryResult& entry = result.entries[i];
-      EXPECT_EQ(entry.path, paths[i]);
-      EXPECT_TRUE(entry.ok()) << entry.status;
-      EXPECT_EQ(entry.load_attempts, 1u);
-      EXPECT_EQ(entry.completed_rows, entry.total_rows);
-      EXPECT_GT(entry.total_rows, 0u);
-      EXPECT_GT(entry.result.schema_qom, 0.0);
+    const std::vector<EngineMatchResult> results =
+        engine.MatchAll(jobs, EngineRequestOptions{});
+    ASSERT_EQ(results.size(), jobs.size());
+    for (const EngineMatchResult& result : results) {
+      EXPECT_TRUE(result.ok()) << result.status;
+      EXPECT_EQ(result.completed_rows, result.total_rows);
+      EXPECT_GT(result.total_rows, 0u);
+      EXPECT_GT(result.result.schema_qom, 0.0);
     }
   }
 }
 
-TEST_F(EngineCorpusTest, OneBadSchemaDegradesOnlyItsOwnSlot) {
-  // The satellite-c scenario: a corpus where one file is malformed XML,
-  // one is valid XML but not an XSD, and one does not exist. Each failure
-  // must surface as the right typed Status in its own slot — with the
-  // file's path in the message — while the good entries are unaffected.
-  const std::vector<std::string> paths = {
-      WriteTempSchema("ok1.xsd", kGoodXsd),
-      WriteTempSchema("broken.xsd", kMalformedXml),
-      WriteTempSchema("catalog.xml", kNotASchema),
-      ::testing::TempDir() + "qmatch_corpus_missing.xsd",
-      WriteTempSchema("ok2.xsd", kGoodXsd)};
+TEST_F(EngineCorpusTest, OneOversizedEntryDegradesOnlyItsOwnSlot) {
+  // A request budget that fits a small table but not a 300x300 one: the
+  // oversized job must come back kResourceExhausted in its own slot while
+  // the jobs on either side of it are unaffected.
+  datagen::GeneratorOptions gen;
+  gen.seed = 7;
+  gen.element_count = 300;
+  gen.name = "Oversized";
+  const xsd::Schema big_source = datagen::GenerateSchema(gen);
+  gen.seed = 8;
+  const xsd::Schema big_target = datagen::GenerateSchema(gen);
   const xsd::Schema query = datagen::MakePO1();
-  MatchEngine engine(EngineOptions(4));
-  CorpusMatchOptions options;
-  options.backoff_base = milliseconds(0);  // keep the missing-file retries fast
-  const CorpusMatchResult result = engine.MatchCorpus(query, paths, options);
-  ASSERT_EQ(result.entries.size(), 5u);
-  EXPECT_EQ(result.ok, 2u);
-  EXPECT_EQ(result.degraded, 3u);
-
-  EXPECT_TRUE(result.entries[0].ok()) << result.entries[0].status;
-  EXPECT_TRUE(result.entries[4].ok()) << result.entries[4].status;
-
-  const CorpusEntryResult& malformed = result.entries[1];
-  EXPECT_EQ(malformed.status.code(), StatusCode::kParseError);
-  EXPECT_NE(malformed.status.message().find("broken.xsd"), std::string::npos)
-      << malformed.status;
-  // Parse errors are deterministic: exactly one load attempt, no retry.
-  EXPECT_EQ(malformed.load_attempts, 1u);
-  EXPECT_TRUE(malformed.result.correspondences.empty());
-
-  const CorpusEntryResult& not_schema = result.entries[2];
-  EXPECT_EQ(not_schema.status.code(), StatusCode::kParseError);
-  EXPECT_NE(not_schema.status.message().find("catalog.xml"),
-            std::string::npos);
-
-  const CorpusEntryResult& missing = result.entries[3];
-  EXPECT_EQ(missing.status.code(), StatusCode::kIoError);
-  // kIoError is presumed transient, so the full retry budget is spent.
-  EXPECT_EQ(missing.load_attempts, options.max_load_attempts);
+  const xsd::Schema good = ParseGood();
+  const std::vector<MatchJob> jobs = {MatchJob{&query, &good},
+                                      MatchJob{&big_source, &big_target},
+                                      MatchJob{&query, &good}};
+  MatchEngineOptions options = EngineOptions(4);
+  options.overload.request_budget_bytes = uint64_t{4} << 20;
+  ASSERT_GT(big_source.NodeCount() * big_target.NodeCount() * sizeof(PairQoM),
+            options.overload.request_budget_bytes);
+  MatchEngine engine(options);
+  const std::vector<EngineMatchResult> results =
+      engine.MatchAll(jobs, EngineRequestOptions{});
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[0].ok()) << results[0].status;
+  EXPECT_EQ(results[1].status.code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(results[1].result.correspondences.empty());
+  EXPECT_TRUE(results[2].ok()) << results[2].status;
+  EXPECT_EQ(results[0].result.ToString(), results[2].result.ToString());
 }
 
 #if QMATCH_FAULT_ENABLED
-
-TEST_F(EngineCorpusTest, TransientLoadFailuresAreRetriedToSuccess) {
-  // First two loads fail (injected), the third succeeds: the entry must
-  // come back OK with load_attempts == 3.
-  const std::vector<std::string> paths = {
-      WriteTempSchema("transient.xsd", kGoodXsd)};
-  fault::FaultSpec spec;
-  spec.action = fault::FaultAction::kError;
-  spec.max_fires = 2;
-  fault::ScopedFailpoint armed("engine.corpus.load", spec);
-  const xsd::Schema query = datagen::MakePO1();
-  MatchEngine engine(EngineOptions(1));
-  CorpusMatchOptions options;
-  options.max_load_attempts = 3;
-  options.backoff_base = milliseconds(1);
-  const CorpusMatchResult result = engine.MatchCorpus(query, paths, options);
-  ASSERT_EQ(result.entries.size(), 1u);
-  EXPECT_TRUE(result.entries[0].ok()) << result.entries[0].status;
-  EXPECT_EQ(result.entries[0].load_attempts, 3u);
-  EXPECT_EQ(armed.stats().fires, 2u);
-}
-
-TEST_F(EngineCorpusTest, RetryBudgetExhaustionSurfacesIoError) {
-  const std::vector<std::string> paths = {
-      WriteTempSchema("always_failing.xsd", kGoodXsd)};
-  fault::FaultSpec spec;
-  spec.action = fault::FaultAction::kError;
-  fault::ScopedFailpoint armed("engine.corpus.load", spec);
-  const xsd::Schema query = datagen::MakePO1();
-  MatchEngine engine(EngineOptions(1));
-  CorpusMatchOptions options;
-  options.max_load_attempts = 4;
-  options.backoff_base = milliseconds(0);
-  const CorpusMatchResult result = engine.MatchCorpus(query, paths, options);
-  ASSERT_EQ(result.entries.size(), 1u);
-  EXPECT_EQ(result.entries[0].status.code(), StatusCode::kIoError);
-  EXPECT_EQ(result.entries[0].load_attempts, 4u);
-  EXPECT_EQ(result.degraded, 1u);
-}
-
-TEST_F(EngineCorpusTest, ParserFailpointPropagatesThroughCorpus) {
-  // A fault injected at the XSD parser entry must surface as that entry's
-  // status (with path context), exactly like an organic parse failure.
-  const std::vector<std::string> paths = {
-      WriteTempSchema("poisoned_parse.xsd", kGoodXsd)};
-  fault::FaultSpec spec;
-  spec.action = fault::FaultAction::kError;
-  spec.code = StatusCode::kParseError;
-  spec.message = "injected parse failure";
-  fault::ScopedFailpoint armed("xsd.parse", spec);
-  const xsd::Schema query = datagen::MakePO1();
-  MatchEngine engine(EngineOptions(1));
-  const CorpusMatchResult result = engine.MatchCorpus(query, paths);
-  ASSERT_EQ(result.entries.size(), 1u);
-  EXPECT_EQ(result.entries[0].status.code(), StatusCode::kParseError);
-  EXPECT_NE(result.entries[0].status.message().find("injected parse failure"),
-            std::string::npos);
-  EXPECT_NE(result.entries[0].status.message().find("poisoned_parse.xsd"),
-            std::string::npos);
-}
 
 TEST_F(EngineCorpusTest, DroppedCacheStoreOnlyCostsRecomputation) {
   fault::FaultSpec spec;
@@ -272,53 +189,9 @@ TEST_F(EngineCorpusTest, TypedMatchAllKeepsInputOrderUnderCancellation) {
   }
 }
 
-TEST_F(EngineCorpusTest, CancelledCorpusRequestTypesEveryEntry) {
-  const std::vector<std::string> paths = {
-      WriteTempSchema("cancelled_a.xsd", kGoodXsd),
-      WriteTempSchema("cancelled_b.xsd", kGoodXsd)};
-  const xsd::Schema query = datagen::MakePO1();
-  MatchEngine engine(EngineOptions(2));
-  CancellationToken token;
-  token.Cancel();
-  CorpusMatchOptions options;
-  options.request.cancel = &token;
-  const CorpusMatchResult result = engine.MatchCorpus(query, paths, options);
-  ASSERT_EQ(result.entries.size(), 2u);
-  EXPECT_EQ(result.ok, 0u);
-  EXPECT_EQ(result.degraded, 2u);
-  for (const CorpusEntryResult& entry : result.entries) {
-    EXPECT_EQ(entry.status.code(), StatusCode::kCancelled);
-  }
-}
-
-TEST_F(EngineCorpusTest, EmptyCorpusIsAnEmptySuccess) {
+TEST_F(EngineCorpusTest, EmptyBatchIsAnEmptySuccess) {
   MatchEngine engine(EngineOptions(1));
-  const xsd::Schema query = datagen::MakePO1();
-  const CorpusMatchResult result = engine.MatchCorpus(query, {});
-  EXPECT_TRUE(result.entries.empty());
-  EXPECT_EQ(result.ok, 0u);
-  EXPECT_EQ(result.degraded, 0u);
-}
-
-TEST_F(EngineCorpusTest, CorpusEntriesOwnTheirSchemas) {
-  // The correspondences of each entry point into that entry's schema tree;
-  // moving the aggregate around must keep them valid (Schema is movable
-  // with stable node addresses).
-  const std::vector<std::string> paths = {
-      WriteTempSchema("owned.xsd", kGoodXsd)};
-  const xsd::Schema query = datagen::MakePO1();
-  MatchEngine engine(EngineOptions(1));
-  CorpusMatchResult result = engine.MatchCorpus(query, paths);
-  ASSERT_EQ(result.entries.size(), 1u);
-  ASSERT_TRUE(result.entries[0].ok());
-  const CorpusMatchResult moved = std::move(result);
-  const CorpusEntryResult& entry = moved.entries[0];
-  ASSERT_NE(entry.schema.root(), nullptr);
-  for (const Correspondence& c : entry.result.correspondences) {
-    // Target pointers resolve inside the entry-owned schema.
-    ASSERT_NE(c.target, nullptr);
-    EXPECT_EQ(entry.schema.FindByPath(c.target->Path()), c.target);
-  }
+  EXPECT_TRUE(engine.MatchAll({}, EngineRequestOptions{}).empty());
 }
 
 }  // namespace

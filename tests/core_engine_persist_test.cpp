@@ -1,6 +1,6 @@
 // Engine-level persistence tests: warm start from a snapshot/journal
 // directory, bit-identical recovered QoM, config-fingerprint drop rules,
-// circuit-breaker state surviving restarts, and the periodic-compaction
+// stores holding the retired corpus record type, and the periodic-compaction
 // cadence. Crash-point recovery lives in persist_recovery_test.cpp.
 
 #include "core/engine.h"
@@ -17,6 +17,7 @@
 #include "common/status.h"
 #include "datagen/corpus.h"
 #include "persist/store.h"
+#include "wire_goldens.h"
 
 namespace qmatch::core {
 namespace {
@@ -133,65 +134,57 @@ TEST(EnginePersistTest, LruRecencySurvivesRestartThroughCapacityEviction) {
   EXPECT_EQ(warm.cache_stats().misses, 1u);
 }
 
-TEST(EnginePersistTest, BreakerStateSurvivesRestart) {
-  const std::string dir = TempPersistDir("breaker");
-  const std::string missing =
-      ::testing::TempDir() + "qmatch_persist_missing_schema.xsd";
-  std::remove(missing.c_str());
-  const xsd::Schema query = datagen::MakePO1();
-
-  MatchEngineOptions options = PersistOptions(dir);
-  options.overload.breaker_failure_threshold = 3;
-  options.overload.breaker_cooldown = std::chrono::milliseconds(60000);
-  CorpusMatchOptions corpus;
-  corpus.max_load_attempts = 1;
-  corpus.backoff_base = std::chrono::milliseconds(0);
+TEST(EnginePersistTest, StoreWithRetiredCorpusRecordsOpensWarm) {
+  // A store written before the corpus record type (2) was retired: cache
+  // records with type-2 records between them, in the snapshot and in the
+  // journal. Every cache record must load and serve warm; the type-2
+  // records are skipped and counted.
+  const std::string dir = TempPersistDir("retired_corpus");
+  const xsd::Schema po1 = datagen::MakePO1();
+  const xsd::Schema po2 = datagen::MakePO2();
+  const xsd::Schema article = datagen::MakeArticle();
+  const xsd::Schema book = datagen::MakeBook();
+  MatchResult fresh_po;
+  MatchResult fresh_books;
+  persist::StoreState fresh_state;
+  uint64_t config_hash = 0;
   {
-    MatchEngine engine(options);
-    // Three failing requests open the breaker for `missing`.
-    for (int i = 0; i < 3; ++i) {
-      CorpusMatchResult result =
-          engine.MatchCorpus(query, {missing}, corpus);
-      ASSERT_EQ(result.entries.size(), 1u);
-      EXPECT_FALSE(result.entries[0].ok());
-    }
+    MatchEngine engine(PersistOptions(TempPersistDir("retired_corpus_src")));
+    fresh_po = engine.Match(po1, po2);
+    fresh_books = engine.Match(article, book);
+    fresh_state = engine.ExportState();
+    config_hash = engine.config_hash();
   }
-  // The restarted engine must reject the entry up front — open circuit,
-  // zero load attempts — because the failure history was persisted.
-  MatchEngine warm(options);
-  ASSERT_TRUE(warm.persist_enabled());
-  CorpusMatchResult result = warm.MatchCorpus(query, {missing}, corpus);
-  ASSERT_EQ(result.entries.size(), 1u);
-  EXPECT_EQ(result.entries[0].status.code(), StatusCode::kOverloaded);
-  EXPECT_EQ(result.entries[0].load_attempts, 0u);
-}
-
-TEST(EnginePersistTest, CorpusIndexRecordsFingerprintsAcrossRestart) {
-  const std::string dir = TempPersistDir("corpus_index");
-  const std::string schema_path =
-      ::testing::TempDir() + "qmatch_persist_corpus_schema.xsd";
-  ASSERT_TRUE(WriteFile(schema_path, datagen::PO1Xsd()).ok());
-  const xsd::Schema query = datagen::MakePO2();
-  {
-    MatchEngine engine(PersistOptions(dir));
-    CorpusMatchResult result = engine.MatchCorpus(query, {schema_path});
-    ASSERT_EQ(result.ok, 1u);
-  }
-  // The persisted corpus index carries the entry with its parse-time
-  // schema fingerprint.
-  MatchEngine warm(PersistOptions(dir));
-  const persist::LoadStats& load = warm.persist_load_stats();
-  EXPECT_TRUE(load.snapshot_present || load.journal_present);
-  persist::StoreState state;
-  persist::LoadStats stats;
-  ASSERT_TRUE(persist::PersistentStore::LoadState(dir, warm.config_hash(),
-                                                  &state, &stats)
+  ASSERT_EQ(fresh_state.cache_entries.size(), 2u);
+  const std::string retired = test::HexToBytes(test::kRetiredCorpusRecordHex);
+  persist::StoreState first;
+  first.cache_entries.push_back(fresh_state.cache_entries[0]);
+  ASSERT_TRUE(EnsureDir(dir).ok());
+  ASSERT_TRUE(WriteFile(dir + "/snapshot.qms",
+                        persist::EncodeSnapshot(first, config_hash) + retired +
+                            persist::EncodeCacheRecord(
+                                fresh_state.cache_entries[1]) +
+                            retired)
                   .ok());
-  ASSERT_EQ(state.corpus_entries.size(), 1u);
-  EXPECT_EQ(state.corpus_entries[0].path, schema_path);
-  EXPECT_NE(state.corpus_entries[0].schema_fp, 0u);
-  EXPECT_EQ(state.corpus_entries[0].breaker_failures, 0u);
-  std::remove(schema_path.c_str());
+  ASSERT_TRUE(WriteFile(dir + "/journal.qmj",
+                        persist::EncodeJournalHeader(config_hash) + retired +
+                            persist::EncodeCacheRecord(
+                                fresh_state.cache_entries[0]) +
+                            retired)
+                  .ok());
+
+  MatchEngine warm(PersistOptions(dir));
+  ASSERT_TRUE(warm.persist_enabled());
+  const persist::LoadStats& stats = warm.persist_load_stats();
+  EXPECT_FALSE(stats.started_cold);
+  EXPECT_EQ(stats.snapshot_records, 4u);
+  EXPECT_EQ(stats.journal_records, 3u);
+  EXPECT_EQ(stats.dropped_records, 4u);
+  EXPECT_EQ(warm.cache_stats().entries, 2u);
+  ExpectBitIdentical(warm.Match(po1, po2), fresh_po);
+  ExpectBitIdentical(warm.Match(article, book), fresh_books);
+  EXPECT_EQ(warm.cache_stats().hits, 2u);
+  EXPECT_EQ(warm.cache_stats().misses, 0u);
 }
 
 TEST(EnginePersistTest, PeriodicCompactionFoldsJournalIntoSnapshot) {

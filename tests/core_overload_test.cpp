@@ -1,7 +1,7 @@
 // Unit tests for the engine's overload-protection layer: typed memory
 // budget rejection, the pressure-driven degradation ladder (and its
 // per-request force_mode override), the no-degraded-results-in-cache rule,
-// the per-corpus-entry circuit breaker, and the acceptance contract that a
+// and the acceptance contract that a
 // label-only run matches the full run bit-identically on the label,
 // properties and level axes. Registered with the "overload" label, which
 // `scripts/ci.sh stress` runs under ASan and TSan.
@@ -11,10 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/file_util.h"
 #include "core/qmatch.h"
@@ -228,49 +226,6 @@ TEST(OverloadEngineTest, AmpleCapacityStaysFullFidelity) {
   EngineMatchResult out = engine.Match(source, target, EngineRequestOptions{});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.result.mode, MatchMode::kFull);
-}
-
-TEST(OverloadEngineTest, CorpusCircuitBreakerOpensAfterRepeatedFailures) {
-  const xsd::Schema query = LoadSchema("PO1.xsd");
-  MatchEngineOptions options;
-  options.threads = 1;
-  options.cache_capacity = 0;
-  options.overload.breaker_failure_threshold = 2;
-  options.overload.breaker_cooldown = std::chrono::seconds(60);
-  MatchEngine engine(options);
-  const std::vector<std::string> paths = {"/nonexistent/overload_test.xsd"};
-  CorpusMatchOptions corpus;
-  corpus.max_load_attempts = 1;
-  // Two requests fail on I/O and trip the breaker...
-  EXPECT_EQ(engine.MatchCorpus(query, paths, corpus).entries[0].status.code(),
-            StatusCode::kIoError);
-  EXPECT_EQ(engine.MatchCorpus(query, paths, corpus).entries[0].status.code(),
-            StatusCode::kIoError);
-  // ...so the third is rejected up front without touching the filesystem.
-  CorpusMatchResult third = engine.MatchCorpus(query, paths, corpus);
-  EXPECT_EQ(third.entries[0].status.code(), StatusCode::kOverloaded);
-  EXPECT_EQ(third.entries[0].load_attempts, 0u);
-}
-
-TEST(OverloadEngineTest, BreakerIsPerEntryNotPerCorpus) {
-  const xsd::Schema query = LoadSchema("PO1.xsd");
-  MatchEngineOptions options;
-  options.threads = 1;
-  options.cache_capacity = 0;
-  options.overload.breaker_failure_threshold = 1;
-  options.overload.breaker_cooldown = std::chrono::seconds(60);
-  MatchEngine engine(options);
-  const std::string good =
-      std::string(QMATCH_SOURCE_DIR) + "/data/schemas/PO2.xsd";
-  const std::vector<std::string> paths = {"/nonexistent/a.xsd", good};
-  CorpusMatchOptions corpus;
-  corpus.max_load_attempts = 1;
-  ASSERT_EQ(engine.MatchCorpus(query, paths, corpus).entries[0].status.code(),
-            StatusCode::kIoError);
-  CorpusMatchResult second = engine.MatchCorpus(query, paths, corpus);
-  EXPECT_EQ(second.entries[0].status.code(), StatusCode::kOverloaded);
-  EXPECT_TRUE(second.entries[1].ok())
-      << second.entries[1].status;  // the healthy entry is untouched
 }
 
 #if QMATCH_FAULT_ENABLED

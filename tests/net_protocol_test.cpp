@@ -24,6 +24,7 @@
 
 #include "core/engine.h"
 #include "datagen/corpus.h"
+#include "fault/failpoint.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/server.h"
@@ -398,6 +399,38 @@ TEST_F(LoopbackTest, UnparseableSchemaAnswersTypedError) {
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE(stats->head.ok());
 }
+
+#if QMATCH_FAULT_ENABLED
+TEST_F(LoopbackTest, ParserFailpointPropagatesThroughSubmit) {
+  // A fault injected at the XSD parser entry must surface as the submit's
+  // typed status, exactly like an organic parse failure, register nothing,
+  // and leave the next submit of the same schema unaffected.
+  Client client = Connect();
+  ASSERT_TRUE(client.connected());
+  const size_t before = server_->schema_count();
+  {
+    fault::FaultSpec spec;
+    spec.action = fault::FaultAction::kError;
+    spec.code = StatusCode::kParseError;
+    spec.message = "injected parse failure";
+    fault::ScopedFailpoint armed("xsd.parse", spec);
+    Result<SubmitSchemaResp> submit =
+        client.SubmitSchema(CorpusName(0), CorpusXsd(0));
+    ASSERT_TRUE(submit.ok()) << submit.status().ToString();
+    EXPECT_EQ(submit->head.status_code(), StatusCode::kParseError);
+    EXPECT_NE(submit->head.message.find("injected parse failure"),
+              std::string::npos)
+        << submit->head.message;
+    EXPECT_EQ(armed.stats().fires, 1u);
+  }
+  EXPECT_EQ(server_->schema_count(), before);
+  Result<SubmitSchemaResp> retry =
+      client.SubmitSchema(CorpusName(0), CorpusXsd(0));
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_TRUE(retry->head.ok()) << retry->head.message;
+  EXPECT_EQ(server_->schema_count(), before + 1);
+}
+#endif  // QMATCH_FAULT_ENABLED
 
 TEST_F(LoopbackTest, UnknownRequestTypeAnswersTypedAndKeepsConnection) {
   Client client = Connect();

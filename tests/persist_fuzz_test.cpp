@@ -25,6 +25,7 @@
 #include "persist/crc32.h"
 #include "persist/snapshot.h"
 #include "persist/wire.h"
+#include "wire_goldens.h"
 
 namespace qmatch::persist {
 namespace {
@@ -40,8 +41,7 @@ uint64_t BaseSeed() {
 }
 
 /// A realistic store image: several cache entries with correspondence
-/// lists plus corpus entries, so every decoder path is reachable from a
-/// mutation.
+/// lists, so every decoder path is reachable from a mutation.
 StoreState SampleState() {
   StoreState state;
   for (uint64_t i = 0; i < 4; ++i) {
@@ -59,10 +59,6 @@ StoreState SampleState() {
     }
     state.cache_entries.push_back(std::move(rec));
   }
-  state.corpus_entries.push_back(
-      CorpusEntryRec{"data/schemas/PO1.xsd", 0xFEED1, 0});
-  state.corpus_entries.push_back(
-      CorpusEntryRec{"data/schemas/Book.xsd", 0xFEED2, 5});
   return state;
 }
 
@@ -149,12 +145,16 @@ std::string Splice(const std::string& base, Random& rng) {
 }
 
 TEST(PersistFuzzTest, PristineBytesDecodeCleanly) {
-  const std::string snapshot = EncodeSnapshot(SampleState(), kConfig);
+  // The fuzz bases carry a record of the retired type 2 as older builds
+  // wrote it, so mutations also reach the skip-unknown-type path.
+  const std::string snapshot =
+      EncodeSnapshot(SampleState(), kConfig) +
+      test::HexToBytes(test::kRetiredCorpusRecordHex);
   StoreState state;
   LoadStats stats;
   ASSERT_TRUE(DecodeSnapshot(snapshot, kConfig, &state, &stats).ok());
   EXPECT_EQ(state.cache_entries.size(), 4u);
-  EXPECT_EQ(state.corpus_entries.size(), 2u);
+  EXPECT_EQ(stats.dropped_records, 1u);
 }
 
 TEST(PersistFuzzTest, MutatedStoreBytesNeverCrashTheLoader) {
@@ -174,10 +174,11 @@ TEST(PersistFuzzTest, MutatedStoreBytesNeverCrashTheLoader) {
   std::printf("[fuzz] base seed %llu (override with QMATCH_FUZZ_SEED)\n",
               static_cast<unsigned long long>(base_seed));
   const StoreState sample = SampleState();
+  const std::string retired = test::HexToBytes(test::kRetiredCorpusRecordHex);
   const std::string kBases[] = {
-      EncodeSnapshot(sample, kConfig),
+      EncodeSnapshot(sample, kConfig) + retired,
       EncodeJournalHeader(kConfig) + EncodeCacheRecord(sample.cache_entries[0]) +
-          EncodeCorpusRecord(sample.corpus_entries[0]),
+          retired,
   };
   uint64_t base_index = 0;
   for (const std::string& base : kBases) {

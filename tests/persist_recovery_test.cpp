@@ -88,7 +88,6 @@ std::string TempRecoveryDir(const std::string& name) {
 /// so two byte-different but semantically identical states compare equal.
 struct CanonState {
   std::map<std::tuple<uint64_t, uint64_t, uint64_t>, CacheEntryRec> cache;
-  std::map<std::string, CorpusEntryRec> corpus;
 
   friend bool operator==(const CanonState&, const CanonState&) = default;
 };
@@ -97,9 +96,6 @@ CanonState Canon(const StoreState& state) {
   CanonState canon;
   for (const CacheEntryRec& rec : state.cache_entries) {
     canon.cache[{rec.source_fp, rec.target_fp, rec.config_hash}] = rec;
-  }
-  for (const CorpusEntryRec& rec : state.corpus_entries) {
-    canon.corpus[rec.path] = rec;
   }
   return canon;
 }
@@ -117,8 +113,7 @@ void ExpectOldOrNew(const std::string& dir, const CanonState& old_state,
   const CanonState canon = Canon(loaded);
   EXPECT_TRUE(canon == old_state || canon == new_state)
       << context << ": recovered state is neither old nor new ("
-      << canon.cache.size() << " cache / " << canon.corpus.size()
-      << " corpus entries)";
+      << canon.cache.size() << " cache entries)";
 }
 
 /// kThrow on exactly the nth hit — the simulated kill.
@@ -152,8 +147,6 @@ DiskImage MakeOldImage(const std::string& dir, StoreState* old_state) {
   EXPECT_TRUE(store.ok()) << store.status();
   StoreState snapshot_state;
   snapshot_state.cache_entries.push_back(MakeEntry(1));
-  snapshot_state.corpus_entries.push_back(
-      CorpusEntryRec{"corpus/a.xsd", 0x111, 1});
   EXPECT_TRUE((*store)->Compact(snapshot_state).ok());
   EXPECT_TRUE((*store)->AppendCache(MakeEntry(2)).ok());
   *old_state = snapshot_state;
@@ -223,20 +216,24 @@ TEST(PersistRecoveryTest, JournalAppendKilledAtEveryCrashPoint) {
   EXPECT_GE(crashes, 2u);
 }
 
-TEST(PersistRecoveryTest, CorpusAppendKilledAtEveryCrashPoint) {
-  const std::string dir = TempRecoveryDir("corpus_append");
+TEST(PersistRecoveryTest, UpsertAppendKilledAtEveryCrashPoint) {
+  // The append overwrites a key the snapshot already holds: recovery must
+  // see either the snapshot's version or the update, never a mix.
+  const std::string dir = TempRecoveryDir("upsert_append");
   StoreState old_state;
   const DiskImage old_image = MakeOldImage(dir, &old_state);
-  const CorpusEntryRec update{"corpus/a.xsd", 0x222, 3};
+  CacheEntryRec update = MakeEntry(1);
+  update.schema_qom = 0.25;
+  update.correspondences[0].score = 0.5;
   StoreState new_state = old_state;
-  new_state.corpus_entries.push_back(update);
+  new_state.cache_entries.push_back(update);
   uint64_t crashes = 0;
   EnumerateCrashPoints(
       dir, old_image, Canon(old_state), Canon(new_state),
       [&update](PersistentStore* store) {
-        ASSERT_TRUE(store->AppendCorpus(update).ok());
+        ASSERT_TRUE(store->AppendCache(update).ok());
       },
-      "AppendCorpus", &crashes);
+      "AppendCache upsert", &crashes);
   EXPECT_GE(crashes, 2u);
 }
 

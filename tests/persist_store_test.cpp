@@ -20,6 +20,7 @@
 #include "persist/crc32.h"
 #include "persist/snapshot.h"
 #include "persist/wire.h"
+#include "wire_goldens.h"
 
 namespace qmatch::persist {
 namespace {
@@ -49,15 +50,6 @@ CacheEntryRec SampleCacheEntry(uint64_t salt = 0) {
       CorrespondenceRec{"/PO/Address/City", "/Order/City", 0.91015625});
   rec.correspondences.push_back(
       CorrespondenceRec{"/PO/Address/Zip", "/Order/PostalCode", 0.75});
-  return rec;
-}
-
-CorpusEntryRec SampleCorpusEntry(const std::string& path,
-                                 uint32_t failures = 0) {
-  CorpusEntryRec rec;
-  rec.path = path;
-  rec.schema_fp = 0xFEEDFACEULL;
-  rec.breaker_failures = failures;
   return rec;
 }
 
@@ -124,15 +116,13 @@ TEST(SnapshotCodecTest, SnapshotRoundtripsState) {
   StoreState state;
   state.cache_entries.push_back(SampleCacheEntry(0));
   state.cache_entries.push_back(SampleCacheEntry(7));
-  state.corpus_entries.push_back(SampleCorpusEntry("data/a.xsd", 2));
   const std::string bytes = EncodeSnapshot(state, kConfig);
 
   StoreState loaded;
   LoadStats stats;
   ASSERT_TRUE(DecodeSnapshot(bytes, kConfig, &loaded, &stats).ok());
   EXPECT_EQ(loaded.cache_entries, state.cache_entries);
-  EXPECT_EQ(loaded.corpus_entries, state.corpus_entries);
-  EXPECT_EQ(stats.snapshot_records, 3u);
+  EXPECT_EQ(stats.snapshot_records, 2u);
   EXPECT_EQ(stats.dropped_records, 0u);
   EXPECT_FALSE(stats.snapshot_config_mismatch);
 }
@@ -186,34 +176,57 @@ TEST(SnapshotCodecTest, JournalBitFlipInCommittedRecordIsDataLoss) {
 TEST(SnapshotCodecTest, ConfigMismatchDropsRecordsButIsNotCorruption) {
   StoreState state;
   state.cache_entries.push_back(SampleCacheEntry());
-  state.corpus_entries.push_back(SampleCorpusEntry("x.xsd"));
+  state.cache_entries.push_back(SampleCacheEntry(1));
   const std::string bytes = EncodeSnapshot(state, kConfig);
   StoreState loaded;
   LoadStats stats;
   ASSERT_TRUE(DecodeSnapshot(bytes, kConfig + 1, &loaded, &stats).ok());
   EXPECT_TRUE(loaded.cache_entries.empty());
-  EXPECT_TRUE(loaded.corpus_entries.empty());
   EXPECT_TRUE(stats.snapshot_config_mismatch);
   EXPECT_EQ(stats.dropped_records, 2u);
 }
 
 TEST(SnapshotCodecTest, UnknownRecordTypeWithValidCrcIsSkipped) {
-  std::string bytes = EncodeJournalHeader(kConfig);
   // Forge a future record type with correct framing and CRC.
   Encoder frame;
   frame.PutU32(999);
   frame.PutU32(4);
-  std::string record = frame.Take() + "opaq";
+  std::string future = frame.Take() + "opaq";
   Encoder crc;
-  crc.PutU32(Crc32(record));
-  record += crc.bytes();
-  bytes += record;
-  bytes += EncodeCacheRecord(SampleCacheEntry());
-  StoreState loaded;
-  LoadStats stats;
-  ASSERT_TRUE(DecodeJournal(bytes, kConfig, &loaded, &stats).ok());
-  ASSERT_EQ(loaded.cache_entries.size(), 1u);
-  EXPECT_EQ(stats.dropped_records, 1u);
+  crc.PutU32(Crc32(future));
+  future += crc.bytes();
+  // A record of the retired type 2 exactly as older builds wrote it (real
+  // corpus-index payload, valid CRC).
+  const std::string retired = test::HexToBytes(test::kRetiredCorpusRecordHex);
+  for (const std::string& unknown : {future, retired}) {
+    const std::string records =
+        EncodeCacheRecord(SampleCacheEntry(1)) + unknown +
+        EncodeCacheRecord(SampleCacheEntry(2)) + unknown;
+    {
+      StoreState loaded;
+      LoadStats stats;
+      ASSERT_TRUE(DecodeJournal(EncodeJournalHeader(kConfig) + records,
+                                kConfig, &loaded, &stats)
+                      .ok());
+      ASSERT_EQ(loaded.cache_entries.size(), 2u);
+      EXPECT_EQ(loaded.cache_entries[0], SampleCacheEntry(1));
+      EXPECT_EQ(loaded.cache_entries[1], SampleCacheEntry(2));
+      EXPECT_EQ(stats.journal_records, 4u);
+      EXPECT_EQ(stats.dropped_records, 2u);
+    }
+    {
+      StoreState loaded;
+      LoadStats stats;
+      ASSERT_TRUE(DecodeSnapshot(EncodeSnapshot(StoreState{}, kConfig) + records,
+                                 kConfig, &loaded, &stats)
+                      .ok());
+      ASSERT_EQ(loaded.cache_entries.size(), 2u);
+      EXPECT_EQ(loaded.cache_entries[0], SampleCacheEntry(1));
+      EXPECT_EQ(loaded.cache_entries[1], SampleCacheEntry(2));
+      EXPECT_EQ(stats.snapshot_records, 4u);
+      EXPECT_EQ(stats.dropped_records, 2u);
+    }
+  }
 }
 
 // --- PersistentStore ------------------------------------------------------
@@ -227,17 +240,16 @@ TEST(PersistentStoreTest, AppendsReplayAcrossReopen) {
     ASSERT_TRUE(store.ok()) << store.status();
     EXPECT_FALSE(stats.snapshot_present);
     ASSERT_TRUE((*store)->AppendCache(SampleCacheEntry(1)).ok());
-    ASSERT_TRUE((*store)->AppendCorpus(SampleCorpusEntry("a.xsd", 3)).ok());
+    ASSERT_TRUE((*store)->AppendCache(SampleCacheEntry(2)).ok());
     EXPECT_EQ((*store)->appends_since_compact(), 2u);
   }
   StoreState state;
   LoadStats stats;
   auto store = PersistentStore::Open(dir, kConfig, &state, &stats);
   ASSERT_TRUE(store.ok()) << store.status();
-  ASSERT_EQ(state.cache_entries.size(), 1u);
+  ASSERT_EQ(state.cache_entries.size(), 2u);
   EXPECT_EQ(state.cache_entries[0], SampleCacheEntry(1));
-  ASSERT_EQ(state.corpus_entries.size(), 1u);
-  EXPECT_EQ(state.corpus_entries[0], SampleCorpusEntry("a.xsd", 3));
+  EXPECT_EQ(state.cache_entries[1], SampleCacheEntry(2));
   EXPECT_TRUE(stats.journal_present);
   EXPECT_EQ(stats.journal_records, 2u);
 }
@@ -253,7 +265,7 @@ TEST(PersistentStoreTest, CompactMovesStateIntoSnapshotAndResetsJournal) {
 
   StoreState full;
   full.cache_entries.push_back(SampleCacheEntry(1));
-  full.corpus_entries.push_back(SampleCorpusEntry("b.xsd"));
+  full.cache_entries.push_back(SampleCacheEntry(3));
   ASSERT_TRUE(store.Compact(full).ok());
   EXPECT_EQ(store.appends_since_compact(), 0u);
   // Post-compact appends land in the fresh journal.
@@ -265,10 +277,10 @@ TEST(PersistentStoreTest, CompactMovesStateIntoSnapshotAndResetsJournal) {
       PersistentStore::LoadState(dir, kConfig, &reloaded, &reload_stats).ok());
   EXPECT_EQ(reload_stats.snapshot_records, 2u);
   EXPECT_EQ(reload_stats.journal_records, 1u);
-  ASSERT_EQ(reloaded.cache_entries.size(), 2u);
+  ASSERT_EQ(reloaded.cache_entries.size(), 3u);
   EXPECT_EQ(reloaded.cache_entries[0], SampleCacheEntry(1));
-  EXPECT_EQ(reloaded.cache_entries[1], SampleCacheEntry(2));
-  ASSERT_EQ(reloaded.corpus_entries.size(), 1u);
+  EXPECT_EQ(reloaded.cache_entries[1], SampleCacheEntry(3));
+  EXPECT_EQ(reloaded.cache_entries[2], SampleCacheEntry(2));
 }
 
 TEST(PersistentStoreTest, CorruptSnapshotIsQuarantinedAndStartsCold) {

@@ -183,9 +183,8 @@ TEST(ReplicaWireTest, SnapshotMsgRoundTripsAndRejectsHostileCounts) {
   msg.next_seq = 17;
   msg.schemas.push_back(SchemaRec{"A", "<a/>"});
   msg.schemas.push_back(SchemaRec{"B", "<b/>"});
-  msg.cache_payloads.push_back("cache-rec");
-  msg.corpus_payloads.push_back("corpus-rec-1");
-  msg.corpus_payloads.push_back("corpus-rec-2");
+  msg.cache_payloads.push_back("cache-rec-1");
+  msg.cache_payloads.push_back("cache-rec-2");
 
   SnapshotMsg back;
   ASSERT_TRUE(DecodeSnapshotMsg(EncodeSnapshotMsg(msg), &back));
@@ -193,10 +192,9 @@ TEST(ReplicaWireTest, SnapshotMsgRoundTripsAndRejectsHostileCounts) {
   ASSERT_EQ(back.schemas.size(), 2u);
   EXPECT_EQ(back.schemas[0], msg.schemas[0]);
   EXPECT_EQ(back.schemas[1], msg.schemas[1]);
-  ASSERT_EQ(back.cache_payloads.size(), 1u);
-  EXPECT_EQ(back.cache_payloads[0], "cache-rec");
-  ASSERT_EQ(back.corpus_payloads.size(), 2u);
-  EXPECT_EQ(back.corpus_payloads[1], "corpus-rec-2");
+  ASSERT_EQ(back.cache_payloads.size(), 2u);
+  EXPECT_EQ(back.cache_payloads[0], "cache-rec-1");
+  EXPECT_EQ(back.cache_payloads[1], "cache-rec-2");
 
   SnapshotMsg sink;
   const std::string encoded = EncodeSnapshotMsg(msg);

@@ -72,7 +72,6 @@ std::vector<std::string> SeedPayloads() {
   snap.schemas.push_back(schema);
   snap.schemas.push_back(SchemaRec{"b", "<xs:schema/>"});
   snap.cache_payloads = {"cache-bytes-one", std::string(64, 'c')};
-  snap.corpus_payloads = {std::string(32, 'q')};
   pool.push_back(EncodeSnapshotMsg(snap));
   return pool;
 }
@@ -210,7 +209,6 @@ TEST(ReplicaWireFuzzTest, HostileCountsAreRejectedBeforeAnyReserve) {
   snap.epoch = 1;
   snap.schemas.push_back(SchemaRec{"a", "<xs:schema/>"});
   snap.cache_payloads = {"c"};
-  snap.corpus_payloads = {"q"};
   for (const uint32_t hostile :
        {std::numeric_limits<uint32_t>::max(), 0x10000000u, 1000u}) {
     std::string bytes = EncodeSnapshotMsg(snap);
@@ -220,7 +218,7 @@ TEST(ReplicaWireFuzzTest, HostileCountsAreRejectedBeforeAnyReserve) {
         << "snapshot schema count " << hostile << " was accepted";
   }
 
-  // The later counts (cache/corpus payload vectors) too: an empty-schema
+  // The later count (cache payload vector) too: an empty-schema
   // snapshot puts the cache count right after the first count at byte 20.
   SnapshotMsg lean;
   lean.next_seq = 3;
