@@ -1,15 +1,17 @@
-// Golden byte vectors for the persist and replication codecs
-// (tests/wire_goldens.h): every encoder must reproduce its checked-in
+// Golden byte vectors for the persist, replication and qmatchd protocol
+// codecs (tests/wire_goldens.h): every encoder must reproduce its checked-in
 // bytes exactly, and decoding those bytes and encoding the result again
 // must be a fixed point. A failure here means stores on disk or a
 // replication peer of the previous build would no longer read what this
-// build writes.
+// build writes, or a client of the previous build could no longer talk to
+// this server.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <string_view>
 
+#include "net/frame.h"
 #include "persist/snapshot.h"
 #include "replica/wire.h"
 #include "wire_goldens.h"
@@ -98,6 +100,77 @@ TEST(CodecGoldenTest, SnapshotMsg) {
   ASSERT_EQ(decoded.cache_payloads.size(), 1u);
   ExpectBytes(decoded.cache_payloads[0], kCacheEntryPayloadHex);
   ExpectBytes(replica::EncodeSnapshotMsg(decoded), kSnapshotMsgHex);
+}
+
+/// Encodes `value` to its golden bytes; decoding the golden bytes and
+/// encoding the result again reproduces them.
+template <typename Msg>
+void ExpectGolden(const Msg& value, std::string_view golden_hex,
+                  std::string (*encode)(const Msg&),
+                  bool (*decode)(std::string_view, Msg*)) {
+  ExpectBytes(encode(value), golden_hex);
+  Msg decoded;
+  ASSERT_TRUE(decode(HexToBytes(golden_hex), &decoded));
+  ExpectBytes(encode(decoded), golden_hex);
+}
+
+TEST(CodecGoldenTest, NetRequests) {
+  ExpectGolden(GoldenSubmitSchemaReq(), kSubmitSchemaReqHex,
+               &net::EncodeSubmitSchemaReq, &net::DecodeSubmitSchemaReq);
+  ExpectGolden(GoldenMatchPairReq(), kMatchPairReqHex,
+               &net::EncodeMatchPairReq, &net::DecodeMatchPairReq);
+  ExpectGolden(GoldenMatchCorpusReq(), kMatchCorpusReqHex,
+               &net::EncodeMatchCorpusReq, &net::DecodeMatchCorpusReq);
+}
+
+TEST(CodecGoldenTest, NetErrorResponse) {
+  ExpectGolden(GoldenErrorHead(), kErrorRespHex, &net::EncodeErrorResp,
+               &net::DecodeResponseHead);
+  net::ResponseHead head;
+  ASSERT_TRUE(net::DecodeResponseHead(HexToBytes(kErrorRespHex), &head));
+  EXPECT_EQ(head.status_code(), StatusCode::kOverloaded);
+  EXPECT_EQ(head.message, "engine shed this request");
+  EXPECT_EQ(head.epoch, 3u);
+}
+
+TEST(CodecGoldenTest, NetResponses) {
+  ExpectGolden(GoldenSubmitSchemaResp(), kSubmitSchemaRespHex,
+               &net::EncodeSubmitSchemaResp, &net::DecodeSubmitSchemaResp);
+  ExpectGolden(GoldenMatchPairResp(), kMatchPairRespHex,
+               &net::EncodeMatchPairResp, &net::DecodeMatchPairResp);
+  ExpectGolden(GoldenMatchCorpusResp(), kMatchCorpusRespHex,
+               &net::EncodeMatchCorpusResp, &net::DecodeMatchCorpusResp);
+  ExpectGolden(GoldenStatsResp(), kStatsRespHex, &net::EncodeStatsResp,
+               &net::DecodeStatsResp);
+  ExpectGolden(GoldenMetricsResp(), kMetricsRespHex, &net::EncodeMetricsResp,
+               &net::DecodeMetricsResp);
+  ExpectGolden(GoldenHealthResp(), kHealthRespHex, &net::EncodeHealthResp,
+               &net::DecodeHealthResp);
+  ExpectGolden(GoldenRoleResp(), kRoleRespHex, &net::EncodeRoleResp,
+               &net::DecodeRoleResp);
+}
+
+TEST(CodecGoldenTest, NetSubmitSchemaErrorCarriesNoBody) {
+  ExpectGolden(GoldenSubmitSchemaErrorResp(), kSubmitSchemaErrorRespHex,
+               &net::EncodeSubmitSchemaResp, &net::DecodeSubmitSchemaResp);
+  // An error head is the whole payload: it is byte for byte the bare
+  // error response of the same head.
+  ExpectBytes(net::EncodeErrorResp(GoldenSubmitSchemaErrorResp().head),
+              kSubmitSchemaErrorRespHex);
+}
+
+TEST(CodecGoldenTest, NetFrame) {
+  ExpectBytes(net::EncodeFrame(net::MsgType::kMatchPair,
+                               HexToBytes(kMatchPairReqHex)),
+              kMatchPairFrameHex);
+  const std::string bytes = HexToBytes(kMatchPairFrameHex);
+  net::Frame frame;
+  size_t consumed = 0;
+  ASSERT_EQ(net::DecodeFrame(bytes, &frame, &consumed),
+            net::FrameDecodeResult::kFrame);
+  EXPECT_EQ(consumed, bytes.size());
+  EXPECT_EQ(frame.type, static_cast<uint32_t>(net::MsgType::kMatchPair));
+  ExpectBytes(frame.payload, kMatchPairReqHex);
 }
 
 }  // namespace
