@@ -126,83 +126,36 @@ Result<Frame> Client::ReadFrame() {
   }
 }
 
-template <typename Resp>
-Result<Resp> Client::Call(MsgType req_type, std::string payload,
-                          MsgType resp_type,
-                          bool (*decode)(std::string_view, Resp*)) {
-  QMATCH_RETURN_IF_ERROR(SendBytes(EncodeFrame(req_type, payload)));
+template <class Req>
+Result<typename Req::Response> Client::Call(const Req& req) {
+  QMATCH_RETURN_IF_ERROR(SendBytes(EncodeFrame(Req::kType, Encode(req))));
   Result<Frame> frame = ReadFrame();
   if (!frame.ok()) return frame.status();
-  Resp resp;
-  if (frame->type == static_cast<uint32_t>(MsgType::kErrorResp)) {
-    // The request never produced a typed body (rejected, shed before
-    // execution, ...) — the bare head still carries the typed verdict.
-    if (!DecodeResponseHead(frame->payload, &resp.head)) {
-      return Status::DataLoss("undecodable error response head");
-    }
-    return resp;
-  }
-  if (frame->type != static_cast<uint32_t>(resp_type)) {
-    return Status::DataLoss("mispaired response type " +
-                            std::to_string(frame->type));
-  }
-  if (!decode(frame->payload, &resp)) {
-    return Status::DataLoss("undecodable response payload");
-  }
-  return resp;
+  return DecodeReply<Req>(*frame);
 }
 
 Result<SubmitSchemaResp> Client::SubmitSchema(const std::string& name,
                                               std::string_view xsd_text) {
-  SubmitSchemaReq req;
-  req.name = name;
-  req.xsd_text = std::string(xsd_text);
-  return Call<SubmitSchemaResp>(MsgType::kSubmitSchema,
-                                EncodeSubmitSchemaReq(req),
-                                MsgType::kSubmitSchemaResp,
-                                &DecodeSubmitSchemaResp);
+  return Call(SubmitSchemaReq{name, std::string(xsd_text)});
 }
 
 Result<MatchPairResp> Client::MatchPair(const std::string& source,
                                         const std::string& target,
                                         uint64_t deadline_ms) {
-  MatchPairReq req;
-  req.source = source;
-  req.target = target;
-  req.deadline_ms = deadline_ms;
-  return Call<MatchPairResp>(MsgType::kMatchPair, EncodeMatchPairReq(req),
-                             MsgType::kMatchPairResp, &DecodeMatchPairResp);
+  return Call(MatchPairReq{source, target, deadline_ms});
 }
 
 Result<MatchCorpusResp> Client::MatchCorpus(const std::string& query,
                                             uint64_t deadline_ms) {
-  MatchCorpusReq req;
-  req.query = query;
-  req.deadline_ms = deadline_ms;
-  return Call<MatchCorpusResp>(MsgType::kMatchCorpus,
-                               EncodeMatchCorpusReq(req),
-                               MsgType::kMatchCorpusResp,
-                               &DecodeMatchCorpusResp);
+  return Call(MatchCorpusReq{query, deadline_ms});
 }
 
-Result<StatsResp> Client::GetStats() {
-  return Call<StatsResp>(MsgType::kGetStats, std::string(),
-                         MsgType::kGetStatsResp, &DecodeStatsResp);
-}
+Result<StatsResp> Client::GetStats() { return Call(StatsReq{}); }
 
-Result<MetricsResp> Client::GetMetrics() {
-  return Call<MetricsResp>(MsgType::kGetMetrics, std::string(),
-                           MsgType::kGetMetricsResp, &DecodeMetricsResp);
-}
+Result<MetricsResp> Client::GetMetrics() { return Call(MetricsReq{}); }
 
-Result<HealthResp> Client::Health() {
-  return Call<HealthResp>(MsgType::kHealth, std::string(),
-                          MsgType::kHealthResp, &DecodeHealthResp);
-}
+Result<HealthResp> Client::Health() { return Call(HealthReq{}); }
 
-Result<RoleResp> Client::GetRole() {
-  return Call<RoleResp>(MsgType::kRole, std::string(), MsgType::kRoleResp,
-                        &DecodeRoleResp);
-}
+Result<RoleResp> Client::GetRole() { return Call(RoleReq{}); }
 
 }  // namespace qmatch::net

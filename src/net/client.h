@@ -12,6 +12,29 @@
 
 namespace qmatch::net {
 
+/// Pairs a response frame with a request of type Req: the typed response,
+/// or, for kErrorResp (the request never produced a typed body: rejected,
+/// shed before execution, ...), a response whose bare head carries the
+/// typed verdict. A mispaired or undecodable frame is kDataLoss.
+template <class Req>
+Result<typename Req::Response> DecodeReply(const Frame& frame) {
+  typename Req::Response resp;
+  if (frame.type == static_cast<uint32_t>(MsgType::kErrorResp)) {
+    if (!Decode(frame.payload, &resp.head)) {
+      return Status::DataLoss("undecodable error response head");
+    }
+    return resp;
+  }
+  if (frame.type != (static_cast<uint32_t>(Req::kType) | kResponseBit)) {
+    return Status::DataLoss("mispaired response type " +
+                            std::to_string(frame.type));
+  }
+  if (!Decode(frame.payload, &resp)) {
+    return Status::DataLoss("undecodable response payload");
+  }
+  return resp;
+}
+
 /// Blocking qmatchd client — the conformance/chaos/bench harness's view of
 /// the server (and a usable minimal SDK). One socket, strict
 /// request-response; pipelining callers use the raw SendBytes/ReadFrame
@@ -69,12 +92,10 @@ class Client {
   void Close();
 
  private:
-  /// Sends one request frame and pairs it with the next response frame.
-  /// Accepts `resp_type` or kErrorResp (whose bare head is surfaced through
-  /// `decode_error_head`); anything else is a transport error.
-  template <typename Resp>
-  Result<Resp> Call(MsgType req_type, std::string payload, MsgType resp_type,
-                    bool (*decode)(std::string_view, Resp*));
+  /// Sends one request frame and pairs it with the next response frame
+  /// (DecodeReply).
+  template <class Req>
+  Result<typename Req::Response> Call(const Req& req);
 
   int fd_ = -1;
   std::chrono::milliseconds timeout_{5000};

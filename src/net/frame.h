@@ -7,20 +7,23 @@
 #include <vector>
 
 #include "common/status.h"
+#include "persist/snapshot.h"
+#include "persist/wire.h"
 
 namespace qmatch::net {
 
 /// The qmatchd wire protocol (DESIGN.md §14): a stream of self-delimiting
-/// frames sharing the persist layer's record discipline — little-endian
-/// fixed-width framing, a CRC32 trailer over everything the length field
-/// governs, and a hostile-length pre-check so a lying peer can never make
-/// the server allocate from an unvalidated length.
+/// frames in the persist layer's record framing (persist/wire.h) — the
+/// same encoder and incremental parser the journal uses, with a CRC32
+/// trailer over everything the length field governs and a hostile-length
+/// pre-check so a lying peer can never make the server allocate from an
+/// unvalidated length.
 ///
 ///   frame:
 ///     [4]  u32 message type  (MsgType)
 ///     [4]  u32 payload length (<= kMaxFramePayload, checked BEFORE any
 ///          allocation — the fuzz contract inherited from persist)
-///     [n]  payload            (persist::Encoder wire format)
+///     [n]  payload            (the message's Fields list)
 ///     [4]  CRC32 of type + length + payload
 ///
 /// Requests occupy the low type space; a response carries its request's
@@ -31,7 +34,8 @@ namespace qmatch::net {
 /// always a typed frame, never a silently dropped connection.
 ///
 /// Every response payload begins with a ResponseHead (u32 StatusCode +
-/// message); request-specific fields follow only when the head is OK.
+/// message + epoch). Each payload's layout is its struct's one Fields list
+/// below; persist::Encode / persist::Decode turn it into bytes and back.
 /// Doubles travel as IEEE-754 bit patterns via Encoder::PutDouble, so a
 /// QoM read over the wire is bit-identical to the in-process value — the
 /// serving acceptance criterion, same as warm start's.
@@ -79,81 +83,44 @@ inline constexpr uint32_t kResponseBit = 0x100;
 /// definition and is rejected before any buffer grows to hold it.
 inline constexpr uint32_t kMaxFramePayload = 1u << 24;  // 16 MiB
 
-/// Fixed bytes of framing around a payload (type + length + CRC).
-inline constexpr size_t kFrameOverhead = 12;
+using persist::Decode;
+using persist::Encode;
+using persist::EncodeFrame;
+using persist::FrameDecodeResult;
+using persist::FrameDecodeResultName;
+
+inline std::string EncodeFrame(MsgType type, std::string_view payload) {
+  return EncodeFrame(static_cast<uint32_t>(type), payload);
+}
 
 struct Frame {
   uint32_t type = 0;
   std::string payload;
 };
 
-/// Encodes one frame ready for the socket.
-std::string EncodeFrame(uint32_t type, std::string_view payload);
-inline std::string EncodeFrame(MsgType type, std::string_view payload) {
-  return EncodeFrame(static_cast<uint32_t>(type), payload);
-}
-
-/// Outcome of one incremental decode step over a connection's input buffer.
-enum class FrameDecodeResult {
-  /// The buffer holds a prefix of a valid frame; read more bytes.
-  kNeedMore,
-  /// One whole frame was decoded into *out; *consumed bytes are done.
-  kFrame,
-  /// The length field exceeds kMaxFramePayload — hostile framing, detected
-  /// before any allocation. The stream cannot be resynchronised.
-  kBadLength,
-  /// The frame was complete but its CRC32 did not match — corruption or a
-  /// non-protocol peer. The stream cannot be trusted past this point.
-  kBadCrc,
-};
-
-std::string_view FrameDecodeResultName(FrameDecodeResult result);
-
 /// Attempts to decode the first frame of `buffer`. On kFrame, `*out` holds
 /// the type + payload and `*consumed` the bytes to drop from the buffer;
 /// on kNeedMore nothing is consumed; on kBadLength/kBadCrc the connection
 /// should answer a typed error frame and close (the stream is desynced).
-FrameDecodeResult DecodeFrame(std::string_view buffer, Frame* out,
-                              size_t* consumed);
-
-// ---------------------------------------------------------------------------
-// Request payloads
-// ---------------------------------------------------------------------------
-
-/// Registers (or replaces) a named schema parsed from XSD text.
-struct SubmitSchemaReq {
-  std::string name;
-  std::string xsd_text;
-};
-
-/// Matches two previously submitted schemas. `deadline_ms` = 0 leaves the
-/// server's default in force; otherwise it is clamped to the server's
-/// configured maximum and wired into the request's ExecControl.
-struct MatchPairReq {
-  std::string source;
-  std::string target;
-  uint64_t deadline_ms = 0;
-};
-
-/// Matches `query` against every other submitted schema.
-struct MatchCorpusReq {
-  std::string query;
-  uint64_t deadline_ms = 0;
-};
-
-std::string EncodeSubmitSchemaReq(const SubmitSchemaReq& req);
-std::string EncodeMatchPairReq(const MatchPairReq& req);
-std::string EncodeMatchCorpusReq(const MatchCorpusReq& req);
-bool DecodeSubmitSchemaReq(std::string_view payload, SubmitSchemaReq* out);
-bool DecodeMatchPairReq(std::string_view payload, MatchPairReq* out);
-bool DecodeMatchCorpusReq(std::string_view payload, MatchCorpusReq* out);
+inline FrameDecodeResult DecodeFrame(std::string_view buffer, Frame* out,
+                                     size_t* consumed) {
+  persist::FrameView view;
+  const FrameDecodeResult result =
+      persist::ParseFrame(buffer, kMaxFramePayload, &view, consumed);
+  if (result == FrameDecodeResult::kFrame) {
+    out->type = view.type;
+    out->payload.assign(view.payload);
+  }
+  return result;
+}
 
 // ---------------------------------------------------------------------------
 // Response payloads
 // ---------------------------------------------------------------------------
 
 /// First fields of every response payload: the request's typed outcome.
-/// `code` is a StatusCode; anything but kOk means the body is absent.
+/// `code` is a StatusCode; anything but kOk means the body is absent. A
+/// kErrorResp frame carries a bare ResponseHead.
 struct ResponseHead {
   uint32_t code = 0;
   std::string message;
@@ -172,24 +139,33 @@ struct ResponseHead {
     return ResponseHead{static_cast<uint32_t>(status.code()),
                         status.message()};
   }
+  friend bool operator==(const ResponseHead&, const ResponseHead&) = default;
 };
+
+template <class IO>
+void Fields(IO& io, ResponseHead& m) {
+  io(m.code, m.message, m.epoch);
+}
 
 struct SubmitSchemaResp {
   ResponseHead head;
   uint64_t fingerprint = 0;
   uint64_t node_count = 0;
+
+  friend bool operator==(const SubmitSchemaResp&,
+                         const SubmitSchemaResp&) = default;
 };
+
+template <class IO>
+void Fields(IO& io, SubmitSchemaResp& m) {
+  io(m.head);
+  // The body rides only on an OK head; decode reads the head first.
+  if (m.head.ok()) io(m.fingerprint, m.node_count);
+}
 
 /// One correspondence by endpoint path; `score` crosses the wire as its
-/// exact bit pattern.
-struct WireCorrespondence {
-  std::string source_path;
-  std::string target_path;
-  double score = 0.0;
-
-  friend bool operator==(const WireCorrespondence&,
-                         const WireCorrespondence&) = default;
-};
+/// exact bit pattern. The same struct, and bytes, as a journaled one.
+using WireCorrespondence = persist::CorrespondenceRec;
 
 struct MatchPairResp {
   ResponseHead head;
@@ -199,7 +175,15 @@ struct MatchPairResp {
   uint64_t completed_rows = 0;
   uint64_t total_rows = 0;
   std::vector<WireCorrespondence> correspondences;
+
+  friend bool operator==(const MatchPairResp&, const MatchPairResp&) = default;
 };
+
+template <class IO>
+void Fields(IO& io, MatchPairResp& m) {
+  io(m.head, m.algorithm, m.mode, m.schema_qom, m.completed_rows, m.total_rows,
+     m.correspondences);
+}
 
 /// Per-candidate summary row of a corpus match.
 struct WireCorpusEntry {
@@ -212,10 +196,23 @@ struct WireCorpusEntry {
                          const WireCorpusEntry&) = default;
 };
 
+template <class IO>
+void Fields(IO& io, WireCorpusEntry& m) {
+  io(m.name, m.code, m.schema_qom, m.correspondences);
+}
+
 struct MatchCorpusResp {
   ResponseHead head;
   std::vector<WireCorpusEntry> entries;
+
+  friend bool operator==(const MatchCorpusResp&,
+                         const MatchCorpusResp&) = default;
 };
+
+template <class IO>
+void Fields(IO& io, MatchCorpusResp& m) {
+  io(m.head, m.entries);
+}
 
 struct StatsResp {
   ResponseHead head;
@@ -227,47 +224,130 @@ struct StatsResp {
   uint64_t requests_total = 0;
   uint64_t connections_active = 0;
   double pressure = 0.0;
+
+  friend bool operator==(const StatsResp&, const StatsResp&) = default;
 };
+
+template <class IO>
+void Fields(IO& io, StatsResp& m) {
+  io(m.head, m.schemas, m.cache_hits, m.cache_misses, m.cache_entries,
+     m.admission_shed, m.requests_total, m.connections_active, m.pressure);
+}
 
 struct MetricsResp {
   ResponseHead head;
   std::string prometheus_text;
+
+  friend bool operator==(const MetricsResp&, const MetricsResp&) = default;
 };
+
+template <class IO>
+void Fields(IO& io, MetricsResp& m) {
+  io(m.head, m.prometheus_text);
+}
 
 /// Liveness: the serving role is informational here — a draining server
 /// still answers Health OK (it is alive) while Role says not-ready.
 struct HealthResp {
   ResponseHead head;
   uint32_t role = 0;  ///< net::Server Role enum value
+
+  friend bool operator==(const HealthResp&, const HealthResp&) = default;
 };
+
+template <class IO>
+void Fields(IO& io, HealthResp& m) {
+  io(m.head, m.role);
+}
 
 /// Role + replication positions — the typed twin of HTTP /readyz.
 struct RoleResp {
   ResponseHead head;
   uint32_t role = 0;      ///< net::Server Role enum value
-  uint8_t ready = 0;      ///< the /readyz verdict: 1 = serving traffic is safe
+  /// The /readyz verdict: 1 = serving traffic is safe. A flag: u32 on the
+  /// wire, decoded to 0/1.
+  uint8_t ready = 0;
   uint64_t applied_seq = 0;  ///< standby: last replication record applied
   uint64_t head_seq = 0;     ///< standby: primary head as last heard
   uint64_t lag_records = 0;  ///< head_seq - applied_seq (0 on a primary)
+
+  friend bool operator==(const RoleResp&, const RoleResp&) = default;
 };
 
-std::string EncodeErrorResp(const ResponseHead& head);
-std::string EncodeSubmitSchemaResp(const SubmitSchemaResp& resp);
-std::string EncodeMatchPairResp(const MatchPairResp& resp);
-std::string EncodeMatchCorpusResp(const MatchCorpusResp& resp);
-std::string EncodeStatsResp(const StatsResp& resp);
-std::string EncodeMetricsResp(const MetricsResp& resp);
-std::string EncodeHealthResp(const HealthResp& resp);
-std::string EncodeRoleResp(const RoleResp& resp);
+template <class IO>
+void Fields(IO& io, RoleResp& m) {
+  io(m.head, m.role, m.ready, m.applied_seq, m.head_seq, m.lag_records);
+}
 
-bool DecodeResponseHead(std::string_view payload, ResponseHead* out);
-bool DecodeSubmitSchemaResp(std::string_view payload, SubmitSchemaResp* out);
-bool DecodeMatchPairResp(std::string_view payload, MatchPairResp* out);
-bool DecodeMatchCorpusResp(std::string_view payload, MatchCorpusResp* out);
-bool DecodeStatsResp(std::string_view payload, StatsResp* out);
-bool DecodeMetricsResp(std::string_view payload, MetricsResp* out);
-bool DecodeHealthResp(std::string_view payload, HealthResp* out);
-bool DecodeRoleResp(std::string_view payload, RoleResp* out);
+// ---------------------------------------------------------------------------
+// Request payloads. Each request names its frame type and its response
+// struct, so a client call is typed by the request alone.
+// ---------------------------------------------------------------------------
+
+/// Registers (or replaces) a named schema parsed from XSD text.
+struct SubmitSchemaReq {
+  static constexpr MsgType kType = MsgType::kSubmitSchema;
+  using Response = SubmitSchemaResp;
+  std::string name;
+  std::string xsd_text;
+
+  friend bool operator==(const SubmitSchemaReq&,
+                         const SubmitSchemaReq&) = default;
+};
+
+template <class IO>
+void Fields(IO& io, SubmitSchemaReq& m) {
+  io(m.name, m.xsd_text);
+}
+
+/// Matches two previously submitted schemas. `deadline_ms` = 0 leaves the
+/// server's default in force; otherwise it is clamped to the server's
+/// configured maximum and wired into the request's ExecControl.
+struct MatchPairReq {
+  static constexpr MsgType kType = MsgType::kMatchPair;
+  using Response = MatchPairResp;
+  std::string source;
+  std::string target;
+  uint64_t deadline_ms = 0;
+
+  friend bool operator==(const MatchPairReq&, const MatchPairReq&) = default;
+};
+
+template <class IO>
+void Fields(IO& io, MatchPairReq& m) {
+  io(m.source, m.target, m.deadline_ms);
+}
+
+/// Matches `query` against every other submitted schema.
+struct MatchCorpusReq {
+  static constexpr MsgType kType = MsgType::kMatchCorpus;
+  using Response = MatchCorpusResp;
+  std::string query;
+  uint64_t deadline_ms = 0;
+
+  friend bool operator==(const MatchCorpusReq&,
+                         const MatchCorpusReq&) = default;
+};
+
+template <class IO>
+void Fields(IO& io, MatchCorpusReq& m) {
+  io(m.query, m.deadline_ms);
+}
+
+/// The probes and scrapes carry no payload: the frame type is the request.
+template <MsgType kRequest, class Resp>
+struct EmptyReq {
+  static constexpr MsgType kType = kRequest;
+  using Response = Resp;
+};
+
+template <class IO, MsgType kRequest, class Resp>
+void Fields(IO&, EmptyReq<kRequest, Resp>&) {}
+
+using StatsReq = EmptyReq<MsgType::kGetStats, StatsResp>;
+using MetricsReq = EmptyReq<MsgType::kGetMetrics, MetricsResp>;
+using HealthReq = EmptyReq<MsgType::kHealth, HealthResp>;
+using RoleReq = EmptyReq<MsgType::kRole, RoleResp>;
 
 }  // namespace qmatch::net
 

@@ -99,12 +99,9 @@ void ResilientClient::Failover() {
   QMATCH_COUNTER_ADD("client.failovers", 1);
 }
 
-template <typename Resp>
-Result<Resp> ResilientClient::CallRetry(MsgType req_type, std::string payload,
-                                        MsgType resp_type,
-                                        bool (*decode)(std::string_view,
-                                                       Resp*),
-                                        bool idempotent) {
+template <class Req>
+Result<typename Req::Response> ResilientClient::CallRetry(const Req& req,
+                                                          bool idempotent) {
   if (options_.endpoints.empty()) {
     return Status::Unavailable("no endpoints configured");
   }
@@ -112,7 +109,7 @@ Result<Resp> ResilientClient::CallRetry(MsgType req_type, std::string payload,
   const steady_clock::time_point deadline_tp =
       steady_clock::now() + options_.call_deadline;
   Status last_error = Status::Unavailable("retry budget was zero attempts");
-  const std::string frame_bytes = EncodeFrame(req_type, payload);
+  const std::string frame_bytes = EncodeFrame(Req::kType, Encode(req));
   const size_t max_attempts = options_.retry_budget + 1;
   for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
     if (attempt > 0) {
@@ -153,61 +150,32 @@ Result<Resp> ResilientClient::CallRetry(MsgType req_type, std::string payload,
       ++stats_.reconnects;
       QMATCH_COUNTER_ADD("client.reconnects", 1);
     }
+    // From the send on, a failure is ambiguous: the bytes may have reached
+    // the server, which may have executed the request.
+    using Resp = typename Req::Response;
     const Status sent = client_.SendBytes(frame_bytes);
-    if (!sent.ok()) {
-      // Bytes may or may not have reached the server: ambiguous from here.
-      last_error = sent;
+    Result<Frame> frame = sent.ok() ? client_.ReadFrame() : Result<Frame>(sent);
+    Result<Resp> resp =
+        frame.ok() ? DecodeReply<Req>(*frame) : Result<Resp>(frame.status());
+    if (!resp.ok()) {
+      last_error = resp.status();
       client_.Close();
       Failover();
       if (!idempotent) return last_error;
       continue;
     }
-    Result<Frame> frame = client_.ReadFrame();
-    if (!frame.ok()) {
-      // Sent but unanswered — the server may have executed the request.
-      last_error = frame.status();
+    NoteEpoch(endpoint_index_, resp->head);
+    if (frame->type == static_cast<uint32_t>(MsgType::kErrorResp) &&
+        resp->head.status_code() == StatusCode::kUnavailable) {
+      // The server refused BEFORE any work ran (standby or draining):
+      // retrying against the next endpoint is safe for every request
+      // type, SubmitSchema included.
+      last_error = resp->head.ToStatus();
       client_.Close();
       Failover();
-      if (!idempotent) return last_error;
       continue;
     }
-    Resp resp;
-    if (frame->type == static_cast<uint32_t>(MsgType::kErrorResp)) {
-      if (!DecodeResponseHead(frame->payload, &resp.head)) {
-        last_error = Status::DataLoss("undecodable error response head");
-        client_.Close();
-        Failover();
-        if (!idempotent) return last_error;
-        continue;
-      }
-      NoteEpoch(endpoint_index_, resp.head);
-      if (resp.head.status_code() == StatusCode::kUnavailable) {
-        // The server refused BEFORE any work ran (standby or draining):
-        // retrying against the next endpoint is safe for every request
-        // type, SubmitSchema included.
-        last_error = resp.head.ToStatus();
-        client_.Close();
-        Failover();
-        continue;
-      }
-      return resp;  // any other typed verdict belongs to the caller
-    }
-    if (frame->type != static_cast<uint32_t>(resp_type)) {
-      last_error = Status::DataLoss("mispaired response type " +
-                                    std::to_string(frame->type));
-      client_.Close();
-      Failover();
-      if (!idempotent) return last_error;
-      continue;
-    }
-    if (!decode(frame->payload, &resp)) {
-      last_error = Status::DataLoss("undecodable response payload");
-      client_.Close();
-      Failover();
-      if (!idempotent) return last_error;
-      continue;
-    }
-    NoteEpoch(endpoint_index_, resp.head);
+    // Any other typed verdict belongs to the caller.
     return resp;
   }
   return last_error;
@@ -215,63 +183,31 @@ Result<Resp> ResilientClient::CallRetry(MsgType req_type, std::string payload,
 
 Result<SubmitSchemaResp> ResilientClient::SubmitSchema(
     const std::string& name, std::string_view xsd_text) {
-  SubmitSchemaReq req;
-  req.name = name;
-  req.xsd_text = std::string(xsd_text);
   // NOT idempotent past an ambiguous send: a registration that may have
   // landed is the caller's call to repeat.
-  return CallRetry<SubmitSchemaResp>(
-      MsgType::kSubmitSchema, EncodeSubmitSchemaReq(req),
-      MsgType::kSubmitSchemaResp, &DecodeSubmitSchemaResp,
-      /*idempotent=*/false);
+  return CallRetry(SubmitSchemaReq{name, std::string(xsd_text)},
+                   /*idempotent=*/false);
 }
 
 Result<MatchPairResp> ResilientClient::MatchPair(const std::string& source,
                                                  const std::string& target,
                                                  uint64_t deadline_ms) {
-  MatchPairReq req;
-  req.source = source;
-  req.target = target;
-  req.deadline_ms = deadline_ms;
-  return CallRetry<MatchPairResp>(MsgType::kMatchPair, EncodeMatchPairReq(req),
-                                  MsgType::kMatchPairResp,
-                                  &DecodeMatchPairResp,
-                                  /*idempotent=*/true);
+  return CallRetry(MatchPairReq{source, target, deadline_ms});
 }
 
 Result<MatchCorpusResp> ResilientClient::MatchCorpus(const std::string& query,
                                                      uint64_t deadline_ms) {
-  MatchCorpusReq req;
-  req.query = query;
-  req.deadline_ms = deadline_ms;
-  return CallRetry<MatchCorpusResp>(
-      MsgType::kMatchCorpus, EncodeMatchCorpusReq(req),
-      MsgType::kMatchCorpusResp, &DecodeMatchCorpusResp,
-      /*idempotent=*/true);
+  return CallRetry(MatchCorpusReq{query, deadline_ms});
 }
 
-Result<StatsResp> ResilientClient::GetStats() {
-  return CallRetry<StatsResp>(MsgType::kGetStats, std::string(),
-                              MsgType::kGetStatsResp, &DecodeStatsResp,
-                              /*idempotent=*/true);
-}
+Result<StatsResp> ResilientClient::GetStats() { return CallRetry(StatsReq{}); }
 
 Result<MetricsResp> ResilientClient::GetMetrics() {
-  return CallRetry<MetricsResp>(MsgType::kGetMetrics, std::string(),
-                                MsgType::kGetMetricsResp, &DecodeMetricsResp,
-                                /*idempotent=*/true);
+  return CallRetry(MetricsReq{});
 }
 
-Result<HealthResp> ResilientClient::Health() {
-  return CallRetry<HealthResp>(MsgType::kHealth, std::string(),
-                               MsgType::kHealthResp, &DecodeHealthResp,
-                               /*idempotent=*/true);
-}
+Result<HealthResp> ResilientClient::Health() { return CallRetry(HealthReq{}); }
 
-Result<RoleResp> ResilientClient::GetRole() {
-  return CallRetry<RoleResp>(MsgType::kRole, std::string(),
-                             MsgType::kRoleResp, &DecodeRoleResp,
-                             /*idempotent=*/true);
-}
+Result<RoleResp> ResilientClient::GetRole() { return CallRetry(RoleReq{}); }
 
 }  // namespace qmatch::net

@@ -128,11 +128,11 @@ class ResilientClient {
   void Close() { client_.Close(); }
 
  private:
-  template <typename Resp>
-  Result<Resp> CallRetry(MsgType req_type, std::string payload,
-                         MsgType resp_type,
-                         bool (*decode)(std::string_view, Resp*),
-                         bool idempotent);
+  /// `idempotent` = false stops at an ambiguous send (the request may
+  /// have landed); a typed kUnavailable refusal fails over either way.
+  template <class Req>
+  Result<typename Req::Response> CallRetry(const Req& req,
+                                           bool idempotent = true);
 
   /// Advances the sticky endpoint after a failure, skipping endpoints
   /// known to be at a stale epoch and preferring the highest-epoch one.

@@ -548,7 +548,7 @@ void Server::ProcessInput(Connection* conn) {
       bad_frames_.fetch_add(1, std::memory_order_relaxed);
       QMATCH_COUNTER_ADD("net.bad_frames", 1);
       SendFrame(conn, EncodeFrame(MsgType::kErrorResp,
-                                  EncodeErrorResp(MakeHead(Status::DataLoss(
+                                  Encode(MakeHead(Status::DataLoss(
                                       "frame fault injected")))));
       conn->closing = true;
       break;
@@ -565,8 +565,8 @@ void Server::ProcessInput(Connection* conn) {
           decoded == FrameDecodeResult::kBadLength
               ? Status::InvalidArgument("frame length exceeds protocol cap")
               : Status::DataLoss("frame crc mismatch");
-      SendFrame(conn, EncodeFrame(MsgType::kErrorResp,
-                                  EncodeErrorResp(MakeHead(status))));
+      SendFrame(conn,
+                EncodeFrame(MsgType::kErrorResp, Encode(MakeHead(status))));
       // The byte stream cannot be resynchronised past a framing violation:
       // answer typed, then close after the flush.
       conn->closing = true;
@@ -577,8 +577,8 @@ void Server::ProcessInput(Connection* conn) {
       const Status status =
           Status::ResourceExhausted("pipeline depth exceeded");
       CountOutcome(status);
-      SendFrame(conn, EncodeFrame(MsgType::kErrorResp,
-                                  EncodeErrorResp(MakeHead(status))));
+      SendFrame(conn,
+                EncodeFrame(MsgType::kErrorResp, Encode(MakeHead(status))));
       continue;
     }
     conn->pending.push_back(std::move(frame));
@@ -670,8 +670,8 @@ void Server::DispatchFrame(Connection* conn, Frame frame) {
   // per-request body to learn the status.
   const auto reject = [&](const Status& status) {
     CountOutcome(status);
-    SendFrame(conn, EncodeFrame(MsgType::kErrorResp,
-                                EncodeErrorResp(MakeHead(status))));
+    SendFrame(conn,
+              EncodeFrame(MsgType::kErrorResp, Encode(MakeHead(status))));
   };
   // A fenced server (it observed a higher epoch) answers with the winning
   // epoch in the message AND its own epoch in the head — the client learns
@@ -703,7 +703,7 @@ void Server::DispatchFrame(Connection* conn, Frame frame) {
     case MsgType::kSubmitSchema: {
       if (!require_primary()) return;
       SubmitSchemaReq req;
-      if (!DecodeSubmitSchemaReq(frame.payload, &req)) {
+      if (!Decode(frame.payload, &req)) {
         reject(Status::InvalidArgument("undecodable SubmitSchema payload"));
         return;
       }
@@ -716,7 +716,7 @@ void Server::DispatchFrame(Connection* conn, Frame frame) {
     case MsgType::kMatchPair: {
       if (!require_primary()) return;
       MatchPairReq req;
-      if (!DecodeMatchPairReq(frame.payload, &req)) {
+      if (!Decode(frame.payload, &req)) {
         reject(Status::InvalidArgument("undecodable MatchPair payload"));
         return;
       }
@@ -729,7 +729,7 @@ void Server::DispatchFrame(Connection* conn, Frame frame) {
     case MsgType::kMatchCorpus: {
       if (!require_primary()) return;
       MatchCorpusReq req;
-      if (!DecodeMatchCorpusReq(frame.payload, &req)) {
+      if (!Decode(frame.payload, &req)) {
         reject(Status::InvalidArgument("undecodable MatchCorpus payload"));
         return;
       }
@@ -741,8 +741,8 @@ void Server::DispatchFrame(Connection* conn, Frame frame) {
     }
     case MsgType::kGetStats: {
       CountOutcome(Status::OK());
-      SendFrame(conn, EncodeFrame(MsgType::kGetStatsResp,
-                                  EncodeStatsResp(BuildStats())));
+      SendFrame(conn,
+                EncodeFrame(MsgType::kGetStatsResp, Encode(BuildStats())));
       return;
     }
     case MsgType::kGetMetrics: {
@@ -750,8 +750,7 @@ void Server::DispatchFrame(Connection* conn, Frame frame) {
       resp.head.epoch = epoch();
       resp.prometheus_text = obs::Registry::Global().PrometheusText();
       CountOutcome(Status::OK());
-      SendFrame(conn, EncodeFrame(MsgType::kGetMetricsResp,
-                                  EncodeMetricsResp(resp)));
+      SendFrame(conn, EncodeFrame(MsgType::kGetMetricsResp, Encode(resp)));
       return;
     }
     case MsgType::kHealth: {
@@ -761,14 +760,12 @@ void Server::DispatchFrame(Connection* conn, Frame frame) {
       resp.head.epoch = epoch();
       resp.role = static_cast<uint32_t>(role());
       CountOutcome(Status::OK());
-      SendFrame(conn, EncodeFrame(MsgType::kHealthResp,
-                                  EncodeHealthResp(resp)));
+      SendFrame(conn, EncodeFrame(MsgType::kHealthResp, Encode(resp)));
       return;
     }
     case MsgType::kRole: {
       CountOutcome(Status::OK());
-      SendFrame(conn,
-                EncodeFrame(MsgType::kRoleResp, EncodeRoleResp(BuildRole())));
+      SendFrame(conn, EncodeFrame(MsgType::kRoleResp, Encode(BuildRole())));
       return;
     }
     case MsgType::kReplicaSubscribe: {
@@ -785,7 +782,7 @@ void Server::DispatchFrame(Connection* conn, Frame frame) {
         return;
       }
       replica::SubscribeReq req;
-      if (!replica::DecodeSubscribeReq(frame.payload, &req)) {
+      if (!Decode(frame.payload, &req)) {
         reject(Status::InvalidArgument("undecodable Subscribe payload"));
         return;
       }
@@ -854,9 +851,9 @@ void Server::PumpReplica(Connection* conn) {
       const persist::StoreState state = engine_->ExportState();
       snap.cache_payloads.reserve(state.cache_entries.size());
       for (const persist::CacheEntryRec& rec : state.cache_entries) {
-        snap.cache_payloads.push_back(persist::EncodeCacheRecordPayload(rec));
+        snap.cache_payloads.push_back(Encode(rec));
       }
-      std::string payload = replica::EncodeSnapshotMsg(snap);
+      std::string payload = Encode(snap);
       if (payload.size() > kMaxFramePayload) {
         // Unshippable state: close rather than send a frame the peer is
         // obliged to reject.
@@ -875,7 +872,7 @@ void Server::PumpReplica(Connection* conn) {
     msg.epoch = epoch();
     conn->replica_next_seq = batch.back().seq + 1;
     msg.records = std::move(batch);
-    std::string payload = replica::EncodeRecordsMsg(msg);
+    std::string payload = Encode(msg);
     if (payload.size() > kMaxFramePayload) {
       QMATCH_COUNTER_ADD("replica.batch_oversize", 1);
       conn->closing = true;
@@ -922,8 +919,8 @@ void Server::ArmReplicaHeartbeat() {
             replica::RecordsMsg heartbeat;
             heartbeat.head_seq = log->head_seq();
             heartbeat.epoch = epoch();
-            const std::string frame = EncodeFrame(
-                MsgType::kReplicaRecords, replica::EncodeRecordsMsg(heartbeat));
+            const std::string frame =
+                EncodeFrame(MsgType::kReplicaRecords, Encode(heartbeat));
             std::vector<uint64_t> ids;
             ids.reserve(connections_.size());
             for (const auto& [id, conn] : connections_) {
@@ -1161,8 +1158,7 @@ void Server::ExecuteSubmitSchema(uint64_t conn_id, SubmitSchemaReq req) {
           .count());
   resp.head.epoch = epoch();
   CompleteRequest(conn_id, resp.head.ToStatus(),
-                  EncodeFrame(MsgType::kSubmitSchemaResp,
-                              EncodeSubmitSchemaResp(resp)));
+                  EncodeFrame(MsgType::kSubmitSchemaResp, Encode(resp)));
 }
 
 void Server::ExecuteMatchPair(uint64_t conn_id, MatchPairReq req) {
@@ -1198,9 +1194,8 @@ void Server::ExecuteMatchPair(uint64_t conn_id, MatchPairReq req) {
           steady_clock::now() - start)
           .count());
   resp.head.epoch = epoch();
-  CompleteRequest(
-      conn_id, resp.head.ToStatus(),
-      EncodeFrame(MsgType::kMatchPairResp, EncodeMatchPairResp(resp)));
+  CompleteRequest(conn_id, resp.head.ToStatus(),
+                  EncodeFrame(MsgType::kMatchPairResp, Encode(resp)));
 }
 
 void Server::ExecuteMatchCorpus(uint64_t conn_id, MatchCorpusReq req) {
@@ -1244,9 +1239,8 @@ void Server::ExecuteMatchCorpus(uint64_t conn_id, MatchCorpusReq req) {
           steady_clock::now() - start)
           .count());
   resp.head.epoch = epoch();
-  CompleteRequest(
-      conn_id, resp.head.ToStatus(),
-      EncodeFrame(MsgType::kMatchCorpusResp, EncodeMatchCorpusResp(resp)));
+  CompleteRequest(conn_id, resp.head.ToStatus(),
+                  EncodeFrame(MsgType::kMatchCorpusResp, Encode(resp)));
 }
 
 void Server::CompleteRequest(uint64_t conn_id, const Status& status,

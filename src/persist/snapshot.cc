@@ -10,7 +10,6 @@ namespace qmatch::persist {
 namespace {
 
 constexpr size_t kHeaderBytes = 8 + 4 + 8 + 4;  // magic + version + fp + crc
-constexpr size_t kRecordFrameBytes = 4 + 4 + 4;  // type + length + crc
 
 std::string EncodeHeader(std::string_view magic, uint64_t config_fingerprint) {
   Encoder enc;
@@ -23,62 +22,6 @@ std::string EncodeHeader(std::string_view magic, uint64_t config_fingerprint) {
   out += crc.bytes();
   return out;
 }
-
-std::string FrameRecord(RecordType type, std::string payload) {
-  Encoder enc;
-  enc.PutU32(static_cast<uint32_t>(type));
-  enc.PutU32(static_cast<uint32_t>(payload.size()));
-  std::string out = enc.Take();
-  out += payload;
-  Encoder crc;
-  crc.PutU32(Crc32(out));
-  out += crc.bytes();
-  return out;
-}
-
-}  // namespace
-
-std::string EncodeCacheRecordPayload(const CacheEntryRec& entry) {
-  Encoder enc;
-  enc.PutU64(entry.source_fp);
-  enc.PutU64(entry.target_fp);
-  enc.PutU64(entry.config_hash);
-  enc.PutString(entry.algorithm);
-  enc.PutDouble(entry.schema_qom);
-  enc.PutU32(static_cast<uint32_t>(entry.correspondences.size()));
-  for (const CorrespondenceRec& c : entry.correspondences) {
-    enc.PutString(c.source_path);
-    enc.PutString(c.target_path);
-    enc.PutDouble(c.score);
-  }
-  return enc.Take();
-}
-
-bool DecodeCacheRecordPayload(std::string_view payload, CacheEntryRec* out) {
-  Decoder dec(payload);
-  uint32_t count = 0;
-  if (!dec.GetU64(&out->source_fp) || !dec.GetU64(&out->target_fp) ||
-      !dec.GetU64(&out->config_hash) || !dec.GetString(&out->algorithm) ||
-      !dec.GetDouble(&out->schema_qom) || !dec.GetU32(&count)) {
-    return false;
-  }
-  // Cheap pre-check before reserving: each correspondence is at least two
-  // empty strings + a double, so a hostile count cannot force a giant
-  // allocation backed by nothing.
-  if (static_cast<size_t>(count) * (4 + 4 + 8) > dec.remaining()) return false;
-  out->correspondences.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    CorrespondenceRec c;
-    if (!dec.GetString(&c.source_path) || !dec.GetString(&c.target_path) ||
-        !dec.GetDouble(&c.score)) {
-      return false;
-    }
-    out->correspondences.push_back(std::move(c));
-  }
-  return dec.remaining() == 0;
-}
-
-namespace {
 
 /// Validates the 24-byte header. On success sets *fingerprint_matches and
 /// advances nothing (caller slices past kHeaderBytes).
@@ -115,36 +58,26 @@ Status DecodeRecords(std::string_view bytes, bool fingerprint_matches,
                      StoreState* state, LoadStats* stats) {
   size_t pos = 0;
   while (pos < bytes.size()) {
-    const std::string_view rest = bytes.substr(pos);
-    Decoder dec(rest);
-    uint32_t type = 0;
-    uint32_t length = 0;
-    if (!dec.GetU32(&type) || !dec.GetU32(&length)) {
-      if (tolerate_torn_tail) {
-        stats->truncated_tail_bytes += rest.size();
-        return Status::OK();
-      }
-      return Status::DataLoss("persist record header truncated");
+    FrameView record;
+    size_t record_bytes = 0;
+    switch (ParseFrame(bytes.substr(pos), kMaxPayloadBytes, &record,
+                       &record_bytes)) {
+      case FrameDecodeResult::kFrame:
+        break;
+      case FrameDecodeResult::kNeedMore:
+        if (tolerate_torn_tail) {
+          stats->truncated_tail_bytes += bytes.size() - pos;
+          return Status::OK();
+        }
+        return Status::DataLoss("persist record truncated");
+      case FrameDecodeResult::kBadLength:
+        return Status::DataLoss("persist record length implausible");
+      case FrameDecodeResult::kBadCrc:
+        // A complete record with a bad checksum cannot be a torn append —
+        // a crash only ever leaves a *prefix* of a record. This is
+        // corruption even in the journal.
+        return Status::DataLoss("persist record checksum mismatch");
     }
-    if (length > kMaxPayloadBytes) {
-      return Status::DataLoss("persist record length implausible");
-    }
-    std::string_view payload;
-    uint32_t crc = 0;
-    if (!dec.GetBytes(length, &payload) || !dec.GetU32(&crc)) {
-      if (tolerate_torn_tail) {
-        stats->truncated_tail_bytes += rest.size();
-        return Status::OK();
-      }
-      return Status::DataLoss("persist record truncated");
-    }
-    if (crc != Crc32(rest.substr(0, 8 + length))) {
-      // A complete record with a bad checksum cannot be a torn append — a
-      // crash only ever leaves a *prefix* of a record. This is corruption
-      // even in the journal.
-      return Status::DataLoss("persist record checksum mismatch");
-    }
-    const size_t record_bytes = kRecordFrameBytes + length;
     pos += record_bytes;
     if (is_journal) {
       ++stats->journal_records;
@@ -155,10 +88,10 @@ Status DecodeRecords(std::string_view bytes, bool fingerprint_matches,
       ++stats->dropped_records;
       continue;
     }
-    switch (static_cast<RecordType>(type)) {
+    switch (static_cast<RecordType>(record.type)) {
       case RecordType::kCacheEntry: {
         CacheEntryRec entry;
-        if (!DecodeCacheRecordPayload(payload, &entry)) {
+        if (!Decode(record.payload, &entry)) {
           return Status::DataLoss("persist cache record payload malformed");
         }
         state->cache_entries.push_back(std::move(entry));
@@ -180,17 +113,14 @@ std::string EncodeSnapshot(const StoreState& state,
                            uint64_t config_fingerprint) {
   std::string out = EncodeHeader(kSnapshotMagic, config_fingerprint);
   for (const CacheEntryRec& entry : state.cache_entries) {
-    out += EncodeCacheRecord(entry);
+    out += EncodeFrame(static_cast<uint32_t>(RecordType::kCacheEntry),
+                       Encode(entry));
   }
   return out;
 }
 
 std::string EncodeJournalHeader(uint64_t config_fingerprint) {
   return EncodeHeader(kJournalMagic, config_fingerprint);
-}
-
-std::string EncodeCacheRecord(const CacheEntryRec& entry) {
-  return FrameRecord(RecordType::kCacheEntry, EncodeCacheRecordPayload(entry));
 }
 
 Status DecodeSnapshot(std::string_view bytes, uint64_t config_fingerprint,

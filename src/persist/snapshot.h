@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "persist/wire.h"
 
 namespace qmatch::persist {
 
@@ -26,10 +27,10 @@ namespace qmatch::persist {
 ///     [4]  CRC32 of the 20 header bytes
 ///     then appended records
 ///
-///   record:
+///   record (persist/wire.h framing, shared with qmatchd frames):
 ///     [4]  type          (RecordType)
-///     [4]  payload length
-///     [n]  payload       (Encoder wire format)
+///     [4]  payload length (<= kMaxPayloadBytes)
+///     [n]  payload       (the record's Fields list)
 ///     [4]  CRC32 of type + length + payload
 ///
 /// Validation rules — who gets to be wrong, and how:
@@ -61,7 +62,8 @@ enum class RecordType : uint32_t {
 
 /// Persisted form of one cached correspondence: endpoint paths (node
 /// pointers are rehydrated against the caller's schemas on every hit) and
-/// the exact score bits.
+/// the exact score bits. The qmatchd protocol ships the same struct
+/// (net::WireCorrespondence).
 struct CorrespondenceRec {
   std::string source_path;
   std::string target_path;
@@ -71,7 +73,15 @@ struct CorrespondenceRec {
                          const CorrespondenceRec&) = default;
 };
 
-/// Persisted form of one MatchEngine result-cache entry.
+template <class IO>
+void Fields(IO& io, CorrespondenceRec& m) {
+  io(m.source_path, m.target_path, m.score);
+}
+
+/// Persisted form of one MatchEngine result-cache entry. Its encoding is a
+/// kCacheEntry record's payload, and the unit the replication stream
+/// ships (src/replica/): a replicated entry is bit-identical to a
+/// journaled one.
 struct CacheEntryRec {
   uint64_t source_fp = 0;
   uint64_t target_fp = 0;
@@ -82,6 +92,12 @@ struct CacheEntryRec {
 
   friend bool operator==(const CacheEntryRec&, const CacheEntryRec&) = default;
 };
+
+template <class IO>
+void Fields(IO& io, CacheEntryRec& m) {
+  io(m.source_fp, m.target_fp, m.config_hash, m.algorithm, m.schema_qom,
+     m.correspondences);
+}
 
 /// Decoded store content, in record order (oldest first). Cache records
 /// are upserts: replaying duplicates is idempotent and last-wins, which is
@@ -117,16 +133,6 @@ std::string EncodeSnapshot(const StoreState& state,
 
 /// Encodes the journal header (the only part written at journal creation).
 std::string EncodeJournalHeader(uint64_t config_fingerprint);
-
-/// Encodes one appendable journal record.
-std::string EncodeCacheRecord(const CacheEntryRec& entry);
-
-/// Record *payloads* without the [type][len][crc] frame — the unit the
-/// replication stream ships (src/replica/): the primary encodes exactly
-/// what its journal holds, the standby decodes with the same hostile-input
-/// discipline, and a replicated entry is bit-identical to a journaled one.
-std::string EncodeCacheRecordPayload(const CacheEntryRec& entry);
-bool DecodeCacheRecordPayload(std::string_view payload, CacheEntryRec* out);
 
 /// Decodes snapshot bytes. Appends decoded entries to `state` and tallies
 /// into `stats` (both must be non-null). Any framing/CRC violation →

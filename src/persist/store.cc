@@ -200,7 +200,8 @@ Status PersistentStore::AppendRecordLocked(const std::string& record) {
 
 Status PersistentStore::AppendCache(const CacheEntryRec& entry) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return AppendRecordLocked(EncodeCacheRecord(entry));
+  return AppendRecordLocked(EncodeFrame(
+      static_cast<uint32_t>(RecordType::kCacheEntry), Encode(entry)));
 }
 
 Status PersistentStore::Compact(const StoreState& full_state) {

@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "persist/crc32.h"
+
 namespace qmatch::persist {
 
 void Encoder::PutU32(uint32_t value) {
@@ -74,6 +76,58 @@ bool Decoder::GetBytes(size_t size, std::string_view* out) {
   *out = bytes_.substr(pos_, size);
   pos_ += size;
   return true;
+}
+
+std::string EncodeFrame(uint32_t type, std::string_view payload) {
+  Encoder enc;
+  enc.PutU32(type);
+  enc.PutU32(static_cast<uint32_t>(payload.size()));
+  std::string bytes = enc.Take();
+  bytes.append(payload);
+  Encoder trailer;
+  trailer.PutU32(Crc32(bytes));
+  bytes.append(trailer.bytes());
+  return bytes;
+}
+
+std::string_view FrameDecodeResultName(FrameDecodeResult result) {
+  switch (result) {
+    case FrameDecodeResult::kNeedMore:
+      return "need-more";
+    case FrameDecodeResult::kFrame:
+      return "frame";
+    case FrameDecodeResult::kBadLength:
+      return "bad-length";
+    case FrameDecodeResult::kBadCrc:
+      return "bad-crc";
+  }
+  return "unknown";
+}
+
+FrameDecodeResult ParseFrame(std::string_view buffer, uint32_t max_payload,
+                             FrameView* out, size_t* consumed) {
+  *consumed = 0;
+  Decoder dec(buffer);
+  uint32_t type = 0;
+  uint32_t length = 0;
+  if (!dec.GetU32(&type) || !dec.GetU32(&length)) {
+    return FrameDecodeResult::kNeedMore;
+  }
+  // The hostile-length pre-check: reject before any buffer is asked to
+  // hold `length` bytes.
+  if (length > max_payload) return FrameDecodeResult::kBadLength;
+  std::string_view payload;
+  uint32_t crc = 0;
+  if (!dec.GetBytes(length, &payload) || !dec.GetU32(&crc)) {
+    return FrameDecodeResult::kNeedMore;
+  }
+  if (crc != Crc32(buffer.substr(0, 8 + payload.size()))) {
+    return FrameDecodeResult::kBadCrc;
+  }
+  out->type = type;
+  out->payload = payload;
+  *consumed = dec.position();
+  return FrameDecodeResult::kFrame;
 }
 
 }  // namespace qmatch::persist

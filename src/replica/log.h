@@ -13,12 +13,14 @@ namespace qmatch::replica {
 /// One replicated state mutation: a persist-layer record payload (or a
 /// schema registration) stamped with a monotone sequence number. `payload`
 /// is exactly the bytes the primary's journal holds for the same mutation
-/// (persist::Encode*RecordPayload), so a standby that applies the stream is
+/// (persist::Encode of the record), so a standby that applies the stream is
 /// bit-identical to one that replayed the journal.
 struct LogRecord {
   uint64_t seq = 0;
   uint32_t type = 0;  ///< replica::RecordType (wire.h)
   std::string payload;
+
+  friend bool operator==(const LogRecord&, const LogRecord&) = default;
 };
 
 /// Bounded in-memory ring of the primary's recent durable mutations — the

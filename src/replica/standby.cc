@@ -105,7 +105,7 @@ bool Standby::StreamOnce() {
   req.epoch = server_->epoch();
   if (!client
            ->SendBytes(net::EncodeFrame(net::MsgType::kReplicaSubscribe,
-                                        EncodeSubscribeReq(req)))
+                                        Encode(req)))
            .ok()) {
     return false;
   }
@@ -137,7 +137,7 @@ bool Standby::StreamOnce() {
     if (!frame.ok()) break;  // timeout past heartbeat cadence = dead link
     if (frame->type == static_cast<uint32_t>(net::MsgType::kReplicaRecords)) {
       RecordsMsg msg;
-      if (!DecodeRecordsMsg(frame->payload, &msg)) {
+      if (!Decode(frame->payload, &msg)) {
         QMATCH_COUNTER_ADD("replica.undecodable_msgs", 1);
         break;
       }
@@ -146,7 +146,7 @@ bool Standby::StreamOnce() {
     } else if (frame->type ==
                static_cast<uint32_t>(net::MsgType::kReplicaSnapshot)) {
       SnapshotMsg msg;
-      if (!DecodeSnapshotMsg(frame->payload, &msg)) {
+      if (!Decode(frame->payload, &msg)) {
         QMATCH_COUNTER_ADD("replica.undecodable_msgs", 1);
         break;
       }
@@ -159,7 +159,7 @@ bool Standby::StreamOnce() {
       // away — adopt its epoch (lifting any fence on our server) and let
       // the resubscribe re-anchor in the new epoch's sequence space.
       net::ResponseHead head;
-      if (net::DecodeResponseHead(frame->payload, &head) &&
+      if (Decode(frame->payload, &head) &&
           head.epoch > server_->epoch()) {
         QMATCH_COUNTER_ADD("replica.stream_epoch_adoptions", 1);
         applied_.store(0, std::memory_order_relaxed);
@@ -233,7 +233,7 @@ bool Standby::ApplySnapshot(const SnapshotMsg& msg) {
   }
   for (const std::string& payload : msg.cache_payloads) {
     persist::CacheEntryRec rec;
-    if (!persist::DecodeCacheRecordPayload(payload, &rec)) {
+    if (!Decode(payload, &rec)) {
       QMATCH_COUNTER_ADD("replica.undecodable_records", 1);
       return false;
     }
@@ -253,13 +253,13 @@ bool Standby::ApplyOne(uint32_t type, const std::string& payload) {
   switch (static_cast<RecordType>(type)) {
     case RecordType::kCacheEntry: {
       persist::CacheEntryRec rec;
-      if (!persist::DecodeCacheRecordPayload(payload, &rec)) return false;
+      if (!Decode(payload, &rec)) return false;
       engine_->ApplyReplicatedCacheEntry(rec);
       return true;
     }
     case RecordType::kSchema: {
       SchemaRec rec;
-      if (!DecodeSchemaRecPayload(payload, &rec)) return false;
+      if (!Decode(payload, &rec)) return false;
       const bool registered =
           server_->RegisterSchema(rec.name, rec.xsd_text, /*replicated=*/true)
               .ok();

@@ -6,13 +6,14 @@
 #include <string_view>
 #include <vector>
 
+#include "persist/wire.h"
 #include "replica/log.h"
 
 namespace qmatch::replica {
 
 /// Replicated record types. kCacheEntry is persist::RecordType's value on
-/// purpose: its payload IS the journal record payload
-/// (persist::EncodeCacheRecordPayload), shipped unmodified. 2 is retired
+/// purpose: its payload IS the journal record payload (an encoded
+/// persist::CacheEntryRec), shipped unmodified. 2 is retired
 /// with the persist corpus record and never reused. kSchema is
 /// replication-only — schemas live in the server's in-memory
 /// registry, not the persist store, but a warm standby needs them to
@@ -31,14 +32,24 @@ struct SchemaRec {
   friend bool operator==(const SchemaRec&, const SchemaRec&) = default;
 };
 
-std::string EncodeSchemaRecPayload(const SchemaRec& rec);
-bool DecodeSchemaRecPayload(std::string_view payload, SchemaRec* out);
+template <class IO>
+void Fields(IO& io, SchemaRec& m) {
+  io(m.name, m.xsd_text);
+}
+
+template <class IO>
+void Fields(IO& io, LogRecord& m) {
+  io(m.seq, m.type, m.payload);
+}
+
+using persist::Decode;
+using persist::Encode;
 
 // ---------------------------------------------------------------------------
 // Frame payloads of the replication stream (net::MsgType kReplicaSubscribe /
-// kReplicaRecords / kReplicaSnapshot). Same codec discipline as the rest of
-// the protocol: persist::Encoder wire format, hostile counts rejected
-// before any reserve.
+// kReplicaRecords / kReplicaSnapshot). Same codec as the rest of the
+// protocol: one Fields list per message (persist/wire.h), hostile counts
+// rejected before any reserve.
 // ---------------------------------------------------------------------------
 
 /// Standby -> primary: stream me everything from `from_seq` on. Sent once
@@ -52,7 +63,14 @@ struct SubscribeReq {
   /// is one of the three demotion triggers) and from a LOWER epoch (the
   /// subscriber must adopt the new epoch and resubscribe).
   uint64_t epoch = 0;
+
+  friend bool operator==(const SubscribeReq&, const SubscribeReq&) = default;
 };
+
+template <class IO>
+void Fields(IO& io, SubscribeReq& m) {
+  io(m.from_seq, m.epoch);
+}
 
 /// Primary -> standby: a batch of consecutive log records plus the
 /// primary's current head (the standby's lag gauge = head_seq - applied).
@@ -64,7 +82,14 @@ struct RecordsMsg {
   /// epoch instead of applying them.
   uint64_t epoch = 0;
   std::vector<LogRecord> records;
+
+  friend bool operator==(const RecordsMsg&, const RecordsMsg&) = default;
 };
+
+template <class IO>
+void Fields(IO& io, RecordsMsg& m) {
+  io(m.head_seq, m.epoch, m.records);
+}
 
 /// Primary -> standby: a full-state anchor. Everything the primary knows,
 /// captured at `next_seq` (records with seq >= next_seq may overlap the
@@ -80,14 +105,14 @@ struct SnapshotMsg {
   /// Encoded persist cache record payloads, exactly what the primary's
   /// snapshot file would hold.
   std::vector<std::string> cache_payloads;
+
+  friend bool operator==(const SnapshotMsg&, const SnapshotMsg&) = default;
 };
 
-std::string EncodeSubscribeReq(const SubscribeReq& req);
-std::string EncodeRecordsMsg(const RecordsMsg& msg);
-std::string EncodeSnapshotMsg(const SnapshotMsg& msg);
-bool DecodeSubscribeReq(std::string_view payload, SubscribeReq* out);
-bool DecodeRecordsMsg(std::string_view payload, RecordsMsg* out);
-bool DecodeSnapshotMsg(std::string_view payload, SnapshotMsg* out);
+template <class IO>
+void Fields(IO& io, SnapshotMsg& m) {
+  io(m.next_seq, m.epoch, m.schemas, m.cache_payloads);
+}
 
 }  // namespace qmatch::replica
 

@@ -28,6 +28,12 @@ AdmissionOptions Options(uint64_t capacity, size_t queue_depth) {
   return options;
 }
 
+/// Orders the test against its waiters explicitly instead of by sleeping:
+/// returns once exactly `depth` requests are queued.
+void AwaitQueueDepth(const AdmissionController& admission, size_t depth) {
+  while (admission.queue_depth() != depth) std::this_thread::yield();
+}
+
 TEST(AdmissionControllerTest, DisabledControllerAdmitsEverythingInstantly) {
   AdmissionController admission;  // max_inflight_cost = 0 → disabled
   EXPECT_FALSE(admission.enabled());
@@ -111,7 +117,7 @@ TEST(AdmissionControllerTest, QueuedRequestAdmitsWhenCapacityFrees) {
     ASSERT_TRUE(admission.Admit(5, control, &permit).ok());
     admitted.store(true);
   });
-  std::this_thread::sleep_for(Scaled(std::chrono::milliseconds(20)));
+  AwaitQueueDepth(admission, 1);
   EXPECT_FALSE(admitted.load());
   held.reset();  // release capacity → the waiter admits
   waiter.join();
@@ -126,9 +132,10 @@ TEST(AdmissionControllerTest, FifoOrderIsPreservedAcrossWaiters) {
   std::mutex order_mutex;
   std::vector<std::thread> waiters;
   for (int id = 0; id < 3; ++id) {
+    // Waiter `id` starts only once its predecessors are queued, so queue
+    // positions are deterministic.
+    AwaitQueueDepth(admission, static_cast<size_t>(id));
     waiters.emplace_back([&, id]() {
-      // Stagger arrivals so queue positions are deterministic.
-      std::this_thread::sleep_for(Scaled(std::chrono::milliseconds(10)) * (id + 1));
       AdmissionPermit permit;
       ExecControl control;
       control.deadline = Deadline::After(std::chrono::seconds(10));
@@ -137,7 +144,7 @@ TEST(AdmissionControllerTest, FifoOrderIsPreservedAcrossWaiters) {
       admit_order.push_back(id);
     });
   }
-  std::this_thread::sleep_for(Scaled(std::chrono::milliseconds(60)));
+  AwaitQueueDepth(admission, 3);  // every waiter queued before release
   held.reset();
   for (std::thread& t : waiters) t.join();
   ASSERT_EQ(admit_order.size(), 3u);
@@ -154,7 +161,7 @@ TEST(AdmissionControllerTest, AdmitBlockingAppliesBackpressureNotShedding) {
     admission.AdmitBlocking(5, &permit);  // enqueues past the cap, waits
     admitted.store(true);
   });
-  std::this_thread::sleep_for(Scaled(std::chrono::milliseconds(20)));
+  AwaitQueueDepth(admission, 1);
   EXPECT_FALSE(admitted.load());
   held.reset();
   waiter.join();

@@ -162,13 +162,13 @@ TEST(EnginePersistTest, StoreWithRetiredCorpusRecordsOpensWarm) {
   ASSERT_TRUE(EnsureDir(dir).ok());
   ASSERT_TRUE(WriteFile(dir + "/snapshot.qms",
                         persist::EncodeSnapshot(first, config_hash) + retired +
-                            persist::EncodeCacheRecord(
+                            test::FramedCacheRecord(
                                 fresh_state.cache_entries[1]) +
                             retired)
                   .ok());
   ASSERT_TRUE(WriteFile(dir + "/journal.qmj",
                         persist::EncodeJournalHeader(config_hash) + retired +
-                            persist::EncodeCacheRecord(
+                            test::FramedCacheRecord(
                                 fresh_state.cache_entries[0]) +
                             retired)
                   .ok());

@@ -227,7 +227,7 @@ TEST_F(NetChaosTest, FrameFaultsAnswerTypedDataLossAndClose) {
     if (!reply.ok()) continue;  // injected fault raced the whole exchange
     if (reply->type == static_cast<uint32_t>(MsgType::kErrorResp)) {
       ResponseHead head;
-      ASSERT_TRUE(DecodeResponseHead(reply->payload, &head));
+      ASSERT_TRUE(Decode(reply->payload, &head));
       EXPECT_EQ(head.status_code(), StatusCode::kDataLoss);
       ++typed_errors;
       // The stream is closed after the typed answer.
@@ -251,10 +251,8 @@ TEST_F(NetChaosTest, MidRequestDisconnectsStillCountExactlyOnce) {
     Result<Client> client = Connect();
     ASSERT_TRUE(client.ok());
     MatchPairReq req{names_[0], names_[1], 5000};
-    ASSERT_TRUE(client
-                    ->SendBytes(EncodeFrame(MsgType::kMatchPair,
-                                            EncodeMatchPairReq(req)))
-                    .ok());
+    ASSERT_TRUE(
+        client->SendBytes(EncodeFrame(MsgType::kMatchPair, Encode(req))).ok());
     client->Close();  // mid-request disconnect
   }
   // One well-behaved request to pin the "still works" end of the contract.
@@ -304,9 +302,7 @@ TEST_F(NetChaosTest, CombinedScheduleKeepsTheLedgerExact) {
       (void)client->MatchCorpus(names_[0], 5000);
     } else if (kind == 2) {
       MatchPairReq req{names_[0], names_[2], 5000};
-      if (client
-              ->SendBytes(
-                  EncodeFrame(MsgType::kMatchPair, EncodeMatchPairReq(req)))
+      if (client->SendBytes(EncodeFrame(MsgType::kMatchPair, Encode(req)))
               .ok()) {
         client->Close();  // another mid-request drop
       }

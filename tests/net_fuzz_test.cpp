@@ -69,7 +69,7 @@ Outcome Probe(Client& client, std::string* violation,
     switch (static_cast<MsgType>(frame->type)) {
       case MsgType::kErrorResp: {
         ResponseHead head;
-        if (!DecodeResponseHead(frame->payload, &head) || head.ok()) {
+        if (!Decode(frame->payload, &head) || head.ok()) {
           *violation = "error frame without a typed non-OK head";
           return Outcome::kViolation;
         }
@@ -77,7 +77,7 @@ Outcome Probe(Client& client, std::string* violation,
       }
       case MsgType::kSubmitSchemaResp: {
         SubmitSchemaResp resp;
-        if (!DecodeSubmitSchemaResp(frame->payload, &resp)) {
+        if (!Decode(frame->payload, &resp)) {
           *violation = "undecodable SubmitSchema response";
           return Outcome::kViolation;
         }
@@ -85,7 +85,7 @@ Outcome Probe(Client& client, std::string* violation,
       }
       case MsgType::kMatchPairResp: {
         MatchPairResp resp;
-        if (!DecodeMatchPairResp(frame->payload, &resp)) {
+        if (!Decode(frame->payload, &resp)) {
           *violation = "undecodable MatchPair response";
           return Outcome::kViolation;
         }
@@ -93,7 +93,7 @@ Outcome Probe(Client& client, std::string* violation,
       }
       case MsgType::kMatchCorpusResp: {
         MatchCorpusResp resp;
-        if (!DecodeMatchCorpusResp(frame->payload, &resp)) {
+        if (!Decode(frame->payload, &resp)) {
           *violation = "undecodable MatchCorpus response";
           return Outcome::kViolation;
         }
@@ -101,7 +101,7 @@ Outcome Probe(Client& client, std::string* violation,
       }
       case MsgType::kGetStatsResp: {
         StatsResp resp;
-        if (!DecodeStatsResp(frame->payload, &resp)) {
+        if (!Decode(frame->payload, &resp)) {
           *violation = "undecodable Stats response";
           return Outcome::kViolation;
         }
@@ -109,7 +109,7 @@ Outcome Probe(Client& client, std::string* violation,
       }
       case MsgType::kGetMetricsResp: {
         MetricsResp resp;
-        if (!DecodeMetricsResp(frame->payload, &resp)) {
+        if (!Decode(frame->payload, &resp)) {
           *violation = "undecodable Metrics response";
           return Outcome::kViolation;
         }
@@ -128,11 +128,11 @@ std::vector<std::string> SeedFrames() {
   const std::string xsd0 = xsd::ToXsd(corpus[0].make());
   std::vector<std::string> frames;
   frames.push_back(EncodeFrame(MsgType::kSubmitSchema,
-                               EncodeSubmitSchemaReq({"s0", xsd0})));
+                               Encode(SubmitSchemaReq{"s0", xsd0})));
   frames.push_back(EncodeFrame(MsgType::kMatchPair,
-                               EncodeMatchPairReq({"s0", "s1", 100})));
+                               Encode(MatchPairReq{"s0", "s1", 100})));
   frames.push_back(EncodeFrame(MsgType::kMatchCorpus,
-                               EncodeMatchCorpusReq({"s0", 100})));
+                               Encode(MatchCorpusReq{"s0", 100})));
   frames.push_back(EncodeFrame(MsgType::kGetStats, ""));
   frames.push_back(EncodeFrame(MsgType::kGetMetrics, ""));
   return frames;

@@ -141,29 +141,29 @@ TEST(FrameTest, CorruptionAnywhereIsCaught) {
 TEST(PayloadTest, RequestsRoundTrip) {
   SubmitSchemaReq submit{"po1", "<xsd..>"};
   SubmitSchemaReq submit2;
-  ASSERT_TRUE(DecodeSubmitSchemaReq(EncodeSubmitSchemaReq(submit), &submit2));
+  ASSERT_TRUE(Decode(Encode(submit), &submit2));
   EXPECT_EQ(submit2.name, "po1");
   EXPECT_EQ(submit2.xsd_text, "<xsd..>");
 
   MatchPairReq pair{"a", "b", 1500};
   MatchPairReq pair2;
-  ASSERT_TRUE(DecodeMatchPairReq(EncodeMatchPairReq(pair), &pair2));
+  ASSERT_TRUE(Decode(Encode(pair), &pair2));
   EXPECT_EQ(pair2.source, "a");
   EXPECT_EQ(pair2.target, "b");
   EXPECT_EQ(pair2.deadline_ms, 1500u);
 
   MatchCorpusReq corpus{"query", 250};
   MatchCorpusReq corpus2;
-  ASSERT_TRUE(DecodeMatchCorpusReq(EncodeMatchCorpusReq(corpus), &corpus2));
+  ASSERT_TRUE(Decode(Encode(corpus), &corpus2));
   EXPECT_EQ(corpus2.query, "query");
   EXPECT_EQ(corpus2.deadline_ms, 250u);
 }
 
 TEST(PayloadTest, RequestDecodersRejectTrailingBytes) {
-  std::string bytes = EncodeMatchPairReq(MatchPairReq{"a", "b", 0});
+  std::string bytes = Encode(MatchPairReq{"a", "b", 0});
   bytes.push_back('\0');
   MatchPairReq out;
-  EXPECT_FALSE(DecodeMatchPairReq(bytes, &out));
+  EXPECT_FALSE(Decode(bytes, &out));
 }
 
 TEST(PayloadTest, MatchPairRespPreservesDoubleBitPatterns) {
@@ -180,7 +180,7 @@ TEST(PayloadTest, MatchPairRespPreservesDoubleBitPatterns) {
   resp.schema_qom = std::bit_cast<double>(kHostileDoubleBits[0]);
 
   MatchPairResp decoded;
-  ASSERT_TRUE(DecodeMatchPairResp(EncodeMatchPairResp(resp), &decoded));
+  ASSERT_TRUE(Decode(Encode(resp), &decoded));
   EXPECT_EQ(std::bit_cast<uint64_t>(decoded.schema_qom),
             kHostileDoubleBits[0]);
   ASSERT_EQ(decoded.correspondences.size(), std::size(kHostileDoubleBits));
@@ -196,12 +196,25 @@ TEST(PayloadTest, MatchPairRespPreservesDoubleBitPatterns) {
   EXPECT_EQ(decoded.total_rows, 9u);
 }
 
+TEST(PayloadTest, CorrespondencesWithEmptyPathsRoundTrip) {
+  // A correspondence encodes to at least 16 bytes: two empty paths' length
+  // prefixes and a double. Paths totalling fewer than 4 bytes are legal,
+  // and the count pre-check must not reject them.
+  MatchPairResp resp;
+  resp.algorithm = "qmatch-hybrid";
+  resp.correspondences = {{"", "", 0.5}, {"a", "", 0.25}, {"", "bc", 1.0}};
+  MatchPairResp decoded;
+  ASSERT_TRUE(Decode(Encode(resp), &decoded));
+  EXPECT_EQ(decoded, resp);
+  EXPECT_EQ(persist::MinEncodedSize<WireCorrespondence>(), 16u);
+}
+
 TEST(PayloadTest, HostileCorrespondenceCountRejectedBeforeReserve) {
   // A valid head + fields, then a count field claiming ~16M entries with
   // almost no bytes behind it: the decoder must refuse before reserving.
   MatchPairResp resp;
   resp.head = ResponseHead{0, ""};
-  std::string bytes = EncodeMatchPairResp(resp);
+  std::string bytes = Encode(resp);
   // Rewrite the trailing u32 count (last 4 bytes of an empty-vector
   // payload) to a hostile value.
   ASSERT_GE(bytes.size(), 4u);
@@ -210,28 +223,28 @@ TEST(PayloadTest, HostileCorrespondenceCountRejectedBeforeReserve) {
   bytes[bytes.size() - 2] = static_cast<char>(0xFF);
   bytes[bytes.size() - 1] = static_cast<char>(0x00);
   MatchPairResp out;
-  EXPECT_FALSE(DecodeMatchPairResp(bytes, &out));
+  EXPECT_FALSE(Decode(bytes, &out));
 }
 
 TEST(PayloadTest, HostileCorpusEntryCountRejectedBeforeReserve) {
   MatchCorpusResp resp;
   resp.head = ResponseHead{0, ""};
-  std::string bytes = EncodeMatchCorpusResp(resp);
+  std::string bytes = Encode(resp);
   ASSERT_GE(bytes.size(), 4u);
   bytes[bytes.size() - 4] = static_cast<char>(0xFF);
   bytes[bytes.size() - 3] = static_cast<char>(0xFF);
   bytes[bytes.size() - 2] = static_cast<char>(0xFF);
   bytes[bytes.size() - 1] = static_cast<char>(0x00);
   MatchCorpusResp out;
-  EXPECT_FALSE(DecodeMatchCorpusResp(bytes, &out));
+  EXPECT_FALSE(Decode(bytes, &out));
 }
 
 TEST(PayloadTest, ErrorHeadRoundTripsThroughEveryResponseDecoder) {
   const ResponseHead head = ResponseHead::FromStatus(
       Status::Overloaded("engine shed this request"));
-  const std::string bytes = EncodeErrorResp(head);
+  const std::string bytes = Encode(head);
   ResponseHead decoded;
-  ASSERT_TRUE(DecodeResponseHead(bytes, &decoded));
+  ASSERT_TRUE(Decode(bytes, &decoded));
   EXPECT_EQ(decoded.status_code(), StatusCode::kOverloaded);
   EXPECT_EQ(decoded.message, "engine shed this request");
   EXPECT_EQ(decoded.ToStatus().code(), StatusCode::kOverloaded);
@@ -239,8 +252,7 @@ TEST(PayloadTest, ErrorHeadRoundTripsThroughEveryResponseDecoder) {
   // SubmitSchemaResp's body is conditional on an OK head, so an error head
   // alone is a complete, decodable payload for it too.
   SubmitSchemaResp submit;
-  ASSERT_TRUE(DecodeSubmitSchemaResp(
-      EncodeSubmitSchemaResp(SubmitSchemaResp{head, 0, 0}), &submit));
+  ASSERT_TRUE(Decode(Encode(SubmitSchemaResp{head, 0, 0}), &submit));
   EXPECT_EQ(submit.head.status_code(), StatusCode::kOverloaded);
 }
 
@@ -255,7 +267,7 @@ TEST(PayloadTest, StatsAndMetricsRoundTrip) {
   stats.connections_active = 3;
   stats.pressure = 0.625;
   StatsResp stats2;
-  ASSERT_TRUE(DecodeStatsResp(EncodeStatsResp(stats), &stats2));
+  ASSERT_TRUE(Decode(Encode(stats), &stats2));
   EXPECT_EQ(stats2.schemas, 12u);
   EXPECT_EQ(stats2.cache_hits, 34u);
   EXPECT_EQ(stats2.cache_misses, 56u);
@@ -268,7 +280,7 @@ TEST(PayloadTest, StatsAndMetricsRoundTrip) {
   MetricsResp metrics;
   metrics.prometheus_text = "# TYPE x counter\nx 1\n";
   MetricsResp metrics2;
-  ASSERT_TRUE(DecodeMetricsResp(EncodeMetricsResp(metrics), &metrics2));
+  ASSERT_TRUE(Decode(Encode(metrics), &metrics2));
   EXPECT_EQ(metrics2.prometheus_text, metrics.prometheus_text);
 }
 
@@ -440,7 +452,7 @@ TEST_F(LoopbackTest, UnknownRequestTypeAnswersTypedAndKeepsConnection) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->type, static_cast<uint32_t>(MsgType::kErrorResp));
   ResponseHead head;
-  ASSERT_TRUE(DecodeResponseHead(reply->payload, &head));
+  ASSERT_TRUE(Decode(reply->payload, &head));
   EXPECT_EQ(head.status_code(), StatusCode::kInvalidArgument);
   // Still a working connection afterwards.
   Result<StatsResp> stats = client.GetStats();
@@ -458,7 +470,7 @@ TEST_F(LoopbackTest, CrcMismatchAnswersTypedErrorFrameThenCloses) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->type, static_cast<uint32_t>(MsgType::kErrorResp));
   ResponseHead head;
-  ASSERT_TRUE(DecodeResponseHead(reply->payload, &head));
+  ASSERT_TRUE(Decode(reply->payload, &head));
   EXPECT_EQ(head.status_code(), StatusCode::kDataLoss);
   // The stream is desynced: the server closes after the typed answer.
   Result<Frame> after = client.ReadFrame();
@@ -484,7 +496,7 @@ TEST_F(LoopbackTest, OversizedLengthAnswersTypedErrorBeforeAllocation) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->type, static_cast<uint32_t>(MsgType::kErrorResp));
   ResponseHead head;
-  ASSERT_TRUE(DecodeResponseHead(reply->payload, &head));
+  ASSERT_TRUE(Decode(reply->payload, &head));
   EXPECT_EQ(head.status_code(), StatusCode::kInvalidArgument);
   Result<Frame> after = client.ReadFrame();
   EXPECT_FALSE(after.ok());
@@ -499,8 +511,8 @@ TEST_F(LoopbackTest, PipelinedRequestsAnswerInRequestOrder) {
   // Two matches and a stats call written back-to-back, answered strictly
   // in order: pair resp, pair resp, stats resp.
   MatchPairReq pair{CorpusName(0), CorpusName(1), 0};
-  std::string burst = EncodeFrame(MsgType::kMatchPair, EncodeMatchPairReq(pair));
-  burst += EncodeFrame(MsgType::kMatchPair, EncodeMatchPairReq(pair));
+  std::string burst = EncodeFrame(MsgType::kMatchPair, Encode(pair));
+  burst += EncodeFrame(MsgType::kMatchPair, Encode(pair));
   burst += EncodeFrame(MsgType::kGetStats, "");
   ASSERT_TRUE(client.SendBytes(burst).ok());
 

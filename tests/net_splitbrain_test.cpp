@@ -440,15 +440,14 @@ TEST_F(NetSplitBrainTest, PartitionPromoteHealYieldsOneEpochOfAcksPerRequest) {
       replica::SubscribeReq sub;
       sub.from_seq = 1;
       sub.epoch = 1;
-      ASSERT_TRUE(probe
-                      ->SendBytes(EncodeFrame(MsgType::kReplicaSubscribe,
-                                              EncodeSubscribeReq(sub)))
-                      .ok());
+      ASSERT_TRUE(
+          probe->SendBytes(EncodeFrame(MsgType::kReplicaSubscribe, Encode(sub)))
+              .ok());
       Result<Frame> verdict = probe->ReadFrame();
       ASSERT_TRUE(verdict.ok());
       ASSERT_EQ(verdict->type, static_cast<uint32_t>(MsgType::kErrorResp));
       ResponseHead head;
-      ASSERT_TRUE(DecodeResponseHead(verdict->payload, &head));
+      ASSERT_TRUE(Decode(verdict->payload, &head));
       EXPECT_EQ(head.status_code(), StatusCode::kUnavailable);
       EXPECT_NE(head.message.find("stale_epoch"), std::string::npos);
     }

@@ -26,6 +26,7 @@
 #include "persist/snapshot.h"
 #include "persist/wire.h"
 #include "wire_goldens.h"
+#include "wire_messages.h"
 
 namespace qmatch::persist {
 namespace {
@@ -177,8 +178,8 @@ TEST(PersistFuzzTest, MutatedStoreBytesNeverCrashTheLoader) {
   const std::string retired = test::HexToBytes(test::kRetiredCorpusRecordHex);
   const std::string kBases[] = {
       EncodeSnapshot(sample, kConfig) + retired,
-      EncodeJournalHeader(kConfig) + EncodeCacheRecord(sample.cache_entries[0]) +
-          retired,
+      EncodeJournalHeader(kConfig) +
+          test::FramedCacheRecord(sample.cache_entries[0]) + retired,
   };
   uint64_t base_index = 0;
   for (const std::string& base : kBases) {
@@ -242,6 +243,27 @@ TEST(PersistFuzzTest, HostileCorrespondenceCountCannotForceAllocation) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
   EXPECT_TRUE(state.cache_entries.empty());
+}
+
+TEST(PersistFuzzTest, AcceptedPayloadMutantsAreFixedPoints) {
+  // The record payload itself, under the same mutations: every message
+  // decoder rejects a mutant or accepts one that re-encodes to a fixed
+  // point.
+  const std::string base = Encode(SampleState().cache_entries[3]);
+  std::string (*const kMutations[])(const std::string&, Random&) = {
+      FlipBits, Truncate, BogusLength, ByteNoise, Splice};
+  const uint64_t base_seed = BaseSeed();
+  uint64_t index = 0;
+  for (const auto mutate : kMutations) {
+    Random rng(base_seed + 7919 + index);
+    for (int iteration = 0; iteration < 150; ++iteration) {
+      test::ExpectEveryDecoderRejectsOrFixes(
+          mutate(base, rng), "mutation " + std::to_string(index) + "/#" +
+                                 std::to_string(iteration) + " seed=" +
+                                 std::to_string(base_seed));
+    }
+    ++index;
+  }
 }
 
 }  // namespace

@@ -145,9 +145,9 @@ TEST(SnapshotCodecTest, SnapshotTruncationIsDataLoss) {
 
 TEST(SnapshotCodecTest, JournalTornTailIsSilentlyTruncated) {
   std::string bytes = EncodeJournalHeader(kConfig);
-  bytes += EncodeCacheRecord(SampleCacheEntry(1));
+  bytes += test::FramedCacheRecord(SampleCacheEntry(1));
   const std::string committed = bytes;
-  bytes += EncodeCacheRecord(SampleCacheEntry(2));
+  bytes += test::FramedCacheRecord(SampleCacheEntry(2));
   // Tear the second record at every possible prefix length: the loader must
   // keep exactly the first record and count the torn bytes.
   for (size_t keep = committed.size(); keep < bytes.size(); ++keep) {
@@ -164,7 +164,7 @@ TEST(SnapshotCodecTest, JournalTornTailIsSilentlyTruncated) {
 
 TEST(SnapshotCodecTest, JournalBitFlipInCommittedRecordIsDataLoss) {
   std::string bytes = EncodeJournalHeader(kConfig);
-  bytes += EncodeCacheRecord(SampleCacheEntry());
+  bytes += test::FramedCacheRecord(SampleCacheEntry());
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
   StoreState loaded;
   LoadStats stats;
@@ -200,8 +200,8 @@ TEST(SnapshotCodecTest, UnknownRecordTypeWithValidCrcIsSkipped) {
   const std::string retired = test::HexToBytes(test::kRetiredCorpusRecordHex);
   for (const std::string& unknown : {future, retired}) {
     const std::string records =
-        EncodeCacheRecord(SampleCacheEntry(1)) + unknown +
-        EncodeCacheRecord(SampleCacheEntry(2)) + unknown;
+        test::FramedCacheRecord(SampleCacheEntry(1)) + unknown +
+        test::FramedCacheRecord(SampleCacheEntry(2)) + unknown;
     {
       StoreState loaded;
       LoadStats stats;

@@ -116,14 +116,14 @@ TEST(ReplicaWireTest, SubscribeReqRoundTrips) {
   SubscribeReq req;
   req.from_seq = 0xDEADBEEFCAFEull;
   SubscribeReq back;
-  ASSERT_TRUE(DecodeSubscribeReq(EncodeSubscribeReq(req), &back));
+  ASSERT_TRUE(Decode(Encode(req), &back));
   EXPECT_EQ(back.from_seq, req.from_seq);
 
   SubscribeReq sink;
-  EXPECT_FALSE(DecodeSubscribeReq("", &sink));
-  EXPECT_FALSE(DecodeSubscribeReq("short", &sink));
+  EXPECT_FALSE(Decode("", &sink));
+  EXPECT_FALSE(Decode("short", &sink));
   // Trailing garbage is rejected, not ignored.
-  EXPECT_FALSE(DecodeSubscribeReq(EncodeSubscribeReq(req) + "x", &sink));
+  EXPECT_FALSE(Decode(Encode(req) + "x", &sink));
 }
 
 TEST(ReplicaWireTest, SchemaRecRoundTrips) {
@@ -131,7 +131,7 @@ TEST(ReplicaWireTest, SchemaRecRoundTrips) {
   rec.name = "PO1";
   rec.xsd_text = "<xsd:schema/>";
   SchemaRec back;
-  ASSERT_TRUE(DecodeSchemaRecPayload(EncodeSchemaRecPayload(rec), &back));
+  ASSERT_TRUE(Decode(Encode(rec), &back));
   EXPECT_EQ(back, rec);
 }
 
@@ -142,7 +142,7 @@ TEST(ReplicaWireTest, RecordsMsgRoundTripsIncludingHeartbeat) {
   msg.records.push_back(LogRecord{8, 3, ""});
 
   RecordsMsg back;
-  ASSERT_TRUE(DecodeRecordsMsg(EncodeRecordsMsg(msg), &back));
+  ASSERT_TRUE(Decode(Encode(msg), &back));
   EXPECT_EQ(back.head_seq, 42u);
   ASSERT_EQ(back.records.size(), 2u);
   EXPECT_EQ(back.records[0].seq, 7u);
@@ -154,7 +154,7 @@ TEST(ReplicaWireTest, RecordsMsgRoundTripsIncludingHeartbeat) {
   RecordsMsg beat;
   beat.head_seq = 99;
   RecordsMsg beat_back;
-  ASSERT_TRUE(DecodeRecordsMsg(EncodeRecordsMsg(beat), &beat_back));
+  ASSERT_TRUE(Decode(Encode(beat), &beat_back));
   EXPECT_EQ(beat_back.head_seq, 99u);
   EXPECT_TRUE(beat_back.records.empty());
 }
@@ -163,11 +163,11 @@ TEST(ReplicaWireTest, RecordsMsgRejectsTruncationAndHostileCounts) {
   RecordsMsg msg;
   msg.head_seq = 1;
   msg.records.push_back(LogRecord{2, 1, "abc"});
-  const std::string encoded = EncodeRecordsMsg(msg);
+  const std::string encoded = Encode(msg);
 
   RecordsMsg sink;
   for (size_t cut = 0; cut < encoded.size(); ++cut) {
-    EXPECT_FALSE(DecodeRecordsMsg(encoded.substr(0, cut), &sink))
+    EXPECT_FALSE(Decode(encoded.substr(0, cut), &sink))
         << "truncation at " << cut << " decoded";
   }
 
@@ -175,7 +175,7 @@ TEST(ReplicaWireTest, RecordsMsgRejectsTruncationAndHostileCounts) {
   // be rejected before any reserve.
   std::string hostile(8, '\0');         // head_seq = 0
   hostile += std::string("\xFF\xFF\xFF\xFF", 4);  // count = UINT32_MAX
-  EXPECT_FALSE(DecodeRecordsMsg(hostile, &sink));
+  EXPECT_FALSE(Decode(hostile, &sink));
 }
 
 TEST(ReplicaWireTest, SnapshotMsgRoundTripsAndRejectsHostileCounts) {
@@ -187,7 +187,7 @@ TEST(ReplicaWireTest, SnapshotMsgRoundTripsAndRejectsHostileCounts) {
   msg.cache_payloads.push_back("cache-rec-2");
 
   SnapshotMsg back;
-  ASSERT_TRUE(DecodeSnapshotMsg(EncodeSnapshotMsg(msg), &back));
+  ASSERT_TRUE(Decode(Encode(msg), &back));
   EXPECT_EQ(back.next_seq, 17u);
   ASSERT_EQ(back.schemas.size(), 2u);
   EXPECT_EQ(back.schemas[0], msg.schemas[0]);
@@ -197,15 +197,15 @@ TEST(ReplicaWireTest, SnapshotMsgRoundTripsAndRejectsHostileCounts) {
   EXPECT_EQ(back.cache_payloads[1], "cache-rec-2");
 
   SnapshotMsg sink;
-  const std::string encoded = EncodeSnapshotMsg(msg);
+  const std::string encoded = Encode(msg);
   for (size_t cut = 0; cut < encoded.size(); ++cut) {
-    EXPECT_FALSE(DecodeSnapshotMsg(encoded.substr(0, cut), &sink))
+    EXPECT_FALSE(Decode(encoded.substr(0, cut), &sink))
         << "truncation at " << cut << " decoded";
   }
 
   std::string hostile(8, '\0');         // next_seq = 0
   hostile += std::string("\xFF\xFF\xFF\xFF", 4);  // schema count = UINT32_MAX
-  EXPECT_FALSE(DecodeSnapshotMsg(hostile, &sink));
+  EXPECT_FALSE(Decode(hostile, &sink));
 }
 
 }  // namespace

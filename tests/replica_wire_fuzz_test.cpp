@@ -3,11 +3,12 @@
 // mutation — truncation, bitflips, cross-type feeding, raw garbage,
 // hostile counts, bogus epochs:
 //
-//  * Decode* returns false for rejected bytes and never crashes, hangs or
+//  * Decode returns false for rejected bytes and never crashes, hangs or
 //    over-allocates (a hostile count field must bounce off the remaining-
 //    bytes check before any reserve);
 //  * anything a decoder ACCEPTS re-encodes to a stable fixed point
-//    (decode(encode(decode(x))) == decode(x)) — no half-read fields;
+//    (decode(encode(decode(x))) == decode(x)) — no half-read fields —
+//    for every message type in tests/wire_messages.h;
 //  * a live primary answers every subscribe — well-formed, stale-epoch,
 //    future-epoch or undecodable — with a typed frame or a clean close,
 //    and survives the whole barrage.
@@ -34,6 +35,7 @@
 #include "replica/primary.h"
 #include "replica/wire.h"
 #include "test_util.h"
+#include "wire_messages.h"
 #include "xsd/writer.h"
 
 namespace qmatch::replica {
@@ -47,12 +49,12 @@ std::vector<std::string> SeedPayloads() {
   SubscribeReq sub;
   sub.from_seq = 17;
   sub.epoch = 3;
-  pool.push_back(EncodeSubscribeReq(sub));
+  pool.push_back(Encode(sub));
 
   SchemaRec schema;
   schema.name = "purchase_order";
   schema.xsd_text = "<xs:schema xmlns:xs='urn:x'/>";
-  pool.push_back(EncodeSchemaRecPayload(schema));
+  pool.push_back(Encode(schema));
 
   RecordsMsg records;
   records.head_seq = 42;
@@ -64,7 +66,7 @@ std::vector<std::string> SeedPayloads() {
     rec.payload = std::string(static_cast<size_t>(seq), 'r');
     records.records.push_back(std::move(rec));
   }
-  pool.push_back(EncodeRecordsMsg(records));
+  pool.push_back(Encode(records));
 
   SnapshotMsg snap;
   snap.next_seq = 9;
@@ -72,7 +74,7 @@ std::vector<std::string> SeedPayloads() {
   snap.schemas.push_back(schema);
   snap.schemas.push_back(SchemaRec{"b", "<xs:schema/>"});
   snap.cache_payloads = {"cache-bytes-one", std::string(64, 'c')};
-  pool.push_back(EncodeSnapshotMsg(snap));
+  pool.push_back(Encode(snap));
   return pool;
 }
 
@@ -114,22 +116,6 @@ std::string Mutate(Random& rng, const std::vector<std::string>& pool,
   return bytes;
 }
 
-/// Anything a decoder accepts must re-encode to a byte-stable fixed point.
-template <typename Msg>
-void ExpectFixedPoint(const std::string& accepted,
-                      std::string (*encode)(const Msg&),
-                      bool (*decode)(std::string_view, Msg*),
-                      const std::string& trace) {
-  Msg first;
-  ASSERT_TRUE(decode(accepted, &first)) << trace;
-  const std::string once = encode(first);
-  Msg second;
-  ASSERT_TRUE(decode(once, &second))
-      << trace << ": re-encoding of an accepted payload was rejected";
-  EXPECT_EQ(encode(second), once)
-      << trace << ": accepted payload has no encode/decode fixed point";
-}
-
 void RunDecoderSeed(uint64_t seed, int iterations) {
   Random rng(seed);
   const std::vector<std::string> pool = SeedPayloads();
@@ -140,28 +126,7 @@ void RunDecoderSeed(uint64_t seed, int iterations) {
     const std::string trace = "seed " + std::to_string(seed) + " iter " +
                               std::to_string(iter) + " mutation " +
                               std::to_string(static_cast<int>(mutation));
-    // Every decoder eats every mutant (cross-type feeding included): the
-    // only legal outcomes are false or an accepted, fixed-point message.
-    SubscribeReq sub;
-    if (DecodeSubscribeReq(bytes, &sub)) {
-      ExpectFixedPoint<SubscribeReq>(bytes, &EncodeSubscribeReq,
-                                     &DecodeSubscribeReq, trace);
-    }
-    SchemaRec schema;
-    if (DecodeSchemaRecPayload(bytes, &schema)) {
-      ExpectFixedPoint<SchemaRec>(bytes, &EncodeSchemaRecPayload,
-                                  &DecodeSchemaRecPayload, trace);
-    }
-    RecordsMsg records;
-    if (DecodeRecordsMsg(bytes, &records)) {
-      ExpectFixedPoint<RecordsMsg>(bytes, &EncodeRecordsMsg,
-                                   &DecodeRecordsMsg, trace);
-    }
-    SnapshotMsg snap;
-    if (DecodeSnapshotMsg(bytes, &snap)) {
-      ExpectFixedPoint<SnapshotMsg>(bytes, &EncodeSnapshotMsg,
-                                    &DecodeSnapshotMsg, trace);
-    }
+    test::ExpectEveryDecoderRejectsOrFixes(bytes, trace);
   }
 }
 
@@ -197,10 +162,10 @@ TEST(ReplicaWireFuzzTest, HostileCountsAreRejectedBeforeAnyReserve) {
   records.records.push_back(rec);
   for (const uint32_t hostile :
        {std::numeric_limits<uint32_t>::max(), 0x10000000u, 1000u}) {
-    std::string bytes = EncodeRecordsMsg(records);
+    std::string bytes = Encode(records);
     PatchU32(&bytes, 16, hostile);
     RecordsMsg out;
-    EXPECT_FALSE(DecodeRecordsMsg(bytes, &out))
+    EXPECT_FALSE(Decode(bytes, &out))
         << "records count " << hostile << " was accepted";
   }
 
@@ -211,10 +176,10 @@ TEST(ReplicaWireFuzzTest, HostileCountsAreRejectedBeforeAnyReserve) {
   snap.cache_payloads = {"c"};
   for (const uint32_t hostile :
        {std::numeric_limits<uint32_t>::max(), 0x10000000u, 1000u}) {
-    std::string bytes = EncodeSnapshotMsg(snap);
+    std::string bytes = Encode(snap);
     PatchU32(&bytes, 16, hostile);
     SnapshotMsg out;
-    EXPECT_FALSE(DecodeSnapshotMsg(bytes, &out))
+    EXPECT_FALSE(Decode(bytes, &out))
         << "snapshot schema count " << hostile << " was accepted";
   }
 
@@ -224,10 +189,10 @@ TEST(ReplicaWireFuzzTest, HostileCountsAreRejectedBeforeAnyReserve) {
   lean.next_seq = 3;
   lean.epoch = 1;
   lean.cache_payloads = {"c"};
-  std::string bytes = EncodeSnapshotMsg(lean);
+  std::string bytes = Encode(lean);
   PatchU32(&bytes, 20, std::numeric_limits<uint32_t>::max());
   SnapshotMsg out;
-  EXPECT_FALSE(DecodeSnapshotMsg(bytes, &out))
+  EXPECT_FALSE(Decode(bytes, &out))
       << "hostile cache-payload count was accepted";
 }
 
@@ -264,14 +229,14 @@ TEST(ReplicaWireFuzzTest, BogusEpochSubscribesGetTypedAnswersNeverCrashes) {
     ASSERT_TRUE(client
                     ->SendBytes(net::EncodeFrame(
                         net::MsgType::kReplicaSubscribe,
-                        EncodeSubscribeReq(req)))
+                        Encode(req)))
                     .ok());
     Result<net::Frame> frame = client->ReadFrame();
     if (!frame.ok()) continue;  // clean close: acceptable refusal shape
     const auto type = static_cast<net::MsgType>(frame->type);
     if (type == net::MsgType::kErrorResp) {
       net::ResponseHead head;
-      ASSERT_TRUE(net::DecodeResponseHead(frame->payload, &head))
+      ASSERT_TRUE(net::Decode(frame->payload, &head))
           << "undecodable refusal for epoch " << epoch;
       EXPECT_FALSE(head.ok());
       EXPECT_NE(head.epoch, 0u);
@@ -282,10 +247,10 @@ TEST(ReplicaWireFuzzTest, BogusEpochSubscribesGetTypedAnswersNeverCrashes) {
           << "unexpected frame type " << frame->type;
       if (type == net::MsgType::kReplicaSnapshot) {
         SnapshotMsg snap;
-        EXPECT_TRUE(DecodeSnapshotMsg(frame->payload, &snap));
+        EXPECT_TRUE(Decode(frame->payload, &snap));
       } else {
         RecordsMsg records;
-        EXPECT_TRUE(DecodeRecordsMsg(frame->payload, &records));
+        EXPECT_TRUE(Decode(frame->payload, &records));
       }
     }
   }
@@ -306,7 +271,7 @@ TEST(ReplicaWireFuzzTest, BogusEpochSubscribesGetTypedAnswersNeverCrashes) {
     if (!frame.ok()) continue;
     ASSERT_EQ(frame->type, static_cast<uint32_t>(net::MsgType::kErrorResp));
     net::ResponseHead head;
-    ASSERT_TRUE(net::DecodeResponseHead(frame->payload, &head));
+    ASSERT_TRUE(net::Decode(frame->payload, &head));
     EXPECT_FALSE(head.ok());
   }
 

@@ -55,6 +55,13 @@ inline std::string BytesToHex(std::string_view bytes) {
   return out;
 }
 
+/// A cache entry framed as the journal and snapshot store it.
+inline std::string FramedCacheRecord(const persist::CacheEntryRec& entry) {
+  return persist::EncodeFrame(
+      static_cast<uint32_t>(persist::RecordType::kCacheEntry),
+      persist::Encode(entry));
+}
+
 inline persist::CacheEntryRec GoldenCacheEntry() {
   persist::CacheEntryRec rec;
   rec.source_fp = 0x0123456789ABCDEFULL;
@@ -94,7 +101,7 @@ inline replica::SnapshotMsg GoldenSnapshotMsg() {
   msg.epoch = 3;
   msg.schemas.push_back(GoldenSchemaRec());
   msg.cache_payloads.push_back(
-      persist::EncodeCacheRecordPayload(GoldenCacheEntry()));
+      persist::Encode(GoldenCacheEntry()));
   return msg;
 }
 
@@ -205,14 +212,14 @@ inline net::RoleResp GoldenRoleResp() {
   return resp;
 }
 
-/// persist::EncodeCacheRecordPayload(GoldenCacheEntry()).
+/// persist::Encode(GoldenCacheEntry()).
 inline constexpr std::string_view kCacheEntryPayloadHex =
     "efcdab89674523011032547698badcfe78695a4b3c2d1e0f06000000514d6174"
     "636808657a3765d0ed3f020000000f000000504f2f416464726573732f436974"
     "791200000050757263686173654f726465722f43697479000000000000e83f02"
     "000000504f0d00000050757263686173654f72646572000000000000e03f";
 
-/// persist::EncodeCacheRecord(GoldenCacheEntry()): the framed record,
+/// FramedCacheRecord(GoldenCacheEntry()): the framed record,
 /// [type 1][length][payload][crc32].
 inline constexpr std::string_view kCacheRecordHex =
     "010000007e000000efcdab89674523011032547698badcfe78695a4b3c2d1e0f"
@@ -229,20 +236,20 @@ inline constexpr std::string_view kRetiredCorpusRecordHex =
     "020000002400000014000000646174612f736368656d61732f504f312e787364"
     "d1ee0f00000000000200000095f7f712";
 
-/// replica::EncodeSchemaRecPayload(GoldenSchemaRec()).
+/// replica::Encode(GoldenSchemaRec()).
 inline constexpr std::string_view kSchemaRecPayloadHex =
     "03000000504f310c0000003c78733a736368656d612f3e";
 
-/// replica::EncodeSubscribeReq(GoldenSubscribeReq()).
+/// replica::Encode(GoldenSubscribeReq()).
 inline constexpr std::string_view kSubscribeReqHex =
     "07000000000000000300000000000000";
 
-/// replica::EncodeRecordsMsg(GoldenRecordsMsg()).
+/// replica::Encode(GoldenRecordsMsg()).
 inline constexpr std::string_view kRecordsMsgHex =
     "2a00000000000000030000000000000002000000290000000000000001000000"
     "030000006162632a000000000000000300000000000000";
 
-/// replica::EncodeSnapshotMsg(GoldenSnapshotMsg()). Before type 2 was
+/// replica::Encode(GoldenSnapshotMsg()). Before type 2 was
 /// retired the message carried four more zero bytes at the end: the
 /// (always empty) corpus payload count.
 inline constexpr std::string_view kSnapshotMsgHex =
@@ -253,33 +260,33 @@ inline constexpr std::string_view kSnapshotMsgHex =
     "4f726465722f43697479000000000000e83f02000000504f0d00000050757263"
     "686173654f72646572000000000000e03f";
 
-/// net::EncodeSubmitSchemaReq(GoldenSubmitSchemaReq()).
+/// net::Encode(GoldenSubmitSchemaReq()).
 inline constexpr std::string_view kSubmitSchemaReqHex =
     "03000000504f310c0000003c78733a736368656d612f3e";
 
-/// net::EncodeMatchPairReq(GoldenMatchPairReq()).
+/// net::Encode(GoldenMatchPairReq()).
 inline constexpr std::string_view kMatchPairReqHex =
     "03000000504f3103000000504f32fa00000000000000";
 
-/// net::EncodeMatchCorpusReq(GoldenMatchCorpusReq()).
+/// net::Encode(GoldenMatchCorpusReq()).
 inline constexpr std::string_view kMatchCorpusReqHex =
     "03000000504f31e803000000000000";
 
-/// net::EncodeErrorResp(GoldenErrorHead()): a kErrorResp payload.
+/// net::Encode(GoldenErrorHead()): a kErrorResp payload.
 inline constexpr std::string_view kErrorRespHex =
     "0c00000018000000656e67696e65207368656420746869732072657175657374"
     "0300000000000000";
 
-/// net::EncodeSubmitSchemaResp(GoldenSubmitSchemaResp()).
+/// net::Encode(GoldenSubmitSchemaResp()).
 inline constexpr std::string_view kSubmitSchemaRespHex =
     "00000000000000000300000000000000efcdab89674523012a00000000000000";
 
-/// net::EncodeSubmitSchemaResp(GoldenSubmitSchemaErrorResp()): the head
+/// net::Encode(GoldenSubmitSchemaErrorResp()): the head
 /// alone, no body.
 inline constexpr std::string_view kSubmitSchemaErrorRespHex =
     "0400000007000000626164207873640300000000000000";
 
-/// net::EncodeMatchPairResp(GoldenMatchPairResp()).
+/// net::Encode(GoldenMatchPairResp()).
 inline constexpr std::string_view kMatchPairRespHex =
     "0000000000000000030000000000000006000000514d61746368010000000865"
     "7a3765d0ed3f0a000000000000000c00000000000000020000000f000000504f"
@@ -287,28 +294,28 @@ inline constexpr std::string_view kMatchPairRespHex =
     "697479000000000000e83f02000000504f0d00000050757263686173654f7264"
     "6572000000000000e03f";
 
-/// net::EncodeMatchCorpusResp(GoldenMatchCorpusResp()).
+/// net::Encode(GoldenMatchCorpusResp()).
 inline constexpr std::string_view kMatchCorpusRespHex =
     "000000000000000003000000000000000200000003000000504f320000000008"
     "657a3765d0ed3f0a000000000000000600000042726f6b656e04000000000000"
     "00000000000000000000000000";
 
-/// net::EncodeStatsResp(GoldenStatsResp()).
+/// net::Encode(GoldenStatsResp()).
 inline constexpr std::string_view kStatsRespHex =
     "0000000000000000030000000000000022000000000000006400000000000000"
     "07000000000000005a0000000000000002000000000000009600000000000000"
     "0300000000000000000000000000d03f";
 
-/// net::EncodeMetricsResp(GoldenMetricsResp()).
+/// net::Encode(GoldenMetricsResp()).
 inline constexpr std::string_view kMetricsRespHex =
     "0000000000000000030000000000000015000000232054595045207820636f75"
     "6e7465720a7820310a";
 
-/// net::EncodeHealthResp(GoldenHealthResp()).
+/// net::Encode(GoldenHealthResp()).
 inline constexpr std::string_view kHealthRespHex =
     "0000000000000000030000000000000001000000";
 
-/// net::EncodeRoleResp(GoldenRoleResp()).
+/// net::Encode(GoldenRoleResp()).
 inline constexpr std::string_view kRoleRespHex =
     "0000000000000000030000000000000002000000010000002800000000000000"
     "2a000000000000000200000000000000";
