@@ -82,8 +82,7 @@ int main(int argc, char** argv) {
           engine.MatchOneToMany(query, candidates);
       if (pass == 2) continue;  // pass 2 only exercises the result cache
       std::printf("== query schema: %s ==\n", query_name);
-      // Rank by schema QoM, ties by correspondence count then position —
-      // the same order eval::RankSchemas produces.
+      // Rank by schema QoM, ties by correspondence count then position.
       std::vector<size_t> order(results.size());
       for (size_t i = 0; i < order.size(); ++i) order[i] = i;
       std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {

@@ -24,7 +24,10 @@
 #   scripts/ci.sh all        # all of the above
 #   scripts/ci.sh loc [base] # added/removed/net production lines (src/ and
 #                            # examples/) of the working tree vs a git ref
-#                            # (default HEAD~1); no build
+#                            # (default HEAD~1), files moved out of them on
+#                            # their own line; no build
+#   scripts/ci.sh orphans    # fails on any src/ header that no production
+#                            # file includes; no build (also run by default)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,6 +39,7 @@ COVERAGE_FLOOR=70
 COVERAGE_DIRS=(src/core src/obs src/match src/net)
 
 run_default() {
+  run_orphans
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build -j "${JOBS}"
   ctest --test-dir build --output-on-failure
@@ -339,20 +343,51 @@ run_coverage() {
 
 # Net production LoC: what the working tree adds and removes under src/ and
 # examples/ relative to a base ref, per directory and in total, from
-# `git diff --numstat` (binary files count as 0).
+# `git diff --numstat` (binary files count as 0). A file git detects as
+# renamed from there to outside (e.g. into tests/) is not a deletion: its
+# base lines go on a separate "moved" line, outside the net total.
 run_loc() {
   local base="$1"
-  git diff --numstat "${base}" -- src examples | awk -v base="${base}" '
+  awk -v base="${base}" '
+    FILENAME == ARGV[1] {
+      if ($1 ~ /^R/ && $2 ~ /^(src|examples)\// &&
+          $3 !~ /^(src|examples)\//) moved_to[$2] = $3
+      next
+    }
+    $3 in moved_to { files += 1; moved += $2; next }
     { dir = $3; sub(/\/.*/, "", dir)
       add[dir] += $1; del[dir] += $2; added += $1; removed += $2 }
     END {
       for (dir in add) {
         printf "%-9s +%d -%d net %+d\n", dir "/", add[dir], del[dir],
-               add[dir] - del[dir]
+               add[dir] - del[dir] | "sort"
       }
+      close("sort")
       printf "total     +%d -%d net %+d (vs %s)\n", added, removed,
              added - removed, base
-    }' | sort
+      printf "moved     %d line(s) in %d file(s) out of src/ and examples/\n",
+             moved, files
+    }' <(git diff -M --name-status "${base}" -- src examples tests) \
+       <(git diff --numstat --no-renames "${base}" -- src examples)
+}
+
+# Every header under src/ must be included by production code: another file
+# in src/ (its own .cc does not count), examples/, bench/ or perfbench/.
+# Code that only tests reach belongs under tests/.
+run_orphans() {
+  local header own users orphans=0
+  while IFS= read -r header; do
+    own="${header%.h}.cc"
+    users=$(grep -rlF --include='*.h' --include='*.cc' --include='*.cpp' \
+                 "#include \"${header#src/}\"" src examples bench perfbench |
+            grep -vxF -e "${own}" || true)
+    if [[ -z "${users}" ]]; then
+      echo "orphans: ${header} is included by no production file" >&2
+      orphans=$((orphans + 1))
+    fi
+  done < <(find src -name '*.h' | sort)
+  echo "orphans: ${orphans} header(s) reached only by tests"
+  [[ "${orphans}" -eq 0 ]]
 }
 
 case "${MODE}" in
@@ -370,10 +405,11 @@ case "${MODE}" in
   perf)      run_perf ;;
   coverage)  run_coverage ;;
   loc)       run_loc "${2:-HEAD~1}" ;;
+  orphans)   run_orphans ;;
   all)       run_default; run_tsan; run_asan; run_ubsan; run_obs_off
              run_fault_off; run_chaos; run_stress; run_recovery
              run_serve; run_ha; run_perf; run_coverage ;;
   *) echo "unknown mode '${MODE}'" \
-          "(default|tsan|asan|ubsan|obs-off|fault-off|chaos|stress|recovery|serve|ha|perf|coverage|all|loc)" >&2
+          "(default|tsan|asan|ubsan|obs-off|fault-off|chaos|stress|recovery|serve|ha|perf|coverage|all|loc|orphans)" >&2
      exit 2 ;;
 esac

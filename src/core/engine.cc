@@ -8,6 +8,7 @@
 
 #include "common/arena.h"
 #include "fault/failpoint.h"
+#include "lingua/default_thesaurus.h"
 #include "obs/obs.h"
 
 namespace qmatch::core {
@@ -108,17 +109,8 @@ MatchEngine::MatchEngine(MatchEngineOptions options)
     : MatchEngine(QMatchConfig{}, std::move(options)) {}
 
 MatchEngine::MatchEngine(QMatchConfig config, MatchEngineOptions options)
-    : matcher_(std::move(config)),
-      threads_(ResolveThreads(options.threads)),
-      options_(options),
-      admission_(options.overload.admission),
-      process_budget_(options.overload.process_budget_bytes) {
-  config_hash_ = HashConfig(matcher_.config());
-  // The calling thread participates in every ParallelFor, so `threads`
-  // total parallelism needs threads-1 pool workers.
-  pool_ = std::make_unique<ThreadPool>(threads_ - 1);
-  InitPersist();
-}
+    : MatchEngine(std::move(config), &lingua::DefaultThesaurus(),
+                  std::move(options)) {}
 
 MatchEngine::MatchEngine(QMatchConfig config, const lingua::Thesaurus* thesaurus,
                          MatchEngineOptions options)
@@ -128,6 +120,8 @@ MatchEngine::MatchEngine(QMatchConfig config, const lingua::Thesaurus* thesaurus
       admission_(options.overload.admission),
       process_budget_(options.overload.process_budget_bytes) {
   config_hash_ = HashConfig(matcher_.config());
+  // The calling thread participates in every ParallelFor, so `threads`
+  // total parallelism needs threads-1 pool workers.
   pool_ = std::make_unique<ThreadPool>(threads_ - 1);
   InitPersist();
 }

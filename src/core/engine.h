@@ -148,7 +148,7 @@ struct EngineMatchResult {
 ///     hash), so repeated queries against a repository skip recomputation.
 ///
 /// The engine is itself a `Matcher`, so it drops into every API that
-/// consumes one (eval::RankSchemas, the composite matcher, the CLI).
+/// consumes one (the composite matcher, the CLI).
 /// All public methods are safe to call concurrently.
 class MatchEngine : public Matcher {
  public:

@@ -1091,7 +1091,14 @@ Deadline Server::RequestDeadline(uint64_t deadline_ms) const {
       (budget.count() <= 0 || budget > options_.max_deadline)) {
     budget = options_.max_deadline;
   }
-  if (budget.count() <= 0) return Deadline::Infinite();
+  // A budget past what the steady clock can represent from now (~292 years
+  // of nanoseconds) would overflow into the past; it means no deadline.
+  const Deadline::Clock::duration headroom =
+      Deadline::Clock::time_point::max() - Deadline::Clock::now();
+  if (budget.count() <= 0 ||
+      budget >= std::chrono::duration_cast<milliseconds>(headroom)) {
+    return Deadline::Infinite();
+  }
   return Deadline::After(budget);
 }
 

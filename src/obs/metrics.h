@@ -217,7 +217,7 @@ class Registry {
   std::string PrometheusText() const;
 
   /// JSON object {"counters": {...}, "gauges": {...}, "histograms": {...}}.
-  /// Guaranteed parseable by obs::json::Parse (tested round-trip).
+  /// Valid JSON: obs_test parses it back with tests/support/json.h.
   std::string JsonText() const;
 
   /// Sorted snapshot accessors for custom exporters.

@@ -92,7 +92,7 @@ namespace qmatch::obs {
 
 /// One JSON document combining the metric registry and the per-span-name
 /// aggregates: {"obs_enabled": ..., "metrics": {...}, "spans": {...}}.
-/// This is the payload `--metrics-out` writes; parseable by json::Parse.
+/// This is the payload `--metrics-out` writes; obs_test parses it back.
 std::string CombinedJson();
 
 /// Command-line plumbing shared by bench_scaling / schema_search /

@@ -73,7 +73,7 @@ class Tracer {
   std::string ChromeTraceJson() const;
 
   /// JSON object {"<name>": {"count": ..., "total_ns": ..., "max_ns": ...}}
-  /// of the per-name aggregates (parseable by obs::json::Parse).
+  /// of the per-name aggregates (valid JSON; obs_test parses it back).
   std::string StatsJson() const;
 
  private:

@@ -7,7 +7,6 @@
 #include "eval/gold.h"
 #include "eval/match_report.h"
 #include "eval/metrics.h"
-#include "eval/rank.h"
 #include "eval/report.h"
 #include "xsd/builder.h"
 
@@ -257,48 +256,6 @@ TEST(MatchReportTest, MaxRowsElides) {
   std::string report =
       RenderMatchReport(source, target, result, nullptr, options);
   EXPECT_NE(report.find("more rows elided"), std::string::npos);
-}
-
-// --- RankSchemas ---------------------------------------------------------
-
-TEST(RankTest, SelfMatchRanksFirst) {
-  xsd::Schema query = datagen::MakePO1();
-  xsd::Schema same = datagen::MakePO1();
-  xsd::Schema close = datagen::MakePO2();
-  xsd::Schema far = datagen::MakeHuman();
-  std::vector<const xsd::Schema*> candidates = {&far, &close, &same};
-  core::QMatch matcher;
-  std::vector<RankEntry> ranking = RankSchemas(matcher, query, candidates);
-  ASSERT_EQ(ranking.size(), 3u);
-  EXPECT_EQ(ranking[0].index, 2u);  // the identical schema
-  EXPECT_NEAR(ranking[0].schema_qom, 1.0, 1e-9);
-  EXPECT_EQ(ranking[1].index, 1u);  // PO2
-  EXPECT_EQ(ranking[2].index, 0u);  // Human last
-  EXPECT_GE(ranking[1].schema_qom, ranking[2].schema_qom);
-}
-
-TEST(RankTest, EmptyCandidates) {
-  xsd::Schema query = datagen::MakeBook();
-  core::QMatch matcher;
-  EXPECT_TRUE(RankSchemas(matcher, query, {}).empty());
-}
-
-TEST(RankTest, OrderIsDescendingAndStable) {
-  xsd::Schema query = datagen::MakeBook();
-  std::vector<xsd::Schema> pool;
-  for (const datagen::MatchTask& task : datagen::Tasks()) {
-    if (task.name == "Protein") continue;
-    pool.push_back(task.source());
-    pool.push_back(task.target());
-  }
-  std::vector<const xsd::Schema*> candidates;
-  for (const xsd::Schema& schema : pool) candidates.push_back(&schema);
-  core::QMatch matcher;
-  std::vector<RankEntry> ranking = RankSchemas(matcher, query, candidates);
-  ASSERT_EQ(ranking.size(), candidates.size());
-  for (size_t i = 1; i < ranking.size(); ++i) {
-    EXPECT_GE(ranking[i - 1].schema_qom, ranking[i].schema_qom);
-  }
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "datagen/corpus.h"
-#include "datagen/docgen.h"
 #include "match/composite_matcher.h"
 #include "match/instance_matcher.h"
+#include "support/docgen.h"
 #include "xml/parser.h"
 #include "xsd/builder.h"
 #include "xsd/infer.h"

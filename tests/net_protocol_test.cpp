@@ -539,6 +539,35 @@ TEST_F(LoopbackTest, HttpGetServesOneShotPrometheusScrape) {
   EXPECT_GE(server_->stats().http_metrics, 1u);
 }
 
+TEST(DeadlineTest, BudgetBeyondTheClockRangeIsUnbounded) {
+  // With no ceiling configured, a deadline_ms too large for the steady
+  // clock (about 9.3e12 ms and up overflows its nanosecond count) must
+  // mean "no deadline", not a deadline wrapped into the past.
+  core::MatchEngine engine{core::MatchEngineOptions{}};
+  ServerOptions options;
+  options.max_deadline = std::chrono::milliseconds(0);
+  Server server(&engine, options);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    Result<Client> client = Client::Connect(
+        "127.0.0.1", server.port(), test::Scaled(std::chrono::seconds(5)));
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    for (size_t i = 0; i < 2; ++i) {
+      Result<SubmitSchemaResp> submit =
+          client->SubmitSchema(CorpusName(i), CorpusXsd(i));
+      ASSERT_TRUE(submit.ok() && submit->head.ok());
+    }
+    Result<MatchPairResp> match = client->MatchPair(  // PO1 -> PO2
+        CorpusName(0), CorpusName(1), /*deadline_ms=*/10'000'000'000'000);
+    ASSERT_TRUE(match.ok()) << match.status().ToString();
+    EXPECT_EQ(match->head.status_code(), StatusCode::kOk)
+        << match->head.message;
+    EXPECT_GT(match->total_rows, 0u);
+    EXPECT_EQ(match->completed_rows, match->total_rows);
+  }
+  server.Stop();
+}
+
 TEST_F(LoopbackTest, ServerStatsAccountConnectionsAndRequests) {
   {
     Client client = Connect();

@@ -13,8 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "obs/json.h"
 #include "obs/obs.h"
+#include "support/json.h"
 #include "xsd/parser.h"
 
 namespace qmatch::obs {

@@ -1,4 +1,4 @@
-#include "datagen/docgen.h"
+#include "support/docgen.h"
 
 #include <memory>
 

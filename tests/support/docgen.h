@@ -1,5 +1,5 @@
-#ifndef QMATCH_DATAGEN_DOCGEN_H_
-#define QMATCH_DATAGEN_DOCGEN_H_
+#ifndef QMATCH_TESTS_SUPPORT_DOCGEN_H_
+#define QMATCH_TESTS_SUPPORT_DOCGEN_H_
 
 #include <cstdint>
 
@@ -20,9 +20,9 @@ struct DocGenOptions {
 };
 
 /// Generates an XML instance document conforming to `schema` — the inverse
-/// of `xsd::InferSchema`, used to synthesise the "schemaless web document"
-/// workloads of the paper's motivating scenario and to property-test the
-/// inference path (infer(generate(S)) reconstructs S's structure).
+/// of `xsd::InferSchema`. Tests use it to synthesise the "schemaless web
+/// document" inputs of the paper's motivating scenario and to property-test
+/// the inference path (infer(generate(S)) reconstructs S's structure).
 ///
 /// Leaf values are drawn per the declared datatype (integers, decimals,
 /// booleans, dates, years, URIs, words); `default`/`fixed` values are
@@ -32,4 +32,4 @@ xml::XmlDocument GenerateDocument(const xsd::Schema& schema,
 
 }  // namespace qmatch::datagen
 
-#endif  // QMATCH_DATAGEN_DOCGEN_H_
+#endif  // QMATCH_TESTS_SUPPORT_DOCGEN_H_

@@ -1,4 +1,4 @@
-#include "obs/json.h"
+#include "support/json.h"
 
 #include <cstdlib>
 

@@ -1,5 +1,5 @@
-#ifndef QMATCH_OBS_JSON_H_
-#define QMATCH_OBS_JSON_H_
+#ifndef QMATCH_TESTS_SUPPORT_JSON_H_
+#define QMATCH_TESTS_SUPPORT_JSON_H_
 
 #include <map>
 #include <memory>
@@ -12,8 +12,8 @@
 namespace qmatch::obs::json {
 
 /// A parsed JSON value. Self-contained, zero-dependency — exists so the
-/// observability exporters can be round-trip tested (and so tools can read
-/// `--metrics-out` files back) without pulling in a JSON library.
+/// observability exporters' output (the `--metrics-out` payload included)
+/// can be round-trip tested without pulling in a JSON library.
 ///
 /// Objects keep insertion order out of scope: they are std::map (sorted by
 /// key), which is all the metric tooling needs.
@@ -77,4 +77,4 @@ Result<Value> Parse(std::string_view input);
 
 }  // namespace qmatch::obs::json
 
-#endif  // QMATCH_OBS_JSON_H_
+#endif  // QMATCH_TESTS_SUPPORT_JSON_H_

@@ -8,8 +8,8 @@
 
 #include <string>
 
-#include "datagen/docgen.h"
 #include "datagen/generator.h"
+#include "support/docgen.h"
 #include "xml/dom.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
