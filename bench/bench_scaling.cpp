@@ -118,7 +118,7 @@ void BM_EngineCorpus_Threads(benchmark::State& state) {
   options.cache_capacity = 0;
   core::MatchEngine engine(options);
   for (auto _ : state) {
-    std::vector<MatchResult> results = engine.MatchAll(jobs);
+    std::vector<core::EngineMatchResult> results = engine.MatchAll(jobs, {});
     benchmark::DoNotOptimize(results);
   }
   state.counters["jobs"] = static_cast<double>(jobs.size());

@@ -6,8 +6,9 @@
 //   qmatchd [options]
 //     --port <p>               listen port (default 7433; 0 = ephemeral)
 //     --bind <addr>            bind address (default 127.0.0.1)
-//     --workers <n>            request worker threads (default 2)
-//     --threads <n>            engine match threads (default: hardware)
+//     --workers <n>            request worker threads (default 2, max 1024)
+//     --threads <n>            engine match threads (default: hardware,
+//                              max 1024)
 //     --cache <n>              result cache capacity (default 128)
 //     --admission-cost <c>     admission max inflight cost (0 = off)
 //     --queue-depth <n>        admission queue depth (default 16)
@@ -38,15 +39,20 @@
 // SIGINT stops immediately (journal still flushed). SIGUSR1 promotes a
 // standby to primary in place — unless a drain/stop is already pending:
 // drain wins, a draining daemon is never resurrected as primary. Exit
-// code: 0 on clean stop, 1 on bad input, 2 on usage error.
+// code: 0 on clean stop, 1 on bad input, 2 on usage error (an unknown
+// flag, or a numeric flag whose value is not a whole non-negative integer
+// in range).
 
+#include <charconv>
+#include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/file_util.h"
 #include "core/engine.h"
@@ -111,15 +117,36 @@ int PreloadSchemas(net::Server& server, const std::string& dir) {
   return loaded;
 }
 
+/// Upper bound of --threads and --workers: a thread count past it is a
+/// typo, not a deployment.
+constexpr uint64_t kMaxThreads = 1024;
+/// Upper bound of every *-ms flag: what std::chrono::milliseconds holds.
+constexpr uint64_t kMaxMillis = INT64_MAX;
+
+std::chrono::milliseconds Millis(uint64_t ms) {
+  return std::chrono::milliseconds(static_cast<int64_t>(ms));
+}
+
+/// Parses the whole of `text` as a decimal integer in [0, max]. A sign,
+/// whitespace, a trailing character, an empty token or a value past `max`
+/// is rejected.
+bool ParseNumber(std::string_view text, uint64_t max, uint64_t* out) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return false;
+  *out = value;
+  return true;
+}
+
 bool ParseHostPort(const std::string& spec, std::string* host,
                    uint16_t* port) {
   const size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
-    return false;
-  }
+  if (colon == std::string::npos || colon == 0) return false;
+  const std::string_view digits = std::string_view(spec).substr(colon + 1);
+  uint64_t parsed = 0;
+  if (!ParseNumber(digits, 65535, &parsed) || parsed == 0) return false;
   *host = spec.substr(0, colon);
-  const long parsed = std::atol(spec.c_str() + colon + 1);
-  if (parsed <= 0 || parsed > 65535) return false;
   *port = static_cast<uint16_t>(parsed);
   return true;
 }
@@ -142,31 +169,36 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
-    if (arg == "--port" && (v = next()) != nullptr) {
-      server_options.port = static_cast<uint16_t>(std::atoi(v));
+    // A numeric flag's value lands in `n`; a malformed or out-of-range one
+    // falls through to Usage() before any engine or thread is built.
+    uint64_t n = 0;
+    auto number = [&](uint64_t max) {
+      const char* text = next();
+      return text != nullptr && ParseNumber(text, max, &n);
+    };
+    if (arg == "--port" && number(65535)) {
+      server_options.port = static_cast<uint16_t>(n);
     } else if (arg == "--bind" && (v = next()) != nullptr) {
       server_options.bind_address = v;
-    } else if (arg == "--workers" && (v = next()) != nullptr) {
-      server_options.request_threads = static_cast<size_t>(std::atol(v));
-    } else if (arg == "--threads" && (v = next()) != nullptr) {
-      engine_options.threads = static_cast<size_t>(std::atol(v));
-    } else if (arg == "--cache" && (v = next()) != nullptr) {
-      engine_options.cache_capacity = static_cast<size_t>(std::atol(v));
-    } else if (arg == "--admission-cost" && (v = next()) != nullptr) {
-      engine_options.overload.admission.max_inflight_cost =
-          static_cast<uint64_t>(std::atoll(v));
-    } else if (arg == "--queue-depth" && (v = next()) != nullptr) {
+    } else if (arg == "--workers" && number(kMaxThreads)) {
+      server_options.request_threads = static_cast<size_t>(n);
+    } else if (arg == "--threads" && number(kMaxThreads)) {
+      engine_options.threads = static_cast<size_t>(n);
+    } else if (arg == "--cache" && number(SIZE_MAX)) {
+      engine_options.cache_capacity = static_cast<size_t>(n);
+    } else if (arg == "--admission-cost" && number(UINT64_MAX)) {
+      engine_options.overload.admission.max_inflight_cost = n;
+    } else if (arg == "--queue-depth" && number(SIZE_MAX)) {
       engine_options.overload.admission.max_queue_depth =
-          static_cast<size_t>(std::atol(v));
-    } else if (arg == "--max-deadline-ms" && (v = next()) != nullptr) {
-      server_options.max_deadline = std::chrono::milliseconds(std::atoll(v));
-    } else if (arg == "--default-deadline-ms" && (v = next()) != nullptr) {
-      server_options.default_deadline =
-          std::chrono::milliseconds(std::atoll(v));
-    } else if (arg == "--idle-timeout-ms" && (v = next()) != nullptr) {
-      server_options.idle_timeout = std::chrono::milliseconds(std::atoll(v));
-    } else if (arg == "--max-connections" && (v = next()) != nullptr) {
-      server_options.max_connections = static_cast<size_t>(std::atol(v));
+          static_cast<size_t>(n);
+    } else if (arg == "--max-deadline-ms" && number(kMaxMillis)) {
+      server_options.max_deadline = Millis(n);
+    } else if (arg == "--default-deadline-ms" && number(kMaxMillis)) {
+      server_options.default_deadline = Millis(n);
+    } else if (arg == "--idle-timeout-ms" && number(kMaxMillis)) {
+      server_options.idle_timeout = Millis(n);
+    } else if (arg == "--max-connections" && number(SIZE_MAX)) {
+      server_options.max_connections = static_cast<size_t>(n);
     } else if (arg == "--preload" && (v = next()) != nullptr) {
       preload_dir = v;
     } else if (arg == "--persist" && (v = next()) != nullptr) {
@@ -183,12 +215,12 @@ int main(int argc, char** argv) {
       replicate_from = v;
     } else if (arg == "--peer" && (v = next()) != nullptr) {
       peer_spec = v;
-    } else if (arg == "--drain-deadline-ms" && (v = next()) != nullptr) {
-      drain_deadline = std::chrono::milliseconds(std::atoll(v));
-    } else if (arg == "--ready-lag" && (v = next()) != nullptr) {
-      server_options.ready_lag_records = static_cast<uint64_t>(std::atoll(v));
-    } else if (arg == "--replica-log" && (v = next()) != nullptr) {
-      replica_log_capacity = static_cast<size_t>(std::atol(v));
+    } else if (arg == "--drain-deadline-ms" && number(kMaxMillis)) {
+      drain_deadline = Millis(n);
+    } else if (arg == "--ready-lag" && number(UINT64_MAX)) {
+      server_options.ready_lag_records = n;
+    } else if (arg == "--replica-log" && number(SIZE_MAX)) {
+      replica_log_capacity = static_cast<size_t>(n);
     } else {
       return Usage();
     }

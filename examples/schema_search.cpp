@@ -66,10 +66,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<const xsd::Schema*> candidates;
-  candidates.reserve(repository.size());
-  for (const Source& source : repository) candidates.push_back(&source.schema);
-
   // Query: "find sources that can answer a purchase-order query".
   core::MatchEngine engine;  // paper-default config, hardware threads
   for (int pass = 1; pass <= 2; ++pass) {
@@ -78,25 +74,30 @@ int main(int argc, char** argv) {
       for (const datagen::CorpusEntry& entry : datagen::Corpus()) {
         if (entry.name == query_name) query = entry.make();
       }
-      std::vector<MatchResult> results =
-          engine.MatchOneToMany(query, candidates);
+      std::vector<core::MatchJob> jobs;
+      jobs.reserve(repository.size());
+      for (const Source& source : repository) {
+        jobs.push_back(core::MatchJob{&query, &source.schema});
+      }
+      const std::vector<core::EngineMatchResult> results =
+          engine.MatchAll(jobs, {});
       if (pass == 2) continue;  // pass 2 only exercises the result cache
       std::printf("== query schema: %s ==\n", query_name);
       // Rank by schema QoM, ties by correspondence count then position.
       std::vector<size_t> order(results.size());
       for (size_t i = 0; i < order.size(); ++i) order[i] = i;
       std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        if (results[a].schema_qom != results[b].schema_qom) {
-          return results[a].schema_qom > results[b].schema_qom;
-        }
-        return results[a].correspondences.size() >
-               results[b].correspondences.size();
+        const MatchResult& ra = results[a].result;
+        const MatchResult& rb = results[b].result;
+        if (ra.schema_qom != rb.schema_qom) return ra.schema_qom > rb.schema_qom;
+        return ra.correspondences.size() > rb.correspondences.size();
       });
       int shown = 0;
       for (size_t index : order) {
+        const MatchResult& result = results[index].result;
         std::printf("  %-16s QoM %.3f  (%zu correspondences)\n",
-                    repository[index].name.c_str(), results[index].schema_qom,
-                    results[index].correspondences.size());
+                    repository[index].name.c_str(), result.schema_qom,
+                    result.correspondences.size());
         if (++shown == 6) break;
       }
       std::printf("\n");

@@ -25,7 +25,9 @@
 #   scripts/ci.sh loc [base] # added/removed/net production lines (src/ and
 #                            # examples/) of the working tree vs a git ref
 #                            # (default HEAD~1), files moved out of them on
-#                            # their own line; no build
+#                            # their own line, and the option count (members
+#                            # of src/ *Options/*Config structs) at the ref
+#                            # and in the tree; no build, a report not a gate
 #   scripts/ci.sh orphans    # fails on any src/ header that no production
 #                            # file includes; no build (also run by default)
 set -euo pipefail
@@ -369,6 +371,9 @@ run_loc() {
              moved, files
     }' <(git diff -M --name-status "${base}" -- src examples tests) \
        <(git diff --numstat --no-renames "${base}" -- src examples)
+  # Settable options: data members of the src/ *Options and *Config structs.
+  printf "options   %d -> %d\n" "$(python3 scripts/count_options.py "${base}")" \
+         "$(python3 scripts/count_options.py)"
 }
 
 # Every header under src/ must be included by production code: another file

@@ -16,7 +16,6 @@ inline bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
 inline bool IsAsciiUpper(char c) { return c >= 'A' && c <= 'Z'; }
 inline bool IsAsciiLower(char c) { return c >= 'a' && c <= 'z'; }
 inline bool IsAsciiAlpha(char c) { return IsAsciiUpper(c) || IsAsciiLower(c); }
-inline bool IsAsciiAlnum(char c) { return IsAsciiAlpha(c) || IsAsciiDigit(c); }
 inline char AsciiToLower(char c) {
   return IsAsciiUpper(c) ? static_cast<char>(c - 'A' + 'a') : c;
 }

@@ -63,6 +63,13 @@ uint64_t HashConfig(const QMatchConfig& config) {
   return h;
 }
 
+/// The degradation ladder (DESIGN.md §11.3): Pressure() at or above these
+/// thresholds drops a request to kCappedDepth, then to kLabelOnly.
+constexpr double kCappedDepthPressure = 0.75;
+constexpr double kLabelOnlyPressure = 0.90;
+/// Subtree-depth cap of the kCappedDepth rung (see TreeMatchOptions).
+constexpr size_t kChildrenDepthCap = 3;
+
 size_t ResolveThreads(size_t requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -367,34 +374,16 @@ ThreadPool* MatchEngine::PoolFor(size_t pairs) const {
                                                                 : nullptr;
 }
 
-MatchResult MatchEngine::MatchBlocking(const xsd::Schema& source,
-                                       const xsd::Schema& target,
-                                       ThreadPool* pool) const {
-  const bool cached = options_.cache_capacity > 0;
-  CacheKey key;
-  if (cached) {
-    key = MakeKey(source, target);
-    MatchResult hit;
-    if (CacheLookup(key, source, target, &hit)) return hit;
-  }
-  // The untyped API has no deadline to bound a queue wait and no way to
-  // return a typed shed, so it applies pure backpressure: block until
-  // capacity frees up. Callers that want load shedding use the typed Match.
-  AdmissionPermit permit;
-  admission_.AdmitBlocking(
-      std::max<uint64_t>(1, source.NodeCount() * target.NodeCount()), &permit);
-  MatchResult result = matcher_.Match(source, target, pool);
-  if (cached) CacheStore(key, result);
-  return result;
-}
-
 MatchResult MatchEngine::Match(const xsd::Schema& source,
                                const xsd::Schema& target) const {
-  QMATCH_SPAN(span, "engine.match");
-  QMATCH_SPAN_ARG(span, "source_nodes", source.NodeCount());
-  QMATCH_SPAN_ARG(span, "target_nodes", target.NodeCount());
-  return MatchBlocking(source, target,
-                       PoolFor(source.NodeCount() * target.NodeCount()));
+  return Match(source, target, EngineRequestOptions{}).result;
+}
+
+EngineMatchResult MatchEngine::Match(const xsd::Schema& source,
+                                     const xsd::Schema& target,
+                                     const EngineRequestOptions& options) const {
+  return MatchRequest(source, target, options,
+                      PoolFor(source.NodeCount() * target.NodeCount()));
 }
 
 match::SimilarityMatrix MatchEngine::Similarity(
@@ -403,36 +392,11 @@ match::SimilarityMatrix MatchEngine::Similarity(
                              PoolFor(source.NodeCount() * target.NodeCount()));
 }
 
-std::vector<MatchResult> MatchEngine::MatchAll(
-    const std::vector<MatchJob>& jobs) const {
-  std::vector<MatchResult> results(jobs.size());
-  if (jobs.empty()) return results;
-  if (jobs.size() == 1) {
-    // A single job gets the row-parallel fill instead of job fan-out.
-    results[0] = Match(*jobs[0].source, *jobs[0].target);
-    return results;
-  }
-  // Fan jobs out across the pool; each job fills its own table
-  // sequentially (the batch already saturates the workers, and one table
-  // per thread keeps memory locality). Determinism: slot i is written by
-  // exactly one task and holds the result of jobs[i] no matter which
-  // worker ran it or in what order.
-  QMATCH_SPAN(span, "engine.match_all");
-  QMATCH_SPAN_ARG(span, "jobs", jobs.size());
-  QMATCH_OBS_ONLY(const uint64_t fanout_start_ns = obs::MonotonicNowNs();)
-  pool_->ParallelFor(jobs.size(), [&](size_t i) {
-    results[i] = MatchBlocking(*jobs[i].source, *jobs[i].target, nullptr);
-  });
-  QMATCH_HISTOGRAM_OBSERVE("engine.batch_fanout_ns",
-                           obs::MonotonicNowNs() - fanout_start_ns);
-  QMATCH_COUNTER_ADD("engine.batch_jobs", jobs.size());
-  return results;
-}
-
-EngineMatchResult MatchEngine::Match(const xsd::Schema& source,
-                                     const xsd::Schema& target,
-                                     const EngineRequestOptions& options) const {
-  QMATCH_SPAN(span, "engine.match_request");
+EngineMatchResult MatchEngine::MatchRequest(const xsd::Schema& source,
+                                            const xsd::Schema& target,
+                                            const EngineRequestOptions& options,
+                                            ThreadPool* pool) const {
+  QMATCH_SPAN(span, "engine.match");
   QMATCH_SPAN_ARG(span, "source_nodes", source.NodeCount());
   QMATCH_SPAN_ARG(span, "target_nodes", target.NodeCount());
   EngineMatchResult out;
@@ -452,6 +416,14 @@ EngineMatchResult MatchEngine::Match(const xsd::Schema& source,
       return out;
     }
   }
+  // A tripped envelope ends the request before admission and the table
+  // allocation: neither polls it, and in a batch every job still to start
+  // would pay for both after the deadline.
+  if (const StopReason stop = control.Check(); stop != StopReason::kNone) {
+    out.status = StopStatus(stop, "match");
+    CountRequestOutcome(out.status);
+    return out;
+  }
   const size_t pairs = source.NodeCount() * target.NodeCount();
   const OverloadOptions& overload = options_.overload;
 
@@ -468,23 +440,17 @@ EngineMatchResult MatchEngine::Match(const xsd::Schema& source,
     }
   }
 
-  // Degradation ladder: the pressure signal picks the rung, unless the
-  // request pins one explicitly.
+  // Degradation ladder: the pressure signal picks the rung.
   const double pressure = Pressure();
   QMATCH_GAUGE_SET("engine.pressure_permille",
                    static_cast<uint64_t>(pressure * 1000.0));
   MatchMode mode = MatchMode::kFull;
-  if (options.force_mode.has_value()) {
-    mode = *options.force_mode;
-  } else if (pressure >= overload.label_only_pressure) {
+  if (pressure >= kLabelOnlyPressure) {
     mode = MatchMode::kLabelOnly;
-  } else if (pressure >= overload.capped_depth_pressure) {
-    mode = MatchMode::kCappedDepth;
-  }
-  if (mode == MatchMode::kCappedDepth) {
-    QMATCH_COUNTER_ADD("engine.degraded.capped_depth", 1);
-  } else if (mode == MatchMode::kLabelOnly) {
     QMATCH_COUNTER_ADD("engine.degraded.label_only", 1);
+  } else if (pressure >= kCappedDepthPressure) {
+    mode = MatchMode::kCappedDepth;
+    QMATCH_COUNTER_ADD("engine.degraded.capped_depth", 1);
   }
 
   // Memory budget: the pairwise table is this request's dominant
@@ -504,13 +470,13 @@ EngineMatchResult MatchEngine::Match(const xsd::Schema& source,
 
   TreeMatchOptions tree;
   tree.mode = mode;
-  tree.children_depth_cap = overload.children_depth_cap;
+  tree.children_depth_cap = kChildrenDepthCap;
   // The SoA kernel's scratch arena charges the same request budget as the
   // table, block-by-block; exhaustion surfaces as ArenaExhausted below.
   tree.arena_budget = &request_budget;
   try {
     QMatch::Analysis analysis =
-        matcher_.Analyze(source, target, PoolFor(pairs), &control, tree);
+        matcher_.Analyze(source, target, pool, &control, tree);
     out.completed_rows = analysis.completed_rows();
     out.total_rows = analysis.total_rows();
     switch (analysis.stop_reason()) {
@@ -551,26 +517,28 @@ std::vector<EngineMatchResult> MatchEngine::MatchAll(
     const EngineRequestOptions& options) const {
   std::vector<EngineMatchResult> results(jobs.size());
   if (jobs.empty()) return results;
-  QMATCH_SPAN(span, "engine.match_all_request");
-  QMATCH_SPAN_ARG(span, "jobs", jobs.size());
-  // Same determinism contract as the untyped MatchAll: slot i holds the
-  // result of jobs[i] regardless of scheduling. The typed Match never
-  // throws, so the fan-out completes even when every job degrades.
-  pool_->ParallelFor(jobs.size(), [&](size_t i) {
-    results[i] = Match(*jobs[i].source, *jobs[i].target, options);
-  });
-  return results;
-}
-
-std::vector<MatchResult> MatchEngine::MatchOneToMany(
-    const xsd::Schema& query,
-    const std::vector<const xsd::Schema*>& candidates) const {
-  std::vector<MatchJob> jobs;
-  jobs.reserve(candidates.size());
-  for (const xsd::Schema* candidate : candidates) {
-    jobs.push_back(MatchJob{&query, candidate});
+  if (jobs.size() == 1) {
+    // A single job gets the row-parallel fill instead of job fan-out.
+    results[0] = Match(*jobs[0].source, *jobs[0].target, options);
+    return results;
   }
-  return MatchAll(jobs);
+  // Fan jobs out across the pool; each job fills its own table
+  // sequentially (the batch already saturates the workers, and one table
+  // per thread keeps memory locality). Determinism: slot i is written by
+  // exactly one task and holds the result of jobs[i] no matter which
+  // worker ran it or in what order. The body never throws, so the fan-out
+  // completes even when every job degrades.
+  QMATCH_SPAN(span, "engine.match_all");
+  QMATCH_SPAN_ARG(span, "jobs", jobs.size());
+  QMATCH_OBS_ONLY(const uint64_t fanout_start_ns = obs::MonotonicNowNs();)
+  pool_->ParallelFor(jobs.size(), [&](size_t i) {
+    results[i] =
+        MatchRequest(*jobs[i].source, *jobs[i].target, options, nullptr);
+  });
+  QMATCH_HISTOGRAM_OBSERVE("engine.batch_fanout_ns",
+                           obs::MonotonicNowNs() - fanout_start_ns);
+  QMATCH_COUNTER_ADD("engine.batch_jobs", jobs.size());
+  return results;
 }
 
 double MatchEngine::Pressure() const {
@@ -582,13 +550,6 @@ MatchEngineCacheStats MatchEngine::cache_stats() const {
   MatchEngineCacheStats stats = cache_stats_;
   stats.entries = cache_lru_.size();
   return stats;
-}
-
-void MatchEngine::ClearCache() {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  cache_lru_.clear();
-  cache_index_.clear();
-  cache_stats_ = MatchEngineCacheStats{};
 }
 
 }  // namespace qmatch::core

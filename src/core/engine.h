@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,13 +23,13 @@
 
 namespace qmatch::core {
 
-/// Overload-protection knobs: admission control, memory budgets and the
-/// pressure-driven degradation ladder. Every default leaves the mechanism
-/// off, so an unconfigured engine behaves bit-identically to one built
-/// before this layer existed.
+/// Overload-protection knobs: admission control and memory budgets, whose
+/// pressure drives the degradation ladder (its thresholds are constants in
+/// engine.cc). Every default leaves the mechanism off, so an unconfigured
+/// engine behaves bit-identically to one built before this layer existed.
 struct OverloadOptions {
-  /// Admission control over typed requests (cost = |Ns|·|Nt| node pairs).
-  /// Disabled while `admission.max_inflight_cost` is 0.
+  /// Admission control over every match request (cost = |Ns|·|Nt| node
+  /// pairs). Disabled while `admission.max_inflight_cost` is 0.
   AdmissionOptions admission;
 
   /// Process-wide memory budget shared by every request (0 = unlimited).
@@ -39,17 +38,6 @@ struct OverloadOptions {
   /// Per-request memory budget, charged into the process budget
   /// (0 = unlimited). Bounds one request's pairwise table + parse arena.
   uint64_t request_budget_bytes = 0;
-
-  /// Degradation ladder thresholds on the pressure signal
-  /// (max of admission pressure and process-budget watermark, in [0, 1]):
-  /// pressure >= capped_depth_pressure degrades to kCappedDepth,
-  /// >= label_only_pressure to kLabelOnly. A threshold > 1 disables that
-  /// rung.
-  double capped_depth_pressure = 0.75;
-  double label_only_pressure = 0.90;
-
-  /// Subtree-depth cap of the kCappedDepth rung (see TreeMatchOptions).
-  size_t children_depth_cap = 3;
 };
 
 /// Tuning knobs for the parallel batch-match engine.
@@ -109,11 +97,6 @@ struct MatchJob {
 struct EngineRequestOptions {
   Deadline deadline;
   const CancellationToken* cancel = nullptr;
-
-  /// Pins the degradation mode instead of letting the pressure signal pick
-  /// it — tests and quality experiments use this to get a deterministic
-  /// degraded run; production callers normally leave it unset.
-  std::optional<MatchMode> force_mode;
 };
 
 /// Typed outcome of one deadline/cancellation-aware match. `status` is the
@@ -138,7 +121,7 @@ struct EngineMatchResult {
 ///
 ///  1. a fixed ThreadPool that fans a batch of (source, target) pairs out
 ///     across workers with deterministic, input-ordered results
-///     (`MatchAll`, `MatchOneToMany`);
+///     (`MatchAll`);
 ///  2. a row-parallel fill of the inner pairwise-QoM table for a single
 ///     large match (`Match`), sharded by source level so the bottom-up
 ///     memoisation is preserved — output is bit-identical to the
@@ -171,8 +154,10 @@ class MatchEngine : public Matcher {
   /// Resolved total parallelism (>= 1).
   size_t threads() const { return threads_; }
 
-  /// Matches one pair, using the row-parallel table fill for large tables
-  /// and serving/filling the result cache.
+  /// The Matcher view of the typed request: `Match(source, target, {})`'s
+  /// result. With overload protection configured it can come back shed
+  /// (empty) or degraded (`result.mode` says which); with the default
+  /// options it is the full, bit-identical QMatch result.
   MatchResult Match(const xsd::Schema& source,
                     const xsd::Schema& target) const override;
 
@@ -180,18 +165,6 @@ class MatchEngine : public Matcher {
   /// the matrix dominates the recomputation cost anyway).
   match::SimilarityMatrix Similarity(const xsd::Schema& source,
                                      const xsd::Schema& target) const override;
-
-  /// Matches every job, fanning jobs out across the pool. results[i]
-  /// always corresponds to jobs[i] and every result is bit-identical to a
-  /// sequential `QMatch::Match` on the same pair, regardless of thread
-  /// count or completion order.
-  std::vector<MatchResult> MatchAll(const std::vector<MatchJob>& jobs) const;
-
-  /// Convenience fan-out of one query against a candidate repository —
-  /// the paper's Section 1 retrieval scenario.
-  std::vector<MatchResult> MatchOneToMany(
-      const xsd::Schema& query,
-      const std::vector<const xsd::Schema*>& candidates) const;
 
   /// Deadline/cancellation-aware single match. Never blocks past the
   /// deadline (modulo one node-pair of slack): the TreeMatch table fill
@@ -202,15 +175,18 @@ class MatchEngine : public Matcher {
   EngineMatchResult Match(const xsd::Schema& source, const xsd::Schema& target,
                           const EngineRequestOptions& options) const;
 
-  /// Batch fan-out with a shared request envelope: results[i] corresponds
-  /// to jobs[i] and each carries its own typed status (a deadline trips
-  /// jobs still running; completed jobs keep their full results).
+  /// Batch fan-out with a shared request envelope — one query against a
+  /// repository is the paper's Section 1 retrieval scenario. results[i]
+  /// always corresponds to jobs[i], whatever the thread count or
+  /// completion order, and each carries its own typed status (a deadline
+  /// trips jobs still running; completed jobs keep their full results). A
+  /// single job gets the row-parallel fill; otherwise jobs fan out across
+  /// the pool and each fills its table sequentially.
   std::vector<EngineMatchResult> MatchAll(
       const std::vector<MatchJob>& jobs,
       const EngineRequestOptions& options) const;
 
   MatchEngineCacheStats cache_stats() const;
-  void ClearCache();
 
   /// True when `persist_dir` was set and the store opened successfully.
   bool persist_enabled() const { return persist_ != nullptr; }
@@ -280,11 +256,13 @@ class MatchEngine : public Matcher {
   /// The pool a table of `pairs` cells is filled on: null (sequential)
   /// below `min_parallel_pairs` or on a single-threaded engine.
   ThreadPool* PoolFor(size_t pairs) const;
-  /// The untyped match body shared by Match and MatchAll: cache lookup,
-  /// blocking admission, match on `pool` (null = sequential fill, what a
-  /// batch job uses), cache store.
-  MatchResult MatchBlocking(const xsd::Schema& source,
-                            const xsd::Schema& target, ThreadPool* pool) const;
+  /// The one match body every public match call reaches: cache lookup,
+  /// admission, degradation ladder, memory budgets, TreeMatch on `pool`
+  /// (null = sequential fill, what a batch job uses), cache store.
+  EngineMatchResult MatchRequest(const xsd::Schema& source,
+                                 const xsd::Schema& target,
+                                 const EngineRequestOptions& options,
+                                 ThreadPool* pool) const;
 
   /// Opens the persistent store and warm-starts the cache from it. A store that cannot open leaves the engine fully
   /// functional, just cold.

@@ -221,13 +221,7 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
 
 MatchResult QMatch::Match(const xsd::Schema& source,
                           const xsd::Schema& target) const {
-  return Match(source, target, nullptr);
-}
-
-MatchResult QMatch::Match(const xsd::Schema& source, const xsd::Schema& target,
-                          ThreadPool* pool) const {
-  Analysis analysis = Analyze(source, target, pool);
-  return std::move(analysis.result_);
+  return Analyze(source, target).TakeResult();
 }
 
 match::SimilarityMatrix QMatch::Similarity(const xsd::Schema& source,

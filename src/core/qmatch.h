@@ -71,23 +71,13 @@ class QMatch : public Matcher {
   MatchResult Match(const xsd::Schema& source,
                     const xsd::Schema& target) const override;
 
-  /// Same as Match, filling the pairwise QoM table across `pool` (nullptr
-  /// or an empty pool = sequential). Bit-identical to the sequential path
-  /// for every pool size: the table is sharded by source row within one
-  /// source *level* at a time, which preserves the bottom-up memoisation
-  /// (a pair only reads child pairs, and children live on deeper levels
-  /// that are fully filled before the level starts), and each pair's
-  /// arithmetic is untouched. See DESIGN.md "Parallel execution model".
-  MatchResult Match(const xsd::Schema& source, const xsd::Schema& target,
-                    ThreadPool* pool) const;
-
   /// The raw weighted QoM per pair (Eq. 1), before the label-evidence gate
   /// and mapping selection.
   match::SimilarityMatrix Similarity(const xsd::Schema& source,
                                      const xsd::Schema& target) const override;
 
-  /// Pool-parallel variant of Similarity (same determinism contract as the
-  /// three-argument Match).
+  /// Pool-parallel variant of Similarity (same determinism contract as
+  /// Analyze's `pool`).
   match::SimilarityMatrix Similarity(const xsd::Schema& source,
                                      const xsd::Schema& target,
                                      ThreadPool* pool) const;
@@ -99,8 +89,8 @@ class QMatch : public Matcher {
     /// The standard result (schema QoM + correspondences).
     const MatchResult& result() const { return result_; }
 
-    /// Moves the result out, leaving the analysis without one — the
-    /// engine's typed-request path uses this to avoid copying the
+    /// Moves the result out, leaving the analysis without one — Match and
+    /// the engine's request path use this to avoid copying the
     /// correspondence vector.
     MatchResult TakeResult() { return std::move(result_); }
 
@@ -155,8 +145,13 @@ class QMatch : public Matcher {
   /// Runs TreeMatch over `source` × `target` and keeps the full pairwise
   /// table. Every argument past the schemas is optional:
   ///
-  ///  - `pool` (nullptr = sequential) fans the table fill out; see the
-  ///    three-argument Match for the determinism contract.
+  ///  - `pool` (nullptr or an empty pool = sequential) fans the table fill
+  ///    out. Bit-identical to the sequential path for every pool size: the
+  ///    table is sharded by source row within one source *level* at a
+  ///    time, which preserves the bottom-up memoisation (a pair only reads
+  ///    child pairs, and children live on deeper levels that are fully
+  ///    filled before the level starts), and each pair's arithmetic is
+  ///    untouched. See DESIGN.md "Parallel execution model".
   ///  - `control` (nullable) is polled at node-pair granularity during the
   ///    table fill. When it trips, the fill stops cooperatively and the
   ///    returned Analysis carries stop_reason() plus a *monotone partial

@@ -9,18 +9,6 @@
 
 namespace qmatch::lingua {
 
-std::string_view LabelMatchClassName(LabelMatchClass c) {
-  switch (c) {
-    case LabelMatchClass::kNone:
-      return "none";
-    case LabelMatchClass::kRelaxed:
-      return "relaxed";
-    case LabelMatchClass::kExact:
-      return "exact";
-  }
-  return "?";
-}
-
 PreparedLabel NameMatcher::Prepare(std::string_view label) {
   PreparedLabel prepared;
   prepared.tokens = TokenizeLabel(label);

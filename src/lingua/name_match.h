@@ -14,8 +14,6 @@ namespace qmatch::lingua {
 /// hyponym, acronym or abbreviation (or a strong fuzzy string match).
 enum class LabelMatchClass { kNone, kRelaxed, kExact };
 
-std::string_view LabelMatchClassName(LabelMatchClass c);
-
 /// Result of comparing two labels: the class plus the quantitative score in
 /// [0, 1] used as QoM_L. An exact match always scores 1.0.
 struct LabelMatch {

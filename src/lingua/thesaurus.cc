@@ -6,28 +6,6 @@
 
 namespace qmatch::lingua {
 
-std::string_view TermRelationName(TermRelation r) {
-  switch (r) {
-    case TermRelation::kNone:
-      return "none";
-    case TermRelation::kEqual:
-      return "equal";
-    case TermRelation::kSynonym:
-      return "synonym";
-    case TermRelation::kHypernym:
-      return "hypernym";
-    case TermRelation::kHyponym:
-      return "hyponym";
-    case TermRelation::kAcronym:
-      return "acronym";
-    case TermRelation::kAbbreviation:
-      return "abbreviation";
-    case TermRelation::kExpansion:
-      return "expansion";
-  }
-  return "?";
-}
-
 std::string Thesaurus::Canonical(std::string_view term) const {
   return CanonicalizeLabel(term);
 }

@@ -25,8 +25,6 @@ enum class TermRelation {
   kExpansion,     // lhs is the expansion of acronym/abbreviation rhs
 };
 
-std::string_view TermRelationName(TermRelation r);
-
 /// An in-memory linguistic resource: synonym sets, a hypernym hierarchy,
 /// and acronym/abbreviation expansions.
 ///

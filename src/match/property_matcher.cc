@@ -2,18 +2,6 @@
 
 namespace qmatch::match {
 
-std::string_view PropertyMatchClassName(PropertyMatchClass c) {
-  switch (c) {
-    case PropertyMatchClass::kNone:
-      return "none";
-    case PropertyMatchClass::kRelaxed:
-      return "relaxed";
-    case PropertyMatchClass::kExact:
-      return "exact";
-  }
-  return "?";
-}
-
 namespace {
 
 PropertyMatchClass CompareTypeProperty(const xsd::SchemaNode& s,

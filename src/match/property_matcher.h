@@ -15,8 +15,6 @@ namespace qmatch::match {
 /// specialization); none = properties conflict.
 enum class PropertyMatchClass { kNone, kRelaxed, kExact };
 
-std::string_view PropertyMatchClassName(PropertyMatchClass c);
-
 /// Per-property verdict, exposed for diagnostics and tests.
 struct PropertyVerdict {
   std::string property;         // "type", "order", "minOccurs", ...

@@ -54,6 +54,24 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
   const size_t m = target.size();
   if (n == 0 || m == 0) return out;
 
+  // ---- cooperative stop ---------------------------------------------------
+  // `stop` latches the first StopReason any worker observes; every worker
+  // polls it (one relaxed load) per pair, so a tripped deadline or
+  // cancellation drains the fill within one pair per worker. With no
+  // active control this is one branch per pair.
+  const bool controlled = control != nullptr && control->active();
+  std::atomic<int> stop{0};  // 0 = running, else static_cast<int>(StopReason)
+  auto should_stop = [&]() -> bool {
+    if (!controlled) return false;
+    if (stop.load(std::memory_order_relaxed) != 0) return true;
+    const StopReason reason = control->Check();
+    if (reason == StopReason::kNone) return false;
+    int expected = 0;
+    stop.compare_exchange_strong(expected, static_cast<int>(reason),
+                                 std::memory_order_relaxed);
+    return true;
+  };
+
   // ---- precompute stage -------------------------------------------------
   // Everything below runs on the coordinating thread: the arena is not
   // thread-safe, so all scratch is carved out before rows fan out.
@@ -66,7 +84,10 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
   uint8_t* label_cls = arena->MakeArray<uint8_t>(nl * ml);
   lingua::PairwiseLabelScorer scorer(*config.name_matcher, source.labels,
                                      target.labels);
+  // The label matrix is the precompute stage's token work, so it polls the
+  // stop latch once per distinct source label.
   auto fill_label_row = [&](size_t a) {
+    if (should_stop()) return;
     double* score_row = label_score + a * ml;
     uint8_t* cls_row = label_cls + a * ml;
     for (size_t b = 0; b < ml; ++b) {
@@ -82,6 +103,10 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
     pool->ParallelFor(nl, fill_label_row);
   } else {
     for (size_t a = 0; a < nl; ++a) fill_label_row(a);
+  }
+  if (stop.load(std::memory_order_relaxed) != 0) {
+    out.stop = static_cast<StopReason>(stop.load(std::memory_order_relaxed));
+    return out;  // no row ran: an empty partial
   }
 
   // Property-axis matrix over distinct packed descriptors, evaluated on
@@ -143,24 +168,6 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
   // sizeof(PairQoM) AoS cells.
   double* qom_col = arena->MakeArray<double>(n * m);
   uint8_t* cat_col = arena->MakeArray<uint8_t>(n * m);
-
-  // ---- cooperative stop ---------------------------------------------------
-  // `stop` latches the first StopReason any worker observes; every worker
-  // polls it (one relaxed load) per pair, so a tripped deadline or
-  // cancellation drains the fill within one pair per worker. With no
-  // active control this is one branch per pair.
-  const bool controlled = control != nullptr && control->active();
-  std::atomic<int> stop{0};  // 0 = running, else static_cast<int>(StopReason)
-  auto should_stop = [&]() -> bool {
-    if (!controlled) return false;
-    if (stop.load(std::memory_order_relaxed) != 0) return true;
-    const StopReason reason = control->Check();
-    if (reason == StopReason::kNone) return false;
-    int expected = 0;
-    stop.compare_exchange_strong(expected, static_cast<int>(reason),
-                                 std::memory_order_relaxed);
-    return true;
-  };
 
   // ---- row fill ----------------------------------------------------------
   // One source row, as columnar passes: children, label, properties,

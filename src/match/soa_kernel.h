@@ -54,12 +54,13 @@ struct SoaKernelResult {
 ///
 /// All scratch (similarity matrices, SoA score columns) comes from
 /// `arena`, allocated on the calling thread before any fan-out to `pool`.
-/// `control` (nullable) is polled per pair during the final combine pass;
-/// on a trip the fill stops cooperatively and `row_done` marks exactly the
-/// source rows whose every cell is complete (the monotone-partial contract
-/// of DESIGN.md §10). The `treematch.pair` failpoint fires once per
-/// computed pair, the chaos suite's hook for slow-pair and deadline
-/// scenarios.
+/// `control` (nullable) is polled once per distinct source label while the
+/// label matrix fills (a trip there returns with no row filled) and per
+/// pair during the final combine pass; on a trip the fill stops
+/// cooperatively and `row_done` marks exactly the source rows whose every
+/// cell is complete (the monotone-partial contract of DESIGN.md §10). The
+/// `treematch.pair` failpoint fires once per computed pair, the chaos
+/// suite's hook for slow-pair and deadline scenarios.
 SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
                              const xsd::FlatSchema& target,
                              const SoaKernelConfig& config,

@@ -36,6 +36,9 @@ using std::chrono::steady_clock;
 /// answered with a typed kResourceExhausted — never a dropped connection.
 constexpr size_t kMaxPipelineDepth = 256;
 
+/// Max records per pushed kReplicaRecords frame.
+constexpr size_t kReplicaBatchRecords = 512;
+
 Status ErrnoStatus(const char* what) {
   return Status::IoError(std::string(what) + ": " + std::strerror(errno));
 }
@@ -832,8 +835,7 @@ void Server::PumpReplica(Connection* conn) {
   }
   while (true) {
     std::vector<replica::LogRecord> batch;
-    if (!log->Fetch(conn->replica_next_seq, options_.replica_batch_records,
-                    &batch)) {
+    if (!log->Fetch(conn->replica_next_seq, kReplicaBatchRecords, &batch)) {
       // The subscriber predates the log's retained window: anchor it with
       // a full snapshot. The sequence is captured BEFORE the state export,
       // so records racing the export overlap the snapshot and replay

@@ -116,9 +116,6 @@ struct ServerOptions {
   /// truthful and dead links are noticed. Zero disables heartbeats.
   std::chrono::milliseconds replica_heartbeat{200};
 
-  /// Max records per pushed kReplicaRecords frame.
-  size_t replica_batch_records = 512;
-
   /// Standby readiness bound: /readyz (and kRole.ready) report ready while
   /// the replication link is up and head - applied <= this many records.
   uint64_t ready_lag_records = 64;

@@ -63,13 +63,6 @@ uint64_t Tracer::total_recorded() const {
   return next_;
 }
 
-void Tracer::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-  next_ = 0;
-  stats_.clear();
-}
-
 std::string Tracer::ChromeTraceJson() const {
   const std::vector<TraceEvent> events = Events();
   std::string out = "{\"traceEvents\": [";

@@ -65,8 +65,6 @@ class Tracer {
   uint64_t total_recorded() const;
   size_t capacity() const { return capacity_; }
 
-  void Clear();
-
   /// Chrome trace_event JSON ({"traceEvents": [...]}): load via
   /// chrome://tracing or https://ui.perfetto.dev. Timestamps/durations are
   /// microseconds as the format requires.

@@ -6,20 +6,6 @@
 
 namespace qmatch::xsd {
 
-std::string_view CompositorName(Compositor c) {
-  switch (c) {
-    case Compositor::kNone:
-      return "none";
-    case Compositor::kSequence:
-      return "sequence";
-    case Compositor::kChoice:
-      return "choice";
-    case Compositor::kAll:
-      return "all";
-  }
-  return "?";
-}
-
 std::string_view NodeKindName(NodeKind k) {
   switch (k) {
     case NodeKind::kElement:

@@ -39,7 +39,6 @@ struct FlatSchema;  // xsd/flatten.h — the SoA projection cached by Schema
 /// `kAll`/`kChoice` do not.
 enum class Compositor { kNone, kSequence, kChoice, kAll };
 
-std::string_view CompositorName(Compositor c);
 std::string_view NodeKindName(NodeKind k);
 
 /// A node of the schema tree: the unit the QoM model compares.
@@ -208,12 +207,12 @@ class Schema {
   const SchemaNode* FindByPath(std::string_view path) const;
 
   /// The structure-of-arrays projection of this tree (see xsd/flatten.h):
-  /// interned labels with prepared token lists, packed property
-  /// descriptors, level vectors and CSR child ranges — everything the SoA
-  /// match kernel reads, built lazily on first use and cached until the
-  /// tree changes (Finalize/set_root/TakeRoot invalidate it). Thread-safe
-  /// against concurrent Flat() calls; the returned reference lives as long
-  /// as the schema does (or until invalidation).
+  /// interned labels, packed property descriptors, level vectors and CSR
+  /// child ranges — everything the SoA match kernel reads, built lazily on
+  /// first use and cached until the tree changes (Finalize/set_root/
+  /// TakeRoot invalidate it). Thread-safe against concurrent Flat() calls;
+  /// the returned reference lives as long as the schema does (or until
+  /// invalidation).
   const FlatSchema& Flat() const;
 
   /// `SchemaFingerprint(*this)`, cached like Flat(): thread-safe, reset by

@@ -35,6 +35,7 @@
 #include "common/file_util.h"
 #include "common/random.h"
 #include "core/engine.h"
+#include "core/qmatch.h"
 #include "datagen/corpus.h"
 #include "datagen/generator.h"
 #include "fault/failpoint.h"
@@ -551,7 +552,7 @@ TEST_F(ChaosEngineTest, BurstBeyondCapacityShedsTypedAndAccountsExactlyOnce) {
 TEST_F(ChaosEngineTest, DegradedResultsAreDeterministicForAFixedSeed) {
   // Under saturation the ladder drops to label-only; two engines under the
   // same pressure must produce bit-identical degraded results, and those
-  // must equal an explicitly forced label-only run — degradation is a
+  // must equal an explicitly pinned label-only run — degradation is a
   // deterministic function of (inputs, mode), not of scheduling noise.
   datagen::GeneratorOptions gen;
   gen.seed = 515;
@@ -578,16 +579,17 @@ TEST_F(ChaosEngineTest, DegradedResultsAreDeterministicForAFixedSeed) {
             std::bit_cast<uint64_t>(b.result.schema_qom));
   EXPECT_EQ(CorrespondenceMap(a.result), CorrespondenceMap(b.result));
 
-  // force_mode produces the same bits without any admission pressure.
-  MatchEngine unpressured(EngineOptions(4));
-  EngineRequestOptions forced;
-  forced.force_mode = MatchMode::kLabelOnly;
-  const EngineMatchResult c = unpressured.Match(source, target, forced);
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c.result.mode, MatchMode::kLabelOnly);
-  EXPECT_EQ(std::bit_cast<uint64_t>(c.result.schema_qom),
+  // A pinned label-only Analyze produces the same bits without any
+  // admission pressure.
+  TreeMatchOptions label_only;
+  label_only.mode = MatchMode::kLabelOnly;
+  const MatchResult c =
+      QMatch().Analyze(source, target, nullptr, nullptr, label_only)
+          .TakeResult();
+  EXPECT_EQ(c.mode, MatchMode::kLabelOnly);
+  EXPECT_EQ(std::bit_cast<uint64_t>(c.schema_qom),
             std::bit_cast<uint64_t>(a.result.schema_qom));
-  EXPECT_EQ(CorrespondenceMap(c.result), CorrespondenceMap(a.result));
+  EXPECT_EQ(CorrespondenceMap(c), CorrespondenceMap(a.result));
 }
 
 TEST_F(ChaosEngineTest, ThreadPoolContainsThrowingTasks) {

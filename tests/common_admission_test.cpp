@@ -151,24 +151,6 @@ TEST(AdmissionControllerTest, FifoOrderIsPreservedAcrossWaiters) {
   EXPECT_EQ(admit_order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(AdmissionControllerTest, AdmitBlockingAppliesBackpressureNotShedding) {
-  AdmissionController admission(Options(10, 0));  // queue cap irrelevant here
-  auto held = std::make_unique<AdmissionPermit>();
-  ASSERT_TRUE(admission.Admit(10, ExecControl{}, held.get()).ok());
-  std::atomic<bool> admitted{false};
-  std::thread waiter([&]() {
-    AdmissionPermit permit;
-    admission.AdmitBlocking(5, &permit);  // enqueues past the cap, waits
-    admitted.store(true);
-  });
-  AwaitQueueDepth(admission, 1);
-  EXPECT_FALSE(admitted.load());
-  held.reset();
-  waiter.join();
-  EXPECT_TRUE(admitted.load());
-  EXPECT_EQ(admission.shed_total(), 0u);
-}
-
 TEST(AdmissionControllerTest, PressureTracksCostAndQueueFill) {
   AdmissionController admission(Options(100, 2));
   EXPECT_EQ(admission.Pressure(), 0.0);

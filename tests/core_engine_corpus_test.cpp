@@ -14,9 +14,11 @@
 
 #include "common/cancel.h"
 #include "common/status.h"
+#include "core/qmatch.h"
 #include "datagen/corpus.h"
 #include "datagen/generator.h"
 #include "fault/failpoint.h"
+#include "obs/obs.h"
 #include "xsd/parser.h"
 
 namespace qmatch::core {
@@ -153,11 +155,40 @@ TEST_F(EngineCorpusTest, ExpiredDeadlineReturnsTypedEmptyResult) {
   EXPECT_TRUE(result.result.correspondences.empty());
 }
 
+TEST_F(EngineCorpusTest, ExpiredDeadlineBatchStartsNoTable) {
+  // Jobs that start after the deadline return at once: no admission, no
+  // table, no label matrix — none of which polls the envelope.
+  std::vector<xsd::Schema> targets;
+  for (int i = 0; i < 4; ++i) targets.push_back(datagen::MakePO2());
+  const xsd::Schema query = datagen::MakePO1();
+  std::vector<MatchJob> jobs;
+  for (const xsd::Schema& target : targets) {
+    jobs.push_back(MatchJob{&query, &target});
+  }
+  MatchEngine engine(EngineOptions(2));
+  EngineRequestOptions options;
+  options.deadline = Deadline::At(Deadline::Clock::now() - milliseconds(1));
+#if QMATCH_OBS_ENABLED
+  obs::Counter& tables =
+      obs::Registry::Global().GetCounter("qmatch.treematch.tables");
+  const uint64_t tables_before = tables.Value();
+#endif
+  for (const EngineMatchResult& result : engine.MatchAll(jobs, options)) {
+    EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(result.completed_rows, 0u);
+    EXPECT_EQ(result.total_rows, query.NodeCount());
+    EXPECT_TRUE(result.result.correspondences.empty());
+  }
+#if QMATCH_OBS_ENABLED
+  EXPECT_EQ(tables.Value(), tables_before);
+#endif
+}
+
 TEST_F(EngineCorpusTest, UnboundedRequestMatchesUntypedPathExactly) {
   const xsd::Schema source = datagen::MakePO1();
   const xsd::Schema target = datagen::MakePO2();
   MatchEngine engine(EngineOptions(2));
-  const MatchResult reference = engine.Match(source, target);
+  const MatchResult reference = QMatch().Match(source, target);
   const EngineMatchResult typed =
       engine.Match(source, target, EngineRequestOptions{});
   EXPECT_TRUE(typed.ok());

@@ -150,13 +150,16 @@ TEST(MatchEngineDifferentialTest, MatchAllIsInputOrderedAndIdentical) {
   }
   for (size_t threads : {1u, 2u, 8u}) {
     MatchEngine engine(EngineOptions(threads));
-    const std::vector<MatchResult> results = engine.MatchAll(jobs);
+    const std::vector<EngineMatchResult> results =
+        engine.MatchAll(jobs, EngineRequestOptions{});
     ASSERT_EQ(results.size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
-      ExpectByteIdentical(results[i],
+      const std::string context =
+          "job#" + std::to_string(i) + " threads=" + std::to_string(threads);
+      EXPECT_TRUE(results[i].ok()) << context << " " << results[i].status;
+      ExpectByteIdentical(results[i].result,
                           reference.Match(*jobs[i].source, *jobs[i].target),
-                          "job#" + std::to_string(i) + " threads=" +
-                              std::to_string(threads));
+                          context);
     }
   }
 }
@@ -216,8 +219,12 @@ TEST(MatchEngineCacheTest, LruEvictsBeyondCapacity) {
   EXPECT_EQ(engine.cache_stats().hits, 0u);
   engine.Match(pairs[0].source, pairs[0].target);
   EXPECT_EQ(engine.cache_stats().hits, 1u);
-  engine.ClearCache();
-  EXPECT_EQ(engine.cache_stats().entries, 0u);
+  // The cache lives and dies with its engine: a fresh one starts empty.
+  MatchEngine fresh(EngineOptions(1, /*cache_capacity=*/2));
+  EXPECT_EQ(fresh.cache_stats().entries, 0u);
+  fresh.Match(pairs[0].source, pairs[0].target);
+  EXPECT_EQ(fresh.cache_stats().hits, 0u);
+  EXPECT_EQ(fresh.cache_stats().misses, 1u);
 }
 
 TEST(MatchEngineCacheTest, ConfigChangesTheCacheKey) {

@@ -1,7 +1,6 @@
 // Unit tests for the engine's overload-protection layer: typed memory
-// budget rejection, the pressure-driven degradation ladder (and its
-// per-request force_mode override), the no-degraded-results-in-cache rule,
-// and the acceptance contract that a
+// budget rejection, the pressure-driven degradation ladder, the
+// no-degraded-results-in-cache rule, and the acceptance contract that a
 // label-only run matches the full run bit-identically on the label,
 // properties and level axes. Registered with the "overload" label, which
 // `scripts/ci.sh stress` runs under ASan and TSan.
@@ -35,6 +34,18 @@ xsd::Schema LoadSchema(const std::string& name) {
   EXPECT_TRUE(schema.ok()) << path << ": " << schema.status();
   return std::move(*schema);
 }
+
+constexpr char kSmallXsd[] = R"(<?xml version="1.0"?>
+<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="Order">
+    <xs:complexType>
+      <xs:sequence>
+        <xs:element name="City" type="xs:string"/>
+      </xs:sequence>
+    </xs:complexType>
+  </xs:element>
+</xs:schema>
+)";
 
 TEST(MatchModeTest, NamesAreStable) {
   EXPECT_EQ(MatchModeName(MatchMode::kFull), "full");
@@ -130,23 +141,6 @@ TEST(OverloadDegradationTest, CappedDepthTreatsDeepNodesAsLeaves) {
   }
 }
 
-TEST(OverloadEngineTest, ForceModeIsHonoredAndReported) {
-  const xsd::Schema source = LoadSchema("PO1.xsd");
-  const xsd::Schema target = LoadSchema("PO2.xsd");
-  MatchEngineOptions options;
-  options.threads = 1;
-  options.cache_capacity = 0;
-  MatchEngine engine(options);
-  EngineRequestOptions request;
-  request.force_mode = MatchMode::kLabelOnly;
-  EngineMatchResult degraded = engine.Match(source, target, request);
-  ASSERT_TRUE(degraded.ok()) << degraded.status;
-  EXPECT_EQ(degraded.result.mode, MatchMode::kLabelOnly);
-  EngineMatchResult full = engine.Match(source, target, EngineRequestOptions{});
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(full.result.mode, MatchMode::kFull);
-}
-
 TEST(OverloadEngineTest, RequestBudgetExhaustionIsTyped) {
   const xsd::Schema source = LoadSchema("PO1.xsd");
   const xsd::Schema target = LoadSchema("PO2.xsd");
@@ -177,21 +171,34 @@ TEST(OverloadEngineTest, ProcessBudgetIsSharedAcrossRequests) {
 TEST(OverloadEngineTest, DegradedResultsAreNeverCached) {
   const xsd::Schema source = LoadSchema("PO1.xsd");
   const xsd::Schema target = LoadSchema("PO2.xsd");
+  const xsd::Schema small = xsd::ParseSchema(kSmallXsd).value();
+  const uint64_t cost = source.NodeCount() * target.NodeCount();
   MatchEngineOptions options;
   options.threads = 1;
   options.cache_capacity = 64;
+  // Capacity of exactly one PO1xPO2 request: it saturates the controller
+  // (pressure 1.0, label-only), while a small x small request stays below
+  // the capped-depth rung and runs at full fidelity.
+  options.overload.admission.max_inflight_cost = cost;
+  ASSERT_LT(4 * small.NodeCount() * small.NodeCount(), 3 * cost);
   MatchEngine engine(options);
-  EngineRequestOptions degraded;
-  degraded.force_mode = MatchMode::kLabelOnly;
-  ASSERT_TRUE(engine.Match(source, target, degraded).ok());
-  ASSERT_TRUE(engine.Match(source, target, degraded).ok());
+  for (int i = 0; i < 2; ++i) {
+    const EngineMatchResult degraded =
+        engine.Match(source, target, EngineRequestOptions{});
+    ASSERT_TRUE(degraded.ok()) << degraded.status;
+    EXPECT_EQ(degraded.result.mode, MatchMode::kLabelOnly);
+  }
   MatchEngineCacheStats stats = engine.cache_stats();
   EXPECT_EQ(stats.hits, 0u);  // a degraded answer never becomes an oracle
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.entries, 0u);
   // Full-fidelity requests cache as before.
-  ASSERT_TRUE(engine.Match(source, target, EngineRequestOptions{}).ok());
-  ASSERT_TRUE(engine.Match(source, target, EngineRequestOptions{}).ok());
+  for (int i = 0; i < 2; ++i) {
+    const EngineMatchResult full =
+        engine.Match(small, small, EngineRequestOptions{});
+    ASSERT_TRUE(full.ok()) << full.status;
+    EXPECT_EQ(full.result.mode, MatchMode::kFull);
+  }
   stats = engine.cache_stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.entries, 1u);

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "common/random.h"
 #include "datagen/corpus.h"
 #include "datagen/generator.h"
 #include "support/docgen.h"
@@ -245,6 +247,71 @@ TEST_P(DocGenRoundtripTest, DocumentsConformAtDefaultOptions) {
     if (entry.name == "PDB") continue;  // large; covered by generated case
     docgen.seed = GetParam();
     ExpectConforms(entry.make(), docgen);
+  }
+}
+
+// Checks one emitted element against its declaration: it carries every
+// attribute the declaration requires, and so does each emitted child
+// element (sibling labels are unique, so the label names the declaration).
+// Returns how many required attributes were checked.
+size_t ExpectRequiredAttributes(const xml::XmlElement& element,
+                                const xsd::SchemaNode& node) {
+  size_t checked = 0;
+  for (const auto& child : node.children()) {
+    if (child->kind() == xsd::NodeKind::kAttribute &&
+        child->occurs().min >= 1) {
+      EXPECT_TRUE(element.HasAttribute(child->label()))
+          << node.Path() << " lacks required @" << child->label();
+      ++checked;
+    }
+  }
+  for (const xml::XmlElement* emitted : element.ChildElements()) {
+    const xsd::SchemaNode* declared = nullptr;
+    for (const auto& child : node.children()) {
+      if (child->kind() == xsd::NodeKind::kElement &&
+          child->label() == emitted->name()) {
+        declared = child.get();
+      }
+    }
+    EXPECT_NE(declared, nullptr)
+        << node.Path() << ": undeclared " << emitted->name();
+    if (declared != nullptr) {
+      checked += ExpectRequiredAttributes(*emitted, *declared);
+    }
+  }
+  return checked;
+}
+
+// GenerateSchema declares every attribute optional, so a seeded half of them
+// is made required here, through the mutable tree.
+TEST_P(DocGenRoundtripTest, RequiredAttributesAlwaysEmitted) {
+  GeneratorOptions gen;
+  gen.element_count = 50;
+  gen.max_depth = 4;
+  gen.attribute_probability = 0.5;
+  gen.seed = GetParam();
+  gen.name = "Attr";
+  xsd::Schema schema = GenerateSchema(gen);
+  std::vector<xsd::SchemaNode*> attributes;
+  for (xsd::SchemaNode* node : schema.AllNodes()) {
+    if (node->kind() == xsd::NodeKind::kAttribute) attributes.push_back(node);
+  }
+  ASSERT_GE(attributes.size(), 2u);
+  Random rng(GetParam());
+  rng.Shuffle(attributes);
+  for (size_t k = 0; k < attributes.size() / 2; ++k) {
+    attributes[k]->set_occurs(xsd::Occurs{1, 1});
+  }
+
+  for (double optional_probability : {0.0, 0.7}) {
+    DocGenOptions docgen;
+    docgen.seed = GetParam() + 1;
+    docgen.optional_probability = optional_probability;
+    const xml::XmlDocument doc = GenerateDocument(schema, docgen);
+    ASSERT_NE(doc.root(), nullptr);
+    EXPECT_GT(ExpectRequiredAttributes(*doc.root(), *schema.root()), 0u)
+        << "optional_probability " << optional_probability;
+    ExpectConforms(schema, docgen);
   }
 }
 
