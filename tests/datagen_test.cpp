@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
+#include <string>
 
+#include "common/file_util.h"
 #include "datagen/corpus.h"
 #include "datagen/generator.h"
 #include "datagen/perturb.h"
+#include "xsd/flatten.h"
 #include "xsd/parser.h"
 
 namespace qmatch::datagen {
@@ -277,6 +281,55 @@ TEST(CorpusTest, ProteinGoldByConstruction) {
   for (const auto& [s, t] : gold.pairs()) {
     EXPECT_NE(pir.FindByPath(s), nullptr) << s;
     EXPECT_NE(pdb.FindByPath(t), nullptr) << t;
+  }
+}
+
+// --- data/ mirrors the built-in corpus -----------------------------------
+// The paper benches read the C++ corpus; qmatchd clients, perfbench and
+// qmatch_cli read data/. Both copies must describe the same inputs.
+
+TEST(CorpusDataTest, EverySchemaFileIsFlatIdenticalToItsCorpusEntry) {
+  const std::string dir = std::string(QMATCH_SOURCE_DIR) + "/data/schemas";
+  size_t files = 0;
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    if (file.path().extension() != ".xsd") continue;
+    ++files;
+    const std::string name = file.path().stem().string();
+    const CorpusEntry* entry = nullptr;
+    for (const CorpusEntry& candidate : Corpus()) {
+      if (candidate.name == name) entry = &candidate;
+    }
+    ASSERT_NE(entry, nullptr) << name << ".xsd has no Corpus() entry";
+    Result<std::string> text = ReadFile(file.path().string());
+    ASSERT_TRUE(text.ok()) << text.status();
+    Result<xsd::Schema> parsed = xsd::ParseSchema(*text);
+    ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.status();
+    const xsd::Schema built = entry->make();
+    const xsd::FlatSchema& a = parsed->Flat();
+    const xsd::FlatSchema& b = built.Flat();
+    EXPECT_EQ(a.label_id, b.label_id) << name;
+    EXPECT_EQ(a.prop_id, b.prop_id) << name;
+    EXPECT_EQ(a.level, b.level) << name;
+    EXPECT_EQ(a.parent, b.parent) << name;
+    EXPECT_EQ(a.child_begin, b.child_begin) << name;
+    EXPECT_EQ(a.child_index, b.child_index) << name;
+    EXPECT_EQ(a.labels, b.labels) << name;
+    EXPECT_TRUE(a.prop_keys == b.prop_keys) << name;
+    EXPECT_EQ(a.prop_rep, b.prop_rep) << name;
+    EXPECT_EQ(a.max_level, b.max_level) << name;
+  }
+  EXPECT_EQ(files, Corpus().size()) << "every corpus entry has a file";
+}
+
+TEST(CorpusDataTest, EveryGoldFileEqualsItsTaskGold) {
+  for (const MatchTask& task : Tasks()) {
+    const std::string path =
+        std::string(QMATCH_SOURCE_DIR) + "/data/gold/" + task.name + ".gold";
+    Result<std::string> text = ReadFile(path);
+    ASSERT_TRUE(text.ok()) << text.status();
+    Result<eval::GoldStandard> parsed = eval::GoldStandard::Parse(*text);
+    ASSERT_TRUE(parsed.ok()) << task.name << ": " << parsed.status();
+    EXPECT_EQ(parsed->pairs(), task.gold().pairs()) << task.name;
   }
 }
 
