@@ -5,6 +5,7 @@
 // Run: ./po_integration
 
 #include <cstdio>
+#include <optional>
 
 #include "core/qmatch.h"
 #include "datagen/corpus.h"
@@ -43,8 +44,9 @@ int main() {
   };
   std::printf("== Section 2 classifications ==\n");
   for (const Case& c : cases) {
-    const core::PairQoM* pair = analysis.PairByPath(c.source, c.target);
-    if (pair == nullptr) {
+    const std::optional<core::PairQoM> pair =
+        analysis.PairByPath(c.source, c.target);
+    if (!pair) {
       std::printf("  %s vs %s: <missing>\n", c.source, c.target);
       continue;
     }

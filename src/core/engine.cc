@@ -9,6 +9,7 @@
 #include "common/arena.h"
 #include "fault/failpoint.h"
 #include "lingua/default_thesaurus.h"
+#include "match/soa_kernel.h"
 #include "obs/obs.h"
 
 namespace qmatch::core {
@@ -453,14 +454,17 @@ EngineMatchResult MatchEngine::MatchRequest(const xsd::Schema& source,
     QMATCH_COUNTER_ADD("engine.degraded.capped_depth", 1);
   }
 
-  // Memory budget: the pairwise table is this request's dominant
-  // allocation; charge it (request budget rolls up into the process one)
+  // Memory budget: the pairwise table (the qom/category columns plus the
+  // distinct-pair axis matrices) is this request's dominant allocation;
+  // charge its exact size (request budget rolls up into the process one)
   // and reject with a typed kResourceExhausted instead of OOMing.
   MemoryBudget request_budget(overload.request_budget_bytes, &process_budget_);
   ScopedCharge table_charge(&request_budget);
   {
     Status charged = table_charge.Add(
-        std::max<uint64_t>(1, pairs) * sizeof(PairQoM), "pairwise QoM table");
+        std::max<uint64_t>(
+            1, match::SoaTable::Bytes(source.Flat(), target.Flat())),
+        "pairwise QoM table");
     if (!charged.ok()) {
       out.status = std::move(charged);
       CountRequestOutcome(out.status);

@@ -21,27 +21,32 @@ QMatch::QMatch(QMatchConfig config)
 QMatch::QMatch(QMatchConfig config, const lingua::Thesaurus* thesaurus)
     : config_(std::move(config)), thesaurus_(thesaurus) {}
 
-const PairQoM* QMatch::Analysis::Pair(const xsd::SchemaNode* source,
-                                      const xsd::SchemaNode* target) const {
+std::optional<PairQoM> QMatch::Analysis::Pair(
+    const xsd::SchemaNode* source, const xsd::SchemaNode* target) const {
   auto is = source_index_.find(source);
   auto it = target_index_.find(target);
-  if (is == source_index_.end() || it == target_index_.end()) return nullptr;
-  return &table_[is->second * target_nodes_.size() + it->second];
+  if (is == source_index_.end() || it == target_index_.end()) return {};
+  // Uncompleted rows hold no values: the columns are never zero-filled.
+  if (row_done_[is->second] == 0) return {};
+  return match::SoaCell(*source_flat_, *target_flat_, kernel_config_, table_,
+                        is->second, it->second);
 }
 
-const PairQoM* QMatch::Analysis::PairByPath(std::string_view source_path,
-                                            std::string_view target_path) const {
+std::optional<PairQoM> QMatch::Analysis::PairByPath(
+    std::string_view source_path, std::string_view target_path) const {
   const xsd::SchemaNode* s = source_schema_->FindByPath(source_path);
   const xsd::SchemaNode* t = target_schema_->FindByPath(target_path);
-  if (s == nullptr || t == nullptr) return nullptr;
+  if (s == nullptr || t == nullptr) return {};
   return Pair(s, t);
 }
 
-const PairQoM& QMatch::Analysis::Root() const {
-  // An empty schema on either side leaves the table empty; its root pair is
-  // the all-zero decomposition (schema QoM 0, no coverage).
-  static const PairQoM kEmpty{};
-  return table_.empty() ? kEmpty : table_[0];  // preorder: both roots first
+PairQoM QMatch::Analysis::Root() const {
+  // An empty schema on either side leaves the table empty, and a stopped
+  // run never completes the root row (it is filled last); either way the
+  // root pair is the all-zero decomposition (schema QoM 0, no coverage).
+  if (row_done_.empty() || row_done_[0] == 0) return PairQoM{};
+  return match::SoaCell(*source_flat_, *target_flat_, kernel_config_, table_,
+                        0, 0);  // preorder: both roots first
 }
 
 std::string QMatch::Analysis::ExplainCorrespondences() const {
@@ -57,10 +62,10 @@ std::string QMatch::Analysis::ExplainCorrespondences() const {
   std::string out = StrFormat("schema QoM %.4f — %zu correspondences\n",
                               result_.schema_qom, sorted.size());
   for (const Correspondence* c : sorted) {
-    const PairQoM* pair = Pair(c->source, c->target);
+    const std::optional<PairQoM> pair = Pair(c->source, c->target);
     out += StrFormat("%s -> %s\n  %s\n", c->source->Path().c_str(),
                      c->target->Path().c_str(),
-                     pair != nullptr ? pair->ToString().c_str() : "<?>");
+                     pair ? pair->ToString().c_str() : "<?>");
   }
   return out;
 }
@@ -69,8 +74,8 @@ std::map<qom::MatchCategory, size_t> QMatch::Analysis::CategoryHistogram()
     const {
   std::map<qom::MatchCategory, size_t> histogram;
   for (const Correspondence& c : result_.correspondences) {
-    const PairQoM* pair = Pair(c.source, c.target);
-    if (pair != nullptr) ++histogram[pair->category];
+    const std::optional<PairQoM> pair = Pair(c.source, c.target);
+    if (pair) ++histogram[pair->category];
   }
   return histogram;
 }
@@ -84,6 +89,10 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
   analysis.target_schema_ = &target;
   analysis.result_.algorithm = std::string(name());
   analysis.result_.mode = tree.mode;
+  const xsd::FlatSchema& sflat = source.Flat();
+  const xsd::FlatSchema& tflat = target.Flat();
+  analysis.source_flat_ = &sflat;
+  analysis.target_flat_ = &tflat;
   if (source.root() == nullptr || target.root() == nullptr) return analysis;
 
   // Degradation ladder (see MatchMode). kLabelOnly drops the children axis
@@ -106,10 +115,8 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
     weights.children = 0.0;
   }
 
-  analysis.source_nodes_ = source.AllNodes();
-  analysis.target_nodes_ = target.AllNodes();
-  const auto& src = analysis.source_nodes_;
-  const auto& tgt = analysis.target_nodes_;
+  const auto& src = sflat.nodes;
+  const auto& tgt = tflat.nodes;
   const size_t n = src.size();
   const size_t m = tgt.size();
   QMATCH_SPAN(treematch_span, "qmatch.treematch");
@@ -119,15 +126,12 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
   QMATCH_COUNTER_ADD("qmatch.treematch.pairs", n * m);
   for (size_t i = 0; i < n; ++i) analysis.source_index_[src[i]] = i;
   for (size_t j = 0; j < m; ++j) analysis.target_index_[tgt[j]] = j;
-  analysis.table_.assign(n * m, PairQoM{});
-  auto& table = analysis.table_;
-  auto at = [&](size_t i, size_t j) -> PairQoM& { return table[i * m + j]; };
 
   // The table fill (DESIGN.md §13): the SoA kernel batches Fig. 3's
-  // memoised recursion over the schemas' flattened projections.
+  // memoised recursion over the schemas' flattened projections and hands
+  // back the qom/category columns plus the distinct-pair axis matrices.
   const lingua::NameMatcher name_matcher(thesaurus_, config_.name_options);
-  std::vector<char> row_done(n, 0);
-  match::SoaKernelConfig kernel_config;
+  match::SoaKernelConfig& kernel_config = analysis.kernel_config_;
   kernel_config.weights = weights;
   kernel_config.threshold = config_.threshold;
   kernel_config.best_match_accumulation =
@@ -141,18 +145,32 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
   kernel_config.children_depth_cap = tree.children_depth_cap;
   kernel_config.name_matcher = &name_matcher;
   kernel_config.property_options = config_.property_options;
+  std::vector<char>& row_done = analysis.row_done_;
+  row_done.assign(n, 0);
   {
-    // All scratch comes from a per-request arena charged against the
-    // request's memory budget block-by-block (ArenaExhausted propagates to
-    // the engine, which maps it to kResourceExhausted). It lives only for
-    // the fill: its blocks and their charge are released before selection.
+    // The kernel's scratch comes from a per-request arena charged against
+    // the request's memory budget block-by-block (ArenaExhausted propagates
+    // to the engine, which maps it to kResourceExhausted). It lives only
+    // for the fill: its blocks and their charge are released before
+    // selection.
     Arena arena(Arena::kDefaultBlockBytes, tree.arena_budget);
-    const match::SoaKernelResult run =
-        match::SoaFillTable(source.Flat(), target.Flat(), kernel_config,
-                            table.data(), row_done, pool, control, &arena);
+    match::SoaKernelResult run =
+        match::SoaFillTable(sflat, tflat, kernel_config, nullptr, row_done,
+                            pool, control, &arena);
     analysis.stop_reason_ = run.stop;
     analysis.completed_rows_ = run.completed_rows;
+    analysis.table_ = std::move(run.table);
   }
+  kernel_config.name_matcher = nullptr;  // local to this call
+
+  const double* qom = analysis.table_.qom.get();
+  // The label-evidence gate reads the distinct-label class matrix.
+  const match::AxisMatrix& labels = analysis.table_.label;
+  auto has_label_evidence = [&](size_t i, size_t j) {
+    return static_cast<qom::AxisMatch>(
+               labels.cls[sflat.label_id[i] * labels.cols +
+                          tflat.label_id[j]]) != qom::AxisMatch::kNone;
+  };
 
   if (analysis.stop_reason_ == StopReason::kNone) {
     // Correspondences: extracted from the QoM table per the configured
@@ -162,17 +180,15 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
     match::AssignmentInput assignment_input;
     assignment_input.sources = &src;
     assignment_input.targets = &tgt;
-    assignment_input.score = [&](size_t i, size_t j) { return at(i, j).qom; };
+    assignment_input.score = [&](size_t i, size_t j) { return qom[i * m + j]; };
     if (config_.require_label_evidence) {
-      assignment_input.eligible = [&](size_t i, size_t j) {
-        return at(i, j).label_cls != qom::AxisMatch::kNone;
-      };
+      assignment_input.eligible = has_label_evidence;
     }
     assignment_input.threshold = config_.threshold;
     assignment_input.ambiguity_margin = config_.ambiguity_margin;
     analysis.result_.correspondences =
         match::SelectCorrespondences(assignment_input, config_.assignment);
-    analysis.result_.schema_qom = at(0, 0).qom;
+    analysis.result_.schema_qom = qom[0];
     return analysis;
   }
 
@@ -201,11 +217,11 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
     partial_input.sources = &done_sources;
     partial_input.targets = &tgt;
     partial_input.score = [&](size_t i, size_t j) {
-      return at(done_rows[i], j).qom;
+      return qom[done_rows[i] * m + j];
     };
     if (config_.require_label_evidence) {
       partial_input.eligible = [&](size_t i, size_t j) {
-        return at(done_rows[i], j).label_cls != qom::AxisMatch::kNone;
+        return has_label_evidence(done_rows[i], j);
       };
     }
     partial_input.threshold = config_.threshold;
@@ -215,7 +231,7 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
   }
   // The schema-level QoM lives in the root pair, which is computed last;
   // report it only when that row actually finished.
-  if (row_done[0] != 0) analysis.result_.schema_qom = at(0, 0).qom;
+  if (row_done[0] != 0) analysis.result_.schema_qom = qom[0];
   return analysis;
 }
 
@@ -233,14 +249,11 @@ match::SimilarityMatrix QMatch::Similarity(const xsd::Schema& source,
                                            const xsd::Schema& target,
                                            ThreadPool* pool) const {
   Analysis analysis = Analyze(source, target, pool);
-  match::SimilarityMatrix matrix(analysis.source_nodes_,
-                                 analysis.target_nodes_);
-  const size_t m = analysis.target_nodes_.size();
-  for (size_t i = 0; i < analysis.source_nodes_.size(); ++i) {
-    double* row = matrix.row(i);
-    for (size_t j = 0; j < m; ++j) {
-      row[j] = analysis.table_[i * m + j].qom;
-    }
+  match::SimilarityMatrix matrix(analysis.source_flat_->nodes,
+                                 analysis.target_flat_->nodes);
+  const size_t m = analysis.target_flat_->size();
+  for (size_t i = 0; i < analysis.source_flat_->size(); ++i) {
+    std::copy_n(analysis.table_.qom.get() + i * m, m, matrix.row(i));
   }
   return matrix;
 }

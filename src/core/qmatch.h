@@ -2,6 +2,7 @@
 #define QMATCH_CORE_QMATCH_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "core/config.h"
 #include "lingua/thesaurus.h"
 #include "match/matcher.h"
+#include "match/soa_kernel.h"
 #include "qom/pair_qom.h"
 #include "qom/taxonomy.h"
 #include "xsd/schema.h"
@@ -94,18 +96,21 @@ class QMatch : public Matcher {
     /// correspondence vector.
     MatchResult TakeResult() { return std::move(result_); }
 
-    /// The QoM decomposition of a specific node pair, or nullptr when
-    /// either node is not part of the analysed schemas.
-    const PairQoM* Pair(const xsd::SchemaNode* source,
-                        const xsd::SchemaNode* target) const;
+    /// The QoM decomposition of a specific node pair, rebuilt on demand
+    /// from the table (SoaCell); nullopt when either node is not part of
+    /// the analysed schemas or the pair's source row was not completed
+    /// (a stopped run).
+    std::optional<PairQoM> Pair(const xsd::SchemaNode* source,
+                                const xsd::SchemaNode* target) const;
 
     /// Convenience path-based lookup ("/PO/PurchaseInfo", "/PurchaseOrder").
-    const PairQoM* PairByPath(std::string_view source_path,
-                              std::string_view target_path) const;
+    std::optional<PairQoM> PairByPath(std::string_view source_path,
+                                      std::string_view target_path) const;
 
     /// The root-pair decomposition (the tree match of Section 3); the
-    /// all-zero PairQoM when either schema is empty.
-    const PairQoM& Root() const;
+    /// all-zero PairQoM when either schema is empty or the root row was
+    /// not completed (a stopped run).
+    PairQoM Root() const;
 
     /// Multi-line, human-readable explanation of every reported
     /// correspondence: the per-axis scores and classifications plus the
@@ -126,15 +131,20 @@ class QMatch : public Matcher {
     /// are extracted from these rows only (see DESIGN.md §10 for the
     /// partial-result contract).
     size_t completed_rows() const { return completed_rows_; }
-    size_t total_rows() const { return source_nodes_.size(); }
+    size_t total_rows() const { return row_done_.size(); }
 
    private:
     friend class QMatch;
-    std::vector<const xsd::SchemaNode*> source_nodes_;
-    std::vector<const xsd::SchemaNode*> target_nodes_;
+    /// Preorder projections of both schemas (borrowed from the schemas).
+    const xsd::FlatSchema* source_flat_ = nullptr;
+    const xsd::FlatSchema* target_flat_ = nullptr;
     std::map<const xsd::SchemaNode*, size_t> source_index_;
     std::map<const xsd::SchemaNode*, size_t> target_index_;
-    std::vector<PairQoM> table_;  // source-major, size n*m
+    /// The configuration the table was filled with (no name matcher: the
+    /// label matrix is already in `table_`).
+    match::SoaKernelConfig kernel_config_;
+    match::SoaTable table_;
+    std::vector<char> row_done_;  // per source row: every cell complete
     MatchResult result_;
     const xsd::Schema* source_schema_ = nullptr;
     const xsd::Schema* target_schema_ = nullptr;

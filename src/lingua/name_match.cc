@@ -145,7 +145,7 @@ size_t InternToken(const std::string& token, std::vector<std::string>& pool,
 
 PairwiseLabelScorer::PairwiseLabelScorer(
     const NameMatcher& matcher, const std::vector<std::string>& source_labels,
-    const std::vector<std::string>& target_labels)
+    const std::vector<std::string>& target_labels, ThreadPool* pool)
     : matcher_(matcher) {
   std::map<std::string, size_t> source_index;
   std::map<std::string, size_t> target_index;
@@ -177,34 +177,54 @@ PairwiseLabelScorer::PairwiseLabelScorer(
   for (const std::string& label : target_labels) {
     target_.push_back(intern_label(label, target_tokens_, target_index));
   }
-  token_sim_cache_.assign(source_tokens_.size() * target_tokens_.size(), -1.0);
-  token_exact_cache_.assign(token_sim_cache_.size(), 0);
-}
 
-void PairwiseLabelScorer::Precompute() {
-  bool exact = false;
-  for (size_t s = 0; s < source_tokens_.size(); ++s) {
-    for (size_t t = 0; t < target_tokens_.size(); ++t) {
-      CachedTokenSimilarity(s, t, &exact);
+  // Token-similarity table, one source-token row per task.
+  const size_t nt = target_tokens_.size();
+  token_sim_.resize(source_tokens_.size() * nt);
+  token_exact_.resize(token_sim_.size());
+  auto fill_token_row = [&](size_t s) {
+    for (size_t t = 0; t < nt; ++t) {
+      bool exact = false;
+      token_sim_[s * nt + t] = matcher_.TokenSimilarity(
+          source_tokens_[s], target_tokens_[t], &exact);
+      token_exact_[s * nt + t] = exact ? 1 : 0;
+    }
+  };
+  if (pool != nullptr && pool->worker_count() > 0) {
+    pool->ParallelFor(source_tokens_.size(), fill_token_row);
+  } else {
+    for (size_t s = 0; s < source_tokens_.size(); ++s) fill_token_row(s);
+  }
+
+  // Skip bitsets: a source label relates to every target token that has
+  // nonzero similarity to one of its tokens.
+  const NameMatchOptions& options = matcher_.options();
+  skip_enabled_ =
+      options.relaxed_threshold > 0.0 && options.exact_threshold > 0.0;
+  words_ = (nt + 63) / 64;
+  related_.assign(source_.size() * words_, 0);
+  for (size_t i = 0; i < source_.size(); ++i) {
+    uint64_t* bits = related_.data() + i * words_;
+    for (size_t s : source_[i].token_ids) {
+      for (size_t t = 0; t < nt; ++t) {
+        if (token_sim_[s * nt + t] > 0.0) {
+          bits[t / 64] |= uint64_t{1} << (t % 64);
+        }
+      }
     }
   }
 }
 
-double PairwiseLabelScorer::CachedTokenSimilarity(size_t source_token,
-                                                  size_t target_token,
-                                                  bool* exact_kind) const {
-  size_t slot = source_token * target_tokens_.size() + target_token;
-  if (token_sim_cache_[slot] < 0.0) {
-    bool exact = false;
-    token_sim_cache_[slot] = matcher_.TokenSimilarity(
-        source_tokens_[source_token], target_tokens_[target_token], &exact);
-    token_exact_cache_[slot] = exact ? 1 : 0;
+bool PairwiseLabelScorer::Related(size_t i, const InternedLabel& b) const {
+  const uint64_t* bits = related_.data() + i * words_;
+  for (size_t t : b.token_ids) {
+    if ((bits[t / 64] >> (t % 64)) & 1) return true;
   }
-  *exact_kind = token_exact_cache_[slot] != 0;
-  return token_sim_cache_[slot];
+  return false;
 }
 
-LabelMatch PairwiseLabelScorer::Match(size_t i, size_t j) const {
+LabelMatch PairwiseLabelScorer::Match(size_t i, size_t j,
+                                      uint64_t* skipped) const {
   const InternedLabel& a = source_[i];
   const InternedLabel& b = target_[j];
   const NameMatchOptions& options = matcher_.options();
@@ -215,9 +235,17 @@ LabelMatch PairwiseLabelScorer::Match(size_t i, size_t j) const {
 
   // Whole-label thesaurus relation — skipped when neither canonical is
   // mentioned in the thesaurus, where RelateCanonical is kNone by
-  // construction (see Thesaurus::MentionedCanonical).
-  if (const Thesaurus* thesaurus =
-          (a.mentioned || b.mentioned) ? matcher_.thesaurus() : nullptr) {
+  // construction (see Thesaurus::MentionedCanonical). If, in addition, no
+  // token pair of the two labels has nonzero similarity, every best-token
+  // score below is 0.0, the token-set score is exactly 0.0 and (both
+  // thresholds being positive) the pair classifies {kNone, 0.0}: return
+  // that without scoring.
+  const bool mentioned = a.mentioned || b.mentioned;
+  if (!mentioned && skip_enabled_ && !Related(i, b)) {
+    if (skipped != nullptr) ++*skipped;
+    return {LabelMatchClass::kNone, 0.0};
+  }
+  if (const Thesaurus* thesaurus = mentioned ? matcher_.thesaurus() : nullptr) {
     switch (thesaurus->RelateCanonical(a.canonical, b.canonical)) {
       case TermRelation::kEqual:
       case TermRelation::kSynonym:
@@ -235,6 +263,7 @@ LabelMatch PairwiseLabelScorer::Match(size_t i, size_t j) const {
     }
   }
 
+  const size_t nt = target_tokens_.size();
   bool all_exact = true;
   auto directional = [&](const std::vector<size_t>& from,
                          const std::vector<size_t>& to, bool forward) {
@@ -243,12 +272,11 @@ LabelMatch PairwiseLabelScorer::Match(size_t i, size_t j) const {
       double best = 0.0;
       bool best_exact = false;
       for (size_t tt : to) {
-        bool exact_kind = false;
-        double s = forward ? CachedTokenSimilarity(ft, tt, &exact_kind)
-                           : CachedTokenSimilarity(tt, ft, &exact_kind);
+        const size_t slot = forward ? ft * nt + tt : tt * nt + ft;
+        const double s = token_sim_[slot];
         if (s > best) {
           best = s;
-          best_exact = exact_kind;
+          best_exact = token_exact_[slot] != 0;
         }
       }
       if (!best_exact || best < 1.0) all_exact = false;

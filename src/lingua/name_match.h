@@ -1,10 +1,12 @@
 #ifndef QMATCH_LINGUA_NAME_MATCH_H_
 #define QMATCH_LINGUA_NAME_MATCH_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "lingua/thesaurus.h"
 
 namespace qmatch::lingua {
@@ -85,26 +87,35 @@ class NameMatcher {
   NameMatchOptions options_;
 };
 
-/// Memoising façade for all-pairs label matching between two node lists.
+/// Precomputing façade for all-pairs label matching between two label lists.
 ///
 /// Schemas repeat a small token vocabulary across many labels, so the
-/// scorer interns every distinct token on each side and caches
-/// `TokenSimilarity` per (source token, target token) — turning the
-/// O(n·m) label loop's inner work into array lookups.
+/// scorer interns every distinct token on each side and scores every
+/// (source token, target token) pair once, up front — turning the O(n·m)
+/// label loop's inner work into array lookups.
+///
+/// Most label pairs share no related token at all, and those provably
+/// score {kNone, 0.0}. The scorer keeps one bitset per source label over the
+/// target token vocabulary (bit t set when target token t has nonzero
+/// similarity to one of the label's tokens), and `Match` returns such pairs
+/// without scoring them: an exact, lossless filter.
 class PairwiseLabelScorer {
  public:
-  /// `matcher` is borrowed and must outlive the scorer.
+  /// `matcher` is borrowed and must outlive the scorer. The token-similarity
+  /// table is filled here, on `pool` when one with workers is given: each
+  /// slot is a pure function of its token pair, so the table is
+  /// bit-identical for any worker count. Afterwards `Match` only reads, so
+  /// concurrent calls from many threads are safe.
   PairwiseLabelScorer(const NameMatcher& matcher,
                       const std::vector<std::string>& source_labels,
-                      const std::vector<std::string>& target_labels);
+                      const std::vector<std::string>& target_labels,
+                      ThreadPool* pool = nullptr);
 
-  /// Label match of source label #i vs target label #j.
-  LabelMatch Match(size_t i, size_t j) const;
-
-  /// Eagerly fills the whole token-similarity cache. After this call
-  /// `Match` performs no writes, so concurrent calls from many threads are
-  /// safe (the parallel table fill calls this once before fanning out).
-  void Precompute();
+  /// Label match of source label #i vs target label #j — bit-identical to
+  /// NameMatcher::Match on the two labels. When the pair is skipped as a
+  /// provable {kNone, 0.0} and `skipped` is non-null, `*skipped` is
+  /// incremented (the caller sums and publishes the count).
+  LabelMatch Match(size_t i, size_t j, uint64_t* skipped = nullptr) const;
 
  private:
   struct InternedLabel {
@@ -119,18 +130,26 @@ class PairwiseLabelScorer {
     bool mentioned = false;
   };
 
-  double CachedTokenSimilarity(size_t source_token, size_t target_token,
-                               bool* exact_kind) const;
+  /// True when some token of target label `b` has nonzero similarity to a
+  /// token of source label #i (the skip bitset test).
+  bool Related(size_t i, const InternedLabel& b) const;
 
   const NameMatcher& matcher_;
   std::vector<InternedLabel> source_;
   std::vector<InternedLabel> target_;
   std::vector<std::string> source_tokens_;
   std::vector<std::string> target_tokens_;
-  // (source token id * |target tokens| + target token id) -> score; < 0
-  // means "not yet computed". Sign bit of the companion byte is exactness.
-  mutable std::vector<double> token_sim_cache_;
-  mutable std::vector<signed char> token_exact_cache_;
+  // (source token id * |target tokens| + target token id) -> similarity and
+  // exact-kind flag (equality or synonymy).
+  std::vector<double> token_sim_;
+  std::vector<uint8_t> token_exact_;
+  /// Skip bitsets: words_ 64-bit words per source label, bit t of label i
+  /// set when target token t relates to one of label i's tokens.
+  size_t words_ = 0;
+  std::vector<uint64_t> related_;
+  /// The skip is exact only while a 0.0 token-set score classifies kNone,
+  /// i.e. both classification thresholds are positive.
+  bool skip_enabled_ = false;
 };
 
 }  // namespace qmatch::lingua

@@ -48,6 +48,7 @@ PropertyMatch MatchProperties(const xsd::SchemaNode& source,
                               const xsd::SchemaNode& target,
                               const PropertyMatchOptions& options) {
   PropertyMatch result;
+  result.verdicts.reserve(6);  // one allocation for every compared property
   auto add = [&](std::string_view name, PropertyMatchClass cls) {
     result.verdicts.push_back({std::string(name), cls});
   };

@@ -41,7 +41,141 @@ uint8_t ToAxisByte(PropertyMatchClass cls) {
 constexpr uint8_t kTotalExactByte =
     static_cast<uint8_t>(qom::MatchCategory::kTotalExact);
 
+template <typename T>
+std::unique_ptr<T[]> Uninitialised(size_t count) {
+  return std::make_unique_for_overwrite<T[]>(count);
+}
+
+AxisMatrix MakeAxisMatrix(size_t rows, size_t cols) {
+  AxisMatrix matrix;
+  matrix.cols = cols;
+  matrix.score = Uninitialised<double>(rows * cols);
+  matrix.cls = Uninitialised<uint8_t>(rows * cols);
+  return matrix;
+}
+
+/// Leaf on the children axis: no children, or at/below the capped-depth
+/// rung's cap.
+bool EffectiveLeaf(const xsd::FlatSchema& flat, const SoaKernelConfig& config,
+                   size_t i) {
+  return flat.child_begin[i] == flat.child_begin[i + 1] ||
+         (config.capped &&
+          static_cast<size_t>(flat.level[i]) >= config.children_depth_cap);
+}
+
+/// The children axis (Eq. 3-5) of one pair, plus the memoisation traffic
+/// the obs counters report.
+struct ChildrenAxis {
+  double value = 0.0;
+  qom::Coverage coverage = qom::Coverage::kNone;
+  bool all_exact = false;
+  double matched = 0.0;  // contributing child pairs
+  uint64_t lookups = 0;  // child cells read
+};
+
+/// The children axis of pair (i, j), read from the completed child rows of
+/// the `qom`/`category` columns. The row fill and SoaCell both call this,
+/// so a rebuilt cell's children axis is the filled one by construction.
+ChildrenAxis ChildrenOf(const xsd::FlatSchema& source,
+                        const xsd::FlatSchema& target,
+                        const SoaKernelConfig& config, bool source_leaf,
+                        bool target_leaf, const double* qom,
+                        const uint8_t* category, size_t i, size_t j) {
+  ChildrenAxis out;
+  if (config.label_only) return out;
+  if (source_leaf) {
+    // Vacuously total coverage (no source children to leave uncovered),
+    // exact only against a leaf.
+    out.value = target_leaf ? 1.0 : config.leaf_to_inner_children_credit;
+    out.coverage = qom::Coverage::kTotal;
+    out.all_exact = target_leaf;
+    return out;
+  }
+  if (target_leaf) return out;
+  const size_t m = target.size();
+  const size_t cb = source.child_begin[i];
+  const size_t ce = source.child_begin[i + 1];
+  const size_t tb = target.child_begin[j];
+  const size_t te = target.child_begin[j + 1];
+  const double child_total = static_cast<double>(ce - cb);
+  double qom_sum = 0.0;
+  double matched = 0.0;
+  bool all_exact = true;
+  out.lookups = uint64_t{ce - cb} * (te - tb);
+  if (config.best_match_accumulation) {
+    for (size_t sc = cb; sc < ce; ++sc) {
+      const size_t child = source.child_index[sc];
+      const double* child_row = qom + child * m;
+      const uint8_t* child_cats = category + child * m;
+      double best = 0.0;
+      uint8_t best_cat = 0;
+      bool has_best = false;
+      for (size_t tc = tb; tc < te; ++tc) {
+        const size_t cj = target.child_index[tc];
+        if (child_row[cj] > best) {
+          best = child_row[cj];
+          best_cat = child_cats[cj];
+          has_best = true;
+        }
+      }
+      if (has_best && best >= config.threshold) {
+        qom_sum += best;
+        matched += 1.0;
+        if (best_cat != kTotalExactByte) all_exact = false;
+      }
+    }
+  } else {
+    // Paper-literal accumulation (Fig. 3 pseudo-code).
+    for (size_t sc = cb; sc < ce; ++sc) {
+      const size_t child = source.child_index[sc];
+      const double* child_row = qom + child * m;
+      const uint8_t* child_cats = category + child * m;
+      for (size_t tc = tb; tc < te; ++tc) {
+        const size_t cj = target.child_index[tc];
+        if (child_row[cj] >= config.threshold) {
+          qom_sum += child_row[cj];
+          matched += 1.0;
+          if (child_cats[cj] != kTotalExactByte) all_exact = false;
+        }
+      }
+    }
+  }
+  const double rw = qom_sum / child_total;       // Eq. 3
+  const double rs = matched / child_total;       // Eq. 4
+  out.value = std::min(1.0, (rw + rs) / 2.0);    // Eq. 5
+  out.matched = matched;
+  if (matched <= 0.0) {
+    out.coverage = qom::Coverage::kNone;
+    all_exact = false;
+  } else if (matched >= child_total) {
+    out.coverage = qom::Coverage::kTotal;
+  } else {
+    out.coverage = qom::Coverage::kPartial;
+    all_exact = false;
+  }
+  out.all_exact = all_exact;
+  return out;
+}
+
+// The children pass stages a pair's coverage and all-exact flag in its
+// category byte until the combine pass overwrites it.
+uint8_t PackChildren(qom::Coverage coverage, bool all_exact) {
+  return static_cast<uint8_t>(static_cast<uint8_t>(coverage) << 1 |
+                              (all_exact ? 1 : 0));
+}
+
 }  // namespace
+
+uint64_t SoaTable::Bytes(const xsd::FlatSchema& source,
+                         const xsd::FlatSchema& target) {
+  constexpr uint64_t kCell = sizeof(double) + sizeof(uint8_t);
+  const uint64_t levels = (uint64_t{source.max_level} + 1) *
+                          (uint64_t{target.max_level} + 1);
+  return kCell * (uint64_t{source.size()} * target.size() +
+                  uint64_t{source.labels.size()} * target.labels.size() +
+                  uint64_t{source.prop_keys.size()} * target.prop_keys.size() +
+                  levels);
+}
 
 SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
                              const xsd::FlatSchema& target,
@@ -73,33 +207,41 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
   };
 
   // ---- precompute stage -------------------------------------------------
-  // Everything below runs on the coordinating thread: the arena is not
-  // thread-safe, so all scratch is carved out before rows fan out.
+  // Everything below is allocated on the coordinating thread (the arena is
+  // not thread-safe) before rows fan out.
+  SoaTable& out_table = out.table;
+  out_table.cols = m;
 
   // Label-axis matrix over *distinct* labels. The stored score is already
   // gated (0.0 when the class is kNone).
   const size_t nl = source.labels.size();
   const size_t ml = target.labels.size();
-  double* label_score = arena->MakeArray<double>(nl * ml);
-  uint8_t* label_cls = arena->MakeArray<uint8_t>(nl * ml);
-  lingua::PairwiseLabelScorer scorer(*config.name_matcher, source.labels,
-                                     target.labels);
+  out_table.label = MakeAxisMatrix(nl, ml);
+  double* label_score = out_table.label.score.get();
+  uint8_t* label_cls = out_table.label.cls.get();
+  // Each label cell and each token-similarity slot is a pure function of
+  // its pair, so a parallel fill is bit-identical to the sequential one
+  // for any worker count.
+  const bool parallel_labels =
+      pool != nullptr && pool->worker_count() > 0 && nl * ml >= 4096;
+  const lingua::PairwiseLabelScorer scorer(*config.name_matcher, source.labels,
+                                           target.labels,
+                                           parallel_labels ? pool : nullptr);
   // The label matrix is the precompute stage's token work, so it polls the
   // stop latch once per distinct source label.
   auto fill_label_row = [&](size_t a) {
     if (should_stop()) return;
     double* score_row = label_score + a * ml;
     uint8_t* cls_row = label_cls + a * ml;
+    uint64_t skipped = 0;
     for (size_t b = 0; b < ml; ++b) {
-      const lingua::LabelMatch lm = scorer.Match(a, b);
+      const lingua::LabelMatch lm = scorer.Match(a, b, &skipped);
       score_row[b] = lm.cls == lingua::LabelMatchClass::kNone ? 0.0 : lm.score;
       cls_row[b] = ToAxisByte(lm.cls);
     }
+    QMATCH_COUNTER_ADD("lingua.label_pairs_skipped", skipped);
   };
-  if (pool != nullptr && pool->worker_count() > 0 && nl * ml >= 4096) {
-    // Each cell is a pure function of its label pair, so a parallel fill
-    // is bit-identical to the sequential one for any worker count.
-    scorer.Precompute();
+  if (parallel_labels) {
     pool->ParallelFor(nl, fill_label_row);
   } else {
     for (size_t a = 0; a < nl; ++a) fill_label_row(a);
@@ -114,9 +256,10 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
   // reads, so any representative gives the pair's exact value).
   const size_t np = source.prop_keys.size();
   const size_t mp = target.prop_keys.size();
-  double* prop_score = arena->MakeArray<double>(np * mp);
-  uint8_t* prop_cls = arena->MakeArray<uint8_t>(np * mp);
-  for (size_t p = 0; p < np; ++p) {
+  out_table.properties = MakeAxisMatrix(np, mp);
+  double* prop_score = out_table.properties.score.get();
+  uint8_t* prop_cls = out_table.properties.cls.get();
+  auto fill_prop_row = [&](size_t p) {
     const xsd::SchemaNode& rep = *source.nodes[source.prop_rep[p]];
     for (size_t q = 0; q < mp; ++q) {
       const PropertyMatch pm = MatchProperties(
@@ -124,14 +267,20 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
       prop_score[p * mp + q] = pm.score;
       prop_cls[p * mp + q] = ToAxisByte(pm.cls);
     }
+  };
+  if (pool != nullptr && pool->worker_count() > 0 && np * mp >= 4096) {
+    pool->ParallelFor(np, fill_prop_row);  // pure cells, as above
+  } else {
+    for (size_t p = 0; p < np; ++p) fill_prop_row(p);
   }
 
   // Level-axis matrix over distinct (source level, target level) pairs:
   // exact on equal levels, else 0 (binary) or 1/(1+gap) (graded).
   const size_t nlev = static_cast<size_t>(source.max_level) + 1;
   const size_t mlev = static_cast<size_t>(target.max_level) + 1;
-  double* level_score = arena->MakeArray<double>(nlev * mlev);
-  uint8_t* level_cls = arena->MakeArray<uint8_t>(nlev * mlev);
+  out_table.level = MakeAxisMatrix(nlev, mlev);
+  double* level_score = out_table.level.score.get();
+  uint8_t* level_cls = out_table.level.cls.get();
   for (size_t a = 0; a < nlev; ++a) {
     for (size_t b = 0; b < mlev; ++b) {
       double score = 0.0;
@@ -148,35 +297,36 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
     }
   }
 
-  // Effective-leaf flags (IsLeaf, or at/below the capped-depth rung's cap).
+  // Effective-leaf flags, so the row loops read one byte per node.
   auto leaf_flags = [&](const xsd::FlatSchema& flat) {
     uint8_t* flags = arena->MakeArray<uint8_t>(flat.size());
     for (size_t i = 0; i < flat.size(); ++i) {
-      const bool leaf = flat.child_begin[i] == flat.child_begin[i + 1];
-      const bool capped =
-          config.capped &&
-          static_cast<size_t>(flat.level[i]) >= config.children_depth_cap;
-      flags[i] = (leaf || capped) ? 1 : 0;
+      flags[i] = EffectiveLeaf(flat, config, i) ? 1 : 0;
     }
     return flags;
   };
   const uint8_t* source_leaf = leaf_flags(source);
   const uint8_t* target_leaf = leaf_flags(target);
 
-  // SoA copies of the two table fields the children axis reads back, so
-  // the child loops stream 8+1 bytes per cell instead of striding through
-  // sizeof(PairQoM) AoS cells.
-  double* qom_col = arena->MakeArray<double>(n * m);
-  uint8_t* cat_col = arena->MakeArray<uint8_t>(n * m);
+  // The output columns, written directly by the row fill (never
+  // zero-filled: only completed rows are ever read).
+  out_table.qom = Uninitialised<double>(n * m);
+  out_table.category = Uninitialised<uint8_t>(n * m);
+  double* qom_col = out_table.qom.get();
+  uint8_t* cat_col = out_table.category.get();
 
   // ---- row fill ----------------------------------------------------------
-  // One source row, as columnar passes: children, label, properties,
-  // level, then a combine pass that commits qom/category, polls the stop
-  // latch and hits the `treematch.pair` failpoint once per pair. Returns
-  // false when the fill stopped before the row completed.
+  // One source row, as two passes over its m cells. The children pass
+  // stages each pair's children value in the row's qom column and its
+  // coverage/all-exact bits in the category column. The combine pass
+  // broadcasts the label, property and level axes from the distinct-pair
+  // matrices, commits the weighted total and taxonomy category, polls the
+  // stop latch and hits the `treematch.pair` failpoint once per pair.
+  // Returns false when the fill stopped before the row completed.
   const qom::Weights w = config.weights;
   auto fill_row = [&](size_t i) -> bool {
-    qom::PairQoM* row = table + i * m;
+    double* qom_row = qom_col + i * m;
+    uint8_t* cat_row = cat_col + i * m;
 #if QMATCH_OBS_ENABLED
     uint64_t memo_lookups = 0;
     uint64_t contributing = 0;
@@ -189,178 +339,65 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
     };
 #endif
 
-    // --- Children axis (Eq. 3-5) ---------------------------------------
-    if (config.label_only) {
-      for (size_t j = 0; j < m; ++j) {
-        row[j].children = 0.0;
-        row[j].coverage = qom::Coverage::kNone;
-        row[j].children_all_exact = false;
-      }
-    } else if (source_leaf[i] != 0) {
-      for (size_t j = 0; j < m; ++j) {
-        if (target_leaf[j] != 0) {
-          row[j].children = 1.0;
-          row[j].coverage = qom::Coverage::kTotal;
-          row[j].children_all_exact = true;
-        } else {
-          row[j].children = config.leaf_to_inner_children_credit;
-          row[j].coverage = qom::Coverage::kTotal;
-          row[j].children_all_exact = false;
-        }
-      }
-    } else {
-      const size_t cb = source.child_begin[i];
-      const size_t ce = source.child_begin[i + 1];
-      const double child_total = static_cast<double>(ce - cb);
-      for (size_t j = 0; j < m; ++j) {
-        if (target_leaf[j] != 0) {
-          row[j].children = 0.0;
-          row[j].coverage = qom::Coverage::kNone;
-          row[j].children_all_exact = false;
-          continue;
-        }
-        const size_t tb = target.child_begin[j];
-        const size_t te = target.child_begin[j + 1];
-        double qom_sum = 0.0;
-        double matched = 0.0;
-        bool all_exact = true;
-        QMATCH_OBS_ONLY(memo_lookups += uint64_t{ce - cb} * (te - tb);)
-        if (config.best_match_accumulation) {
-          for (size_t sc = cb; sc < ce; ++sc) {
-            const double* child_row =
-                qom_col + static_cast<size_t>(source.child_index[sc]) * m;
-            const uint8_t* child_cats =
-                cat_col + static_cast<size_t>(source.child_index[sc]) * m;
-            double best = 0.0;
-            uint8_t best_cat = 0;
-            bool has_best = false;
-            for (size_t tc = tb; tc < te; ++tc) {
-              const size_t cj = target.child_index[tc];
-              if (child_row[cj] > best) {
-                best = child_row[cj];
-                best_cat = child_cats[cj];
-                has_best = true;
-              }
-            }
-            if (has_best && best >= config.threshold) {
-              qom_sum += best;
-              matched += 1.0;
-              if (best_cat != kTotalExactByte) all_exact = false;
-            }
-          }
-        } else {
-          // Paper-literal accumulation (Fig. 3 pseudo-code).
-          for (size_t sc = cb; sc < ce; ++sc) {
-            const double* child_row =
-                qom_col + static_cast<size_t>(source.child_index[sc]) * m;
-            const uint8_t* child_cats =
-                cat_col + static_cast<size_t>(source.child_index[sc]) * m;
-            for (size_t tc = tb; tc < te; ++tc) {
-              const size_t cj = target.child_index[tc];
-              if (child_row[cj] >= config.threshold) {
-                qom_sum += child_row[cj];
-                matched += 1.0;
-                if (child_cats[cj] != kTotalExactByte) all_exact = false;
-              }
-            }
-          }
-        }
-        QMATCH_OBS_ONLY(contributing += static_cast<uint64_t>(matched);)
-        const double rw = qom_sum / child_total;  // Eq. 3
-        const double rs = matched / child_total;  // Eq. 4
-        row[j].children = std::min(1.0, (rw + rs) / 2.0);  // Eq. 5
-        if (matched <= 0.0) {
-          row[j].coverage = qom::Coverage::kNone;
-          all_exact = false;
-        } else if (matched >= child_total) {
-          row[j].coverage = qom::Coverage::kTotal;
-        } else {
-          row[j].coverage = qom::Coverage::kPartial;
-          all_exact = false;
-        }
-        row[j].children_all_exact = all_exact;
-      }
+    // --- Children pass (Eq. 3-5) ---------------------------------------
+    const bool leaf_row = source_leaf[i] != 0;
+    for (size_t j = 0; j < m; ++j) {
+      const ChildrenAxis children =
+          ChildrenOf(source, target, config, leaf_row, target_leaf[j] != 0,
+                     qom_col, cat_col, i, j);
+      qom_row[j] = children.value;
+      cat_row[j] = PackChildren(children.coverage, children.all_exact);
+      QMATCH_OBS_ONLY(memo_lookups += children.lookups;
+                      contributing +=
+                          static_cast<uint64_t>(children.matched);)
     }
 #if QMATCH_OBS_ENABLED
     const uint64_t children_ns = lap();
 #endif
 
-    // --- Label axis (broadcast from the distinct-label matrix) ----------
-    {
-      const double* score_row =
-          label_score + static_cast<size_t>(source.label_id[i]) * ml;
-      const uint8_t* cls_row =
-          label_cls + static_cast<size_t>(source.label_id[i]) * ml;
-      for (size_t j = 0; j < m; ++j) {
-        const size_t b = target.label_id[j];
-        row[j].label = score_row[b];
-        row[j].label_cls = static_cast<qom::AxisMatch>(cls_row[b]);
-      }
-    }
-#if QMATCH_OBS_ENABLED
-    const uint64_t label_ns = lap();
-#endif
-
-    // --- Properties axis (broadcast from the descriptor matrix) ---------
-    {
-      const double* score_row =
-          prop_score + static_cast<size_t>(source.prop_id[i]) * mp;
-      const uint8_t* cls_row =
-          prop_cls + static_cast<size_t>(source.prop_id[i]) * mp;
-      for (size_t j = 0; j < m; ++j) {
-        const size_t q = target.prop_id[j];
-        row[j].properties = score_row[q];
-        row[j].properties_cls = static_cast<qom::AxisMatch>(cls_row[q]);
-      }
-    }
-#if QMATCH_OBS_ENABLED
-    const uint64_t properties_ns = lap();
-#endif
-
-    // --- Level axis ------------------------------------------------------
-    {
-      const double* score_row =
-          level_score + static_cast<size_t>(source.level[i]) * mlev;
-      const uint8_t* cls_row =
-          level_cls + static_cast<size_t>(source.level[i]) * mlev;
-      for (size_t j = 0; j < m; ++j) {
-        const size_t b = target.level[j];
-        row[j].level = score_row[b];
-        row[j].level_cls = static_cast<qom::AxisMatch>(cls_row[b]);
-      }
-    }
-#if QMATCH_OBS_ENABLED
-    const uint64_t level_ns = lap();
-#endif
-
-    // --- Combine pass: weighted total (Eq. 1/6), taxonomy category, stop
-    // poll and per-pair failpoint ----------------------------------------
-    double* qom_row = qom_col + i * m;
-    uint8_t* cat_row = cat_col + i * m;
+    // --- Combine pass: label/property/level broadcast, weighted total
+    // (Eq. 1/6), taxonomy category, stop poll and per-pair failpoint ------
+    const double* lscore = label_score + size_t{source.label_id[i]} * ml;
+    const uint8_t* lcls = label_cls + size_t{source.label_id[i]} * ml;
+    const double* pscore = prop_score + size_t{source.prop_id[i]} * mp;
+    const uint8_t* pcls = prop_cls + size_t{source.prop_id[i]} * mp;
+    const double* hscore = level_score + size_t{source.level[i]} * mlev;
+    const uint8_t* hcls = level_cls + size_t{source.level[i]} * mlev;
     bool completed = true;
     for (size_t j = 0; j < m; ++j) {
       if (should_stop()) {
         completed = false;
         break;
       }
-      qom::PairQoM& pair = row[j];
-      pair.qom = w.label * pair.label + w.properties * pair.properties +
-                 w.level * pair.level + w.children * pair.children;
-      pair.category =
-          qom::Categorize(pair.label_cls, pair.properties_cls, pair.level_cls,
-                          pair.coverage, pair.children_all_exact);
-      qom_row[j] = pair.qom;
-      cat_row[j] = static_cast<uint8_t>(pair.category);
+      const uint32_t b = target.label_id[j];
+      const uint32_t q = target.prop_id[j];
+      const uint32_t h = target.level[j];
+      const double children = qom_row[j];
+      const auto coverage = static_cast<qom::Coverage>(cat_row[j] >> 1);
+      const bool all_exact = (cat_row[j] & 1) != 0;
+      const auto label_axis = static_cast<qom::AxisMatch>(lcls[b]);
+      const auto prop_axis = static_cast<qom::AxisMatch>(pcls[q]);
+      const auto level_axis = static_cast<qom::AxisMatch>(hcls[h]);
+      const double total = w.label * lscore[b] + w.properties * pscore[q] +
+                           w.level * hscore[h] + w.children * children;
+      const qom::MatchCategory category = qom::Categorize(
+          label_axis, prop_axis, level_axis, coverage, all_exact);
+      qom_row[j] = total;
+      cat_row[j] = static_cast<uint8_t>(category);
+      if (table != nullptr) {
+        table[i * m + j] = qom::PairQoM{
+            lscore[b],  pscore[q], hscore[h],  children, label_axis,
+            prop_axis,  level_axis, coverage,  all_exact, category,
+            total};
+      }
       QMATCH_FAILPOINT("treematch.pair");
     }
 
 #if QMATCH_OBS_ENABLED
-    // Per-row flush: the pass structure makes exact per-axis timing cheap —
-    // a handful of clock reads per row. The combine pass is not timed.
+    // Per-row flush: the pass structure makes exact per-pass timing cheap —
+    // a handful of clock reads per row.
     QMATCH_COUNTER_ADD("qmatch.treematch.axis_children_ns", children_ns);
-    QMATCH_COUNTER_ADD("qmatch.treematch.axis_label_ns", label_ns);
-    QMATCH_COUNTER_ADD("qmatch.treematch.axis_properties_ns", properties_ns);
-    QMATCH_COUNTER_ADD("qmatch.treematch.axis_level_ns", level_ns);
+    QMATCH_COUNTER_ADD("qmatch.treematch.combine_ns", lap());
     QMATCH_COUNTER_ADD("qmatch.treematch.sampled_pairs", m);
     QMATCH_COUNTER_ADD("qmatch.treematch.memo_lookups", memo_lookups);
     QMATCH_COUNTER_ADD("qmatch.treematch.contributing_children", contributing);
@@ -410,6 +447,35 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
     out.completed_rows += row_done[i] != 0 ? 1u : 0u;
   }
   return out;
+}
+
+qom::PairQoM SoaCell(const xsd::FlatSchema& source,
+                     const xsd::FlatSchema& target,
+                     const SoaKernelConfig& config, const SoaTable& table,
+                     size_t i, size_t j) {
+  const size_t m = table.cols;
+  const ChildrenAxis children = ChildrenOf(
+      source, target, config, EffectiveLeaf(source, config, i),
+      EffectiveLeaf(target, config, j), table.qom.get(), table.category.get(),
+      i, j);
+  auto axis = [](const AxisMatrix& matrix, size_t a, size_t b,
+                 double* score) {
+    *score = matrix.score[a * matrix.cols + b];
+    return static_cast<qom::AxisMatch>(matrix.cls[a * matrix.cols + b]);
+  };
+  qom::PairQoM pair;
+  pair.label_cls = axis(table.label, source.label_id[i], target.label_id[j],
+                        &pair.label);
+  pair.properties_cls = axis(table.properties, source.prop_id[i],
+                             target.prop_id[j], &pair.properties);
+  pair.level_cls =
+      axis(table.level, source.level[i], target.level[j], &pair.level);
+  pair.children = children.value;
+  pair.coverage = children.coverage;
+  pair.children_all_exact = children.all_exact;
+  pair.category = static_cast<qom::MatchCategory>(table.category[i * m + j]);
+  pair.qom = table.qom[i * m + j];
+  return pair;
 }
 
 }  // namespace qmatch::match

@@ -2,6 +2,8 @@
 #define QMATCH_MATCH_SOA_KERNEL_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/arena.h"
@@ -36,37 +38,80 @@ struct SoaKernelConfig {
   PropertyMatchOptions property_options;
 };
 
+/// One distinct-pair axis matrix: the axis score and its qom::AxisMatch
+/// class (stored as the enum's byte) per (source key, target key),
+/// row-major with `cols` columns.
+struct AxisMatrix {
+  size_t cols = 0;
+  std::unique_ptr<double[]> score;
+  std::unique_ptr<uint8_t[]> cls;
+};
+
+/// The filled table, kept by QMatch::Analysis: the per-pair `qom` and
+/// `category` columns (source-major, 8 + 1 bytes per pair) plus the
+/// distinct-pair label, property and level matrices a pair's per-axis
+/// breakdown is rebuilt from (SoaCell). Nothing is zero-filled: a row's
+/// cells hold values only once the fill marked the row done.
+struct SoaTable {
+  size_t cols = 0;  // target nodes
+  std::unique_ptr<double[]> qom;
+  std::unique_ptr<uint8_t[]> category;  // qom::MatchCategory bytes
+  AxisMatrix label;       // distinct source label x distinct target label
+  AxisMatrix properties;  // distinct property descriptors
+  AxisMatrix level;       // (source level, target level)
+
+  /// Bytes SoaFillTable allocates for the table of `source` x `target`:
+  /// what the engine charges a request's memory budget before the fill.
+  static uint64_t Bytes(const xsd::FlatSchema& source,
+                        const xsd::FlatSchema& target);
+};
+
 struct SoaKernelResult {
   StopReason stop = StopReason::kNone;
   size_t completed_rows = 0;
+  SoaTable table;
 };
 
-/// Fills `table` (source-major, size source.size()*target.size()) with the
-/// per-pair QoM decomposition of TreeMatch (PAPER.md §4, Fig. 3) — cell for
-/// cell bit-identical to the literal memoised recursion, which
-/// tests/qmatch_oracle.h keeps as the differential oracle: every axis value
-/// is the same pure function evaluated on the same inputs, and child QoMs
-/// are summed in tree order. The kernel only *deduplicates*: label matches
-/// are computed once per distinct (source label, target label), property
-/// matches once per distinct packed-descriptor pair, and level matches once
-/// per distinct (source level, target level), then broadcast through the
-/// interned id columns.
+/// Fills the TreeMatch table of `source` x `target` (PAPER.md §4, Fig. 3)
+/// and returns it as a SoaTable — cell for cell bit-identical to the
+/// literal memoised recursion, which tests/qmatch_oracle.h keeps as the
+/// differential oracle: every axis value is the same pure function
+/// evaluated on the same inputs, and child QoMs are summed in tree order.
+/// The kernel only *deduplicates*: label matches are computed once per
+/// distinct (source label, target label), property matches once per
+/// distinct packed-descriptor pair, and level matches once per distinct
+/// (source level, target level), then broadcast through the interned id
+/// columns.
 ///
-/// All scratch (similarity matrices, SoA score columns) comes from
-/// `arena`, allocated on the calling thread before any fan-out to `pool`.
-/// `control` (nullable) is polled once per distinct source label while the
-/// label matrix fills (a trip there returns with no row filled) and per
-/// pair during the final combine pass; on a trip the fill stops
-/// cooperatively and `row_done` marks exactly the source rows whose every
-/// cell is complete (the monotone-partial contract of DESIGN.md §10). The
-/// `treematch.pair` failpoint fires once per computed pair, the chaos
-/// suite's hook for slow-pair and deadline scenarios.
+/// `table` is an optional output: when non-null (source-major, size
+/// source.size()*target.size()) the fill also writes every completed
+/// pair's full PairQoM decomposition there.
+///
+/// The effective-leaf flags come from `arena`, allocated on the calling
+/// thread before any fan-out to `pool`. `control` (nullable) is polled
+/// once per distinct source label while the label matrix fills (a trip
+/// there returns with no row filled) and per pair during each row's
+/// combine pass; on a trip the fill stops cooperatively and `row_done`
+/// marks exactly the source rows whose every cell is complete (the
+/// monotone-partial contract of DESIGN.md §10). The `treematch.pair`
+/// failpoint fires once per computed pair, the chaos suite's hook for
+/// slow-pair and deadline scenarios.
 SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
                              const xsd::FlatSchema& target,
                              const SoaKernelConfig& config,
                              qom::PairQoM* table, std::vector<char>& row_done,
                              ThreadPool* pool, const ExecControl* control,
                              Arena* arena);
+
+/// Rebuilds pair (i, j)'s full decomposition from a filled `table`: the
+/// label, property and level axes from its distinct-pair matrices, the
+/// children axis from the child cells by the function the row fill uses,
+/// the total and category from the columns. Row i must be complete, and
+/// `config` the configuration the table was filled with.
+qom::PairQoM SoaCell(const xsd::FlatSchema& source,
+                     const xsd::FlatSchema& target,
+                     const SoaKernelConfig& config, const SoaTable& table,
+                     size_t i, size_t j);
 
 }  // namespace qmatch::match
 

@@ -12,12 +12,14 @@
 #include <utility>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/cancel.h"
 #include "common/status.h"
 #include "core/qmatch.h"
 #include "datagen/corpus.h"
 #include "datagen/generator.h"
 #include "fault/failpoint.h"
+#include "match/soa_kernel.h"
 #include "obs/obs.h"
 #include "xsd/parser.h"
 
@@ -80,12 +82,12 @@ TEST_F(EngineCorpusTest, AllGoodEntriesSucceedAndAccountingBalances) {
 }
 
 TEST_F(EngineCorpusTest, OneOversizedEntryDegradesOnlyItsOwnSlot) {
-  // A request budget that fits a small table but not a 300x300 one: the
+  // A request budget that fits a small table but not a 600x600 one: the
   // oversized job must come back kResourceExhausted in its own slot while
   // the jobs on either side of it are unaffected.
   datagen::GeneratorOptions gen;
   gen.seed = 7;
-  gen.element_count = 300;
+  gen.element_count = 600;
   gen.name = "Oversized";
   const xsd::Schema big_source = datagen::GenerateSchema(gen);
   gen.seed = 8;
@@ -96,8 +98,15 @@ TEST_F(EngineCorpusTest, OneOversizedEntryDegradesOnlyItsOwnSlot) {
                                       MatchJob{&big_source, &big_target},
                                       MatchJob{&query, &good}};
   MatchEngineOptions options = EngineOptions(4);
-  options.overload.request_budget_bytes = uint64_t{4} << 20;
-  ASSERT_GT(big_source.NodeCount() * big_target.NodeCount() * sizeof(PairQoM),
+  options.overload.request_budget_bytes = uint64_t{2} << 20;
+  // The engine charges each job's exact table bytes up front (9 per node
+  // pair plus the distinct-pair matrices); the small job also needs the
+  // kernel arena's first block.
+  const uint64_t small_bytes =
+      match::SoaTable::Bytes(query.Flat(), good.Flat()) +
+      Arena::kDefaultBlockBytes;
+  ASSERT_LT(small_bytes, options.overload.request_budget_bytes);
+  ASSERT_GT(match::SoaTable::Bytes(big_source.Flat(), big_target.Flat()),
             options.overload.request_budget_bytes);
   MatchEngine engine(options);
   const std::vector<EngineMatchResult> results =

@@ -11,6 +11,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/file_util.h"
@@ -76,10 +77,10 @@ TEST(OverloadDegradationTest, LabelOnlyMatchesFullOnCheapAxesBitIdentically) {
   size_t compared = 0;
   for (const xsd::SchemaNode* s : source.AllNodes()) {
     for (const xsd::SchemaNode* t : target.AllNodes()) {
-      const PairQoM* f = full.Pair(s, t);
-      const PairQoM* d = degraded.Pair(s, t);
-      ASSERT_NE(f, nullptr);
-      ASSERT_NE(d, nullptr);
+      const std::optional<PairQoM> f = full.Pair(s, t);
+      const std::optional<PairQoM> d = degraded.Pair(s, t);
+      ASSERT_TRUE(f.has_value());
+      ASSERT_TRUE(d.has_value());
       EXPECT_TRUE(BitEqual(f->label, d->label))
           << s->Path() << " x " << t->Path();
       EXPECT_TRUE(BitEqual(f->properties, d->properties))
@@ -107,7 +108,7 @@ TEST(OverloadDegradationTest, LabelOnlyWeightsAreRenormalized) {
       matcher.Analyze(source, target, nullptr, nullptr, opts);
   // Eq. 6/7 renormalization: w' = w / (WL + WP + WH), so the root pair's
   // QoM is the renormalized weighted sum of its three remaining axes.
-  const PairQoM& root = degraded.Root();
+  const PairQoM root = degraded.Root();
   const double rest = 0.3 + 0.2 + 0.1;
   const double expected = (0.3 / rest) * root.label +
                           (0.2 / rest) * root.properties +
@@ -130,10 +131,10 @@ TEST(OverloadDegradationTest, CappedDepthTreatsDeepNodesAsLeaves) {
   QMatch::Analysis full = matcher.Analyze(source, target);
   for (const xsd::SchemaNode* s : source.AllNodes()) {
     for (const xsd::SchemaNode* t : target.AllNodes()) {
-      const PairQoM* f = full.Pair(s, t);
-      const PairQoM* c = capped.Pair(s, t);
-      ASSERT_NE(f, nullptr);
-      ASSERT_NE(c, nullptr);
+      const std::optional<PairQoM> f = full.Pair(s, t);
+      const std::optional<PairQoM> c = capped.Pair(s, t);
+      ASSERT_TRUE(f.has_value());
+      ASSERT_TRUE(c.has_value());
       EXPECT_TRUE(BitEqual(f->label, c->label));
       EXPECT_TRUE(BitEqual(f->properties, c->properties));
       EXPECT_TRUE(BitEqual(f->level, c->level));

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <utility>
 
 #include "core/qmatch.h"
@@ -23,9 +24,9 @@ TEST(QMatchTest, PaperExampleExactLeafMatch) {
   Schema po1 = datagen::MakePO1();
   Schema po2 = datagen::MakePO2();
   QMatch::Analysis analysis = matcher.Analyze(po1, po2);
-  const PairQoM* pair =
+  const std::optional<PairQoM> pair =
       analysis.PairByPath("/PO/OrderNo", "/PurchaseOrder/OrderNo");
-  ASSERT_NE(pair, nullptr);
+  ASSERT_TRUE(pair.has_value());
   EXPECT_EQ(pair->category, qom::MatchCategory::kTotalExact);
   EXPECT_DOUBLE_EQ(pair->qom, 1.0)
       << "highest classification must yield QoM = 1 (Section 3)";
@@ -41,8 +42,8 @@ TEST(QMatchTest, PaperExampleRelaxedLeafMatches) {
                                 "/PurchaseOrder/Items/Qty"},
                       std::pair{"/PO/PurchaseInfo/Lines/UnitOfMeasure",
                                 "/PurchaseOrder/Items/UOM"}}) {
-    const PairQoM* pair = analysis.PairByPath(s, t);
-    ASSERT_NE(pair, nullptr) << s;
+    const std::optional<PairQoM> pair = analysis.PairByPath(s, t);
+    ASSERT_TRUE(pair.has_value()) << s;
     EXPECT_EQ(pair->label_cls, qom::AxisMatch::kRelaxed) << s;
     EXPECT_EQ(pair->category, qom::MatchCategory::kTotalRelaxed) << s;
     EXPECT_LT(pair->qom, 1.0);
@@ -57,17 +58,17 @@ TEST(QMatchTest, PaperExampleSubtreeMatches) {
   Schema po2 = datagen::MakePO2();
   QMatch::Analysis analysis = matcher.Analyze(po1, po2);
 
-  const PairQoM* lines_items =
+  const std::optional<PairQoM> lines_items =
       analysis.PairByPath("/PO/PurchaseInfo/Lines", "/PurchaseOrder/Items");
-  ASSERT_NE(lines_items, nullptr);
+  ASSERT_TRUE(lines_items.has_value());
   EXPECT_EQ(lines_items->category, qom::MatchCategory::kTotalRelaxed);
   EXPECT_EQ(lines_items->coverage, qom::Coverage::kTotal);
   EXPECT_EQ(lines_items->level_cls, qom::AxisMatch::kNone)
       << "Lines is at level 2, Items at level 1";
 
-  const PairQoM* info_root =
+  const std::optional<PairQoM> info_root =
       analysis.PairByPath("/PO/PurchaseInfo", "/PurchaseOrder");
-  ASSERT_NE(info_root, nullptr);
+  ASSERT_TRUE(info_root.has_value());
   EXPECT_EQ(info_root->category, qom::MatchCategory::kTotalRelaxed);
 
   // Tree match: the roots are total relaxed (§2.2 end).
@@ -112,17 +113,17 @@ TEST(QMatchTest, EquationsMatchHandComputation) {
   // Child pair (a, a): identical -> QoM 1. Child b has no match above the
   // threshold ("b" vs "a"/"c" labels unrelated, level equal but label none
   // means ... the b->c pair scores P,H,C only).
-  const PairQoM* aa = analysis.PairByPath("/Root/a", "/Root/a");
-  ASSERT_NE(aa, nullptr);
+  const std::optional<PairQoM> aa = analysis.PairByPath("/Root/a", "/Root/a");
+  ASSERT_TRUE(aa.has_value());
   EXPECT_DOUBLE_EQ(aa->qom, 1.0);
 
   // Root children axis: one of two children matched with QoM 1.
   //   Rw = 1/2, Rs = best-match count... but b->c scores
   //   WP*P + WH*1 + WC*1 which may clear the 0.5 threshold; compute from
   //   the table directly instead of assuming.
-  const PairQoM* bc = analysis.PairByPath("/Root/b", "/Root/c");
-  ASSERT_NE(bc, nullptr);
-  const PairQoM& root = analysis.Root();
+  const std::optional<PairQoM> bc = analysis.PairByPath("/Root/b", "/Root/c");
+  ASSERT_TRUE(bc.has_value());
+  const PairQoM root = analysis.Root();
   double expected_rw;
   double expected_rs;
   if (bc->qom >= config.threshold) {
@@ -158,14 +159,16 @@ TEST(QMatchTest, LeafVsInnerChildrenCredit) {
   QMatch matcher(config);
   QMatch::Analysis analysis = matcher.Analyze(source, target);
   // Leaf source vs inner target: configured credit.
-  const PairQoM* pair = analysis.PairByPath("/Root/Item", "/Root/Items");
-  ASSERT_NE(pair, nullptr);
+  const std::optional<PairQoM> pair =
+      analysis.PairByPath("/Root/Item", "/Root/Items");
+  ASSERT_TRUE(pair.has_value());
   EXPECT_DOUBLE_EQ(pair->children, 0.25);
   EXPECT_EQ(pair->coverage, qom::Coverage::kTotal);
   EXPECT_FALSE(pair->children_all_exact);
   // Inner source vs leaf target: no coverage.
-  const PairQoM* reverse = analysis.PairByPath("/Root", "/Root/Items/Sub");
-  ASSERT_NE(reverse, nullptr);
+  const std::optional<PairQoM> reverse =
+      analysis.PairByPath("/Root", "/Root/Items/Sub");
+  ASSERT_TRUE(reverse.has_value());
   EXPECT_DOUBLE_EQ(reverse->children, 0.0);
   EXPECT_EQ(reverse->coverage, qom::Coverage::kNone);
 }
@@ -218,8 +221,8 @@ TEST(QMatchTest, PaperLiteralAccumulationStaysBounded) {
   QMatch::Analysis analysis = matcher.Analyze(po1, po2);
   for (const xsd::SchemaNode* s : po1.AllNodes()) {
     for (const xsd::SchemaNode* t : po2.AllNodes()) {
-      const PairQoM* pair = analysis.Pair(s, t);
-      ASSERT_NE(pair, nullptr);
+      const std::optional<PairQoM> pair = analysis.Pair(s, t);
+      ASSERT_TRUE(pair.has_value());
       EXPECT_LE(pair->children, 1.0);
       EXPECT_GE(pair->children, 0.0);
     }
@@ -257,8 +260,8 @@ TEST(QMatchTest, AnalysisPairLookupRejectsForeignNodes) {
   Schema po2 = datagen::MakePO2();
   Schema other = datagen::MakeBook();
   QMatch::Analysis analysis = matcher.Analyze(po1, po2);
-  EXPECT_EQ(analysis.Pair(other.root(), po2.root()), nullptr);
-  EXPECT_EQ(analysis.PairByPath("/Nope", "/PurchaseOrder"), nullptr);
+  EXPECT_FALSE(analysis.Pair(other.root(), po2.root()).has_value());
+  EXPECT_FALSE(analysis.PairByPath("/Nope", "/PurchaseOrder").has_value());
 }
 
 TEST(QMatchTest, WithoutThesaurusStillMatchesIdenticalLabels) {
@@ -279,16 +282,16 @@ TEST(QMatchTest, GradedLevelModeScoresCrossDepthPairs) {
   QMatch matcher(graded);
   QMatch::Analysis analysis = matcher.Analyze(po1, po2);
   // Lines (level 2) vs Items (level 1): binary mode scores 0, graded 0.5.
-  const PairQoM* pair =
+  const std::optional<PairQoM> pair =
       analysis.PairByPath("/PO/PurchaseInfo/Lines", "/PurchaseOrder/Items");
-  ASSERT_NE(pair, nullptr);
+  ASSERT_TRUE(pair.has_value());
   EXPECT_DOUBLE_EQ(pair->level, 0.5);
   EXPECT_EQ(pair->level_cls, qom::AxisMatch::kNone)
       << "qualitative classification stays 'none' per the paper";
   // Equal levels still score 1 in graded mode.
-  const PairQoM* same_level =
+  const std::optional<PairQoM> same_level =
       analysis.PairByPath("/PO/OrderNo", "/PurchaseOrder/OrderNo");
-  ASSERT_NE(same_level, nullptr);
+  ASSERT_TRUE(same_level.has_value());
   EXPECT_DOUBLE_EQ(same_level->level, 1.0);
 }
 
@@ -338,8 +341,8 @@ TEST(QMatchTest, EmptySchemasProduceEmptyResult) {
     EXPECT_DOUBLE_EQ(analysis.Root().qom, 0.0);
     EXPECT_EQ(analysis.Root().category, qom::MatchCategory::kNoMatch);
     EXPECT_TRUE(analysis.result().correspondences.empty());
-    EXPECT_EQ(analysis.Pair(po.root(), po.root()), nullptr);
-    EXPECT_EQ(analysis.PairByPath("/PO", "/PO"), nullptr);
+    EXPECT_FALSE(analysis.Pair(po.root(), po.root()).has_value());
+    EXPECT_FALSE(analysis.PairByPath("/PO", "/PO").has_value());
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,8 +56,8 @@ void ForEveryPair(const QMatch::Analysis& analysis, const xsd::Schema& source,
                   const Check& check) {
   for (const xsd::SchemaNode* s : source.AllNodes()) {
     for (const xsd::SchemaNode* t : target.AllNodes()) {
-      const PairQoM* pair = analysis.Pair(s, t);
-      ASSERT_NE(pair, nullptr) << context;
+      const std::optional<PairQoM> pair = analysis.Pair(s, t);
+      ASSERT_TRUE(pair.has_value()) << context;
       check(*pair, context + " " + s->Path() + " vs " + t->Path());
     }
   }
@@ -168,10 +169,10 @@ TEST(QomPropertiesTest, RaisingLabelWeightNeverLowersLabelDominantLeafPairs) {
       if (!s->IsLeaf()) continue;
       for (const xsd::SchemaNode* t : pair.target.AllNodes()) {
         if (!t->IsLeaf()) continue;
-        const PairQoM* b = before.Pair(s, t);
-        const PairQoM* a = after.Pair(s, t);
-        ASSERT_NE(b, nullptr);
-        ASSERT_NE(a, nullptr);
+        const std::optional<PairQoM> b = before.Pair(s, t);
+        const std::optional<PairQoM> a = after.Pair(s, t);
+        ASSERT_TRUE(b.has_value());
+        ASSERT_TRUE(a.has_value());
         if (b->label < b->level) continue;  // label axis does not dominate
         EXPECT_GE(a->qom + 1e-12, b->qom)
             << pair.context << " " << s->Path() << " vs " << t->Path();

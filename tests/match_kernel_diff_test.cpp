@@ -17,6 +17,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -94,8 +95,8 @@ void ExpectMatchesOracle(const QMatch::Analysis& got,
   EXPECT_TRUE(BitEqual(got.result().schema_qom, oracle[0].qom)) << context;
   for (size_t i = 0; i < src.size(); ++i) {
     for (size_t j = 0; j < tgt.size(); ++j) {
-      const PairQoM* cell = got.Pair(src[i], tgt[j]);
-      ASSERT_NE(cell, nullptr) << context;
+      const std::optional<PairQoM> cell = got.Pair(src[i], tgt[j]);
+      ASSERT_TRUE(cell.has_value()) << context;
       const PairQoM& want = oracle[i * tgt.size() + j];
       if (PairIdentical(*cell, want)) continue;
       ExpectPairIdentical(*cell, want,
@@ -324,6 +325,45 @@ TEST(KernelDiffTest, NonDefaultConfigKnobs) {
   }
 }
 
+/// The stopped-run contract on the columnar table (DESIGN.md §10.3): the
+/// qom/category columns are never zero-filled, so a stopped run reads
+/// nothing from a row it did not complete — Root() is the all-zero
+/// decomposition unless the root row finished, and Pair() on an
+/// uncompleted row reports nothing.
+void ExpectNothingFromIncompleteRows(const QMatch::Analysis& stopped,
+                                     const xsd::Schema& source,
+                                     const xsd::Schema& target,
+                                     const std::string& context) {
+  ASSERT_NE(stopped.stop_reason(), StopReason::kNone) << context;
+  ASSERT_LT(stopped.completed_rows(), stopped.total_rows()) << context;
+  ExpectPairIdentical(stopped.Root(), PairQoM{}, context + " root");
+  EXPECT_TRUE(BitEqual(stopped.result().schema_qom, 0.0)) << context;
+  const std::vector<const xsd::SchemaNode*> src = source.AllNodes();
+  const std::vector<const xsd::SchemaNode*> tgt = target.AllNodes();
+  EXPECT_FALSE(stopped.Pair(src[0], tgt[0]).has_value()) << context;
+  size_t reported = 0;
+  for (const xsd::SchemaNode* s : src) {
+    reported += stopped.Pair(s, tgt.back()).has_value() ? 1u : 0u;
+  }
+  EXPECT_EQ(reported, stopped.completed_rows()) << context;
+}
+
+TEST(KernelDiffTest, CancelledBeforeTheFillReportsNothing) {
+  const QMatch matcher;
+  const xsd::Schema pir = datagen::MakePir();
+  const xsd::Schema pdb = datagen::MakePdb();
+  CancellationToken token;
+  token.Cancel();
+  ExecControl control;
+  control.cancel = &token;
+  const QMatch::Analysis stopped =
+      matcher.Analyze(pir, pdb, nullptr, &control);
+  EXPECT_EQ(stopped.stop_reason(), StopReason::kCancelled);
+  EXPECT_EQ(stopped.completed_rows(), 0u);
+  EXPECT_TRUE(stopped.result().correspondences.empty());
+  ExpectNothingFromIncompleteRows(stopped, pir, pdb, "PIR x PDB pre-cancelled");
+}
+
 #if QMATCH_FAULT_ENABLED
 /// The monotone-partial contract of DESIGN.md §10: every correspondence a
 /// stopped run reports appears in the uninterrupted run with the same
@@ -348,10 +388,10 @@ void ExpectPartialIsSubset(const QMatch::Analysis& partial,
                        << " reported a pair the full run never reports: "
                        << pc.source->Path();
     for (const xsd::SchemaNode* t : target.AllNodes()) {
-      const PairQoM* pp = partial.Pair(pc.source, t);
-      const PairQoM* fpair = full.Pair(pc.source, t);
-      ASSERT_NE(pp, nullptr) << context;
-      ASSERT_NE(fpair, nullptr) << context;
+      const std::optional<PairQoM> pp = partial.Pair(pc.source, t);
+      const std::optional<PairQoM> fpair = full.Pair(pc.source, t);
+      ASSERT_TRUE(pp.has_value()) << context;
+      ASSERT_TRUE(fpair.has_value()) << context;
       ExpectPairIdentical(*pp, *fpair, context + " completed-row cell");
       if (::testing::Test::HasFailure()) return;
     }
@@ -415,6 +455,55 @@ TEST(KernelDiffTest, DeadlineStopsTheFillWithPartials) {
   EXPECT_EQ(stopped.stop_reason(), StopReason::kDeadlineExceeded);
   EXPECT_LT(stopped.completed_rows(), stopped.total_rows());
   ExpectPartialIsSubset(stopped, full, c.target, c.name + " deadline");
+}
+TEST(KernelDiffTest, CancelledProteinRunReportsOnlyCompletedRows) {
+  // Deterministic mid-fill cancellation of PIR x PDB: the sequential fill
+  // runs rows bottom-up (last preorder row first), and the treematch.pair
+  // failpoint stalls the 5th pair of the 21st row until the canceller has
+  // cancelled. Exactly 20 rows complete; their cells are bit-identical to
+  // the uninterrupted run's, and nothing is read from the other rows.
+  const QMatch matcher;
+  const xsd::Schema pir = datagen::MakePir();
+  const xsd::Schema pdb = datagen::MakePdb();
+  const QMatch::Analysis full = matcher.Analyze(pir, pdb);
+  const std::vector<const xsd::SchemaNode*> src = pir.AllNodes();
+  const std::vector<const xsd::SchemaNode*> tgt = pdb.AllNodes();
+  constexpr size_t kDoneRows = 20;
+
+  fault::FaultSpec stall;
+  stall.action = fault::FaultAction::kDelay;
+  stall.delay = std::chrono::milliseconds(300);
+  stall.fire_on_nth_hit = kDoneRows * tgt.size() + 5;
+  fault::ScopedFailpoint fp("treematch.pair", stall);
+  CancellationToken token;
+  ExecControl control;
+  control.cancel = &token;
+  std::thread canceller([&token, &fp] {
+    while (fp.stats().fires == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    token.Cancel();
+  });
+  const QMatch::Analysis partial =
+      matcher.Analyze(pir, pdb, nullptr, &control);
+  canceller.join();
+  const std::string context = "PIR x PDB cancelled";
+  ASSERT_EQ(partial.stop_reason(), StopReason::kCancelled) << context;
+  ASSERT_EQ(partial.completed_rows(), kDoneRows) << context;
+  ExpectNothingFromIncompleteRows(partial, pir, pdb, context);
+  for (size_t i = 0; i < src.size(); ++i) {
+    const bool done = i >= src.size() - kDoneRows;
+    for (size_t j = 0; j < tgt.size(); j += done ? 1 : 97) {
+      const std::optional<PairQoM> cell = partial.Pair(src[i], tgt[j]);
+      ASSERT_EQ(cell.has_value(), done) << context << " row " << i;
+      if (done && !PairIdentical(*cell, *full.Pair(src[i], tgt[j]))) {
+        ExpectPairIdentical(*cell, *full.Pair(src[i], tgt[j]),
+                            context + " row " + std::to_string(i));
+        return;
+      }
+    }
+  }
+  ExpectPartialIsSubset(partial, full, pdb, context);
 }
 #endif  // QMATCH_FAULT_ENABLED
 
