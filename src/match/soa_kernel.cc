@@ -1,6 +1,7 @@
 #include "match/soa_kernel.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 
@@ -76,7 +77,9 @@ struct ChildrenAxis {
 /// The children axis of pair (i, j), read from the completed child rows of
 /// the `qom`/`category` columns. The row fill and SoaCell both call this,
 /// so a rebuilt cell's children axis is the filled one by construction.
-ChildrenAxis ChildrenOf(const xsd::FlatSchema& source,
+/// Inlined into the row fill's per-pair loop, where the row-invariant
+/// branches hoist out.
+[[gnu::always_inline]] inline ChildrenAxis ChildrenOf(const xsd::FlatSchema& source,
                         const xsd::FlatSchema& target,
                         const SoaKernelConfig& config, bool source_leaf,
                         bool target_leaf, const double* qom,
@@ -158,11 +161,43 @@ ChildrenAxis ChildrenOf(const xsd::FlatSchema& source,
 }
 
 // The children pass stages a pair's coverage and all-exact flag in its
-// category byte until the combine pass overwrites it.
+// category byte (3 bits) until the combine pass overwrites it.
 uint8_t PackChildren(qom::Coverage coverage, bool all_exact) {
   return static_cast<uint8_t>(static_cast<uint8_t>(coverage) << 1 |
                               (all_exact ? 1 : 0));
 }
+
+/// qom::Categorize tabulated over every (label, property, level class,
+/// packed children byte) input, so the combine pass looks a category up
+/// instead of calling out per pair. Filled by calling Categorize itself.
+struct CategoryTable {
+  static constexpr size_t kAxes = 3;  // AxisMatch values
+  std::array<uint8_t, kAxes * kAxes * kAxes * 8> category{};
+
+  CategoryTable() {
+    for (size_t l = 0; l < kAxes; ++l) {
+      for (size_t p = 0; p < kAxes; ++p) {
+        for (size_t h = 0; h < kAxes; ++h) {
+          for (uint8_t cov = 0; cov < 3; ++cov) {
+            for (uint8_t exact = 0; exact < 2; ++exact) {
+              const auto coverage = static_cast<qom::Coverage>(cov);
+              category[Index(l, p, h, PackChildren(coverage, exact != 0))] =
+                  static_cast<uint8_t>(qom::Categorize(
+                      static_cast<qom::AxisMatch>(l),
+                      static_cast<qom::AxisMatch>(p),
+                      static_cast<qom::AxisMatch>(h), coverage, exact != 0));
+            }
+          }
+        }
+      }
+    }
+  }
+
+  static size_t Index(size_t label, size_t properties, size_t level,
+                      uint8_t children) {
+    return ((label * kAxes + properties) * kAxes + level) * 8 + children;
+  }
+};
 
 }  // namespace
 
@@ -324,6 +359,7 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
   // stop latch and hits the `treematch.pair` failpoint once per pair.
   // Returns false when the fill stopped before the row completed.
   const qom::Weights w = config.weights;
+  static const CategoryTable categories;
   auto fill_row = [&](size_t i) -> bool {
     double* qom_row = qom_col + i * m;
     uint8_t* cat_row = cat_col + i * m;
@@ -373,22 +409,25 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
       const uint32_t q = target.prop_id[j];
       const uint32_t h = target.level[j];
       const double children = qom_row[j];
-      const auto coverage = static_cast<qom::Coverage>(cat_row[j] >> 1);
-      const bool all_exact = (cat_row[j] & 1) != 0;
-      const auto label_axis = static_cast<qom::AxisMatch>(lcls[b]);
-      const auto prop_axis = static_cast<qom::AxisMatch>(pcls[q]);
-      const auto level_axis = static_cast<qom::AxisMatch>(hcls[h]);
+      const uint8_t staged = cat_row[j];
       const double total = w.label * lscore[b] + w.properties * pscore[q] +
                            w.level * hscore[h] + w.children * children;
-      const qom::MatchCategory category = qom::Categorize(
-          label_axis, prop_axis, level_axis, coverage, all_exact);
       qom_row[j] = total;
-      cat_row[j] = static_cast<uint8_t>(category);
+      cat_row[j] = categories.category[CategoryTable::Index(
+          lcls[b], pcls[q], hcls[h], staged)];
       if (table != nullptr) {
-        table[i * m + j] = qom::PairQoM{
-            lscore[b],  pscore[q], hscore[h],  children, label_axis,
-            prop_axis,  level_axis, coverage,  all_exact, category,
-            total};
+        qom::PairQoM& pair = table[i * m + j];
+        pair.label = lscore[b];
+        pair.properties = pscore[q];
+        pair.level = hscore[h];
+        pair.children = children;
+        pair.label_cls = static_cast<qom::AxisMatch>(lcls[b]);
+        pair.properties_cls = static_cast<qom::AxisMatch>(pcls[q]);
+        pair.level_cls = static_cast<qom::AxisMatch>(hcls[h]);
+        pair.coverage = static_cast<qom::Coverage>(staged >> 1);
+        pair.children_all_exact = (staged & 1) != 0;
+        pair.category = static_cast<qom::MatchCategory>(cat_row[j]);
+        pair.qom = total;
       }
       QMATCH_FAILPOINT("treematch.pair");
     }
