@@ -17,9 +17,13 @@
 #                            # resilient client, and the failover + split-brain
 #                            # chaos harnesses under ASan and TSan, plus the
 #                            # gated failover-gap and partition-heal bench rows
-#   scripts/ci.sh perf       # Fig.4 runtime bench vs bench/baselines.json,
+#   scripts/ci.sh perf [id]  # Fig.4 runtime bench vs bench/baselines.json,
 #                            # plus the warm-start bench (bit-identical warm
-#                            # answers, Protein hit >= 100x faster than cold)
+#                            # answers, Protein hit >= 100x faster than cold);
+#                            # then writes the trajectory point BENCH_<id>.json
+#                            # (default id: dev): the Fig.4 rows and the
+#                            # perfbench medians of all three workloads
+#                            # (PERF_RUNS seeds x PERF_SECONDS s, default 3x30)
 #   scripts/ci.sh coverage   # --coverage build; enforces the line floor
 #   scripts/ci.sh all        # all of the above
 #   scripts/ci.sh loc [base] # added/removed/net production lines (src/ and
@@ -259,11 +263,16 @@ run_ha() {
 #       | python3 scripts/check_perf.py --update bench/baselines.json
 # and review the bench/baselines.json diff like any other code change.
 run_perf() {
+  local point="$1"
+  local fig4="build/bench_fig4_runtime.json"
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build -j "${JOBS}" --target bench_fig4_runtime bench_warmstart
-  ./build/bench/bench_fig4_runtime --benchmark_format=json \
-    | python3 scripts/check_perf.py bench/baselines.json
+  ./build/bench/bench_fig4_runtime --benchmark_format=json > "${fig4}"
+  python3 scripts/check_perf.py bench/baselines.json < "${fig4}"
   ./build/bench/bench_warmstart
+  python3 scripts/bench_trajectory.py --point "${point}" --fig4 "${fig4}" \
+    --runs "${PERF_RUNS:-3}" --seconds "${PERF_SECONDS:-30}" \
+    --out "BENCH_${point}.json"
 }
 
 run_obs_off() {
@@ -407,13 +416,13 @@ case "${MODE}" in
   recovery)  run_recovery ;;
   serve)     run_serve ;;
   ha)        run_ha ;;
-  perf)      run_perf ;;
+  perf)      run_perf "${2:-dev}" ;;
   coverage)  run_coverage ;;
   loc)       run_loc "${2:-HEAD~1}" ;;
   orphans)   run_orphans ;;
   all)       run_default; run_tsan; run_asan; run_ubsan; run_obs_off
              run_fault_off; run_chaos; run_stress; run_recovery
-             run_serve; run_ha; run_perf; run_coverage ;;
+             run_serve; run_ha; run_perf dev; run_coverage ;;
   *) echo "unknown mode '${MODE}'" \
           "(default|tsan|asan|ubsan|obs-off|fault-off|chaos|stress|recovery|serve|ha|perf|coverage|all|loc|orphans)" >&2
      exit 2 ;;

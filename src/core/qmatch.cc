@@ -172,62 +172,47 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
                           tflat.label_id[j]]) != qom::AxisMatch::kNone;
   };
 
-  if (analysis.stop_reason_ == StopReason::kNone) {
-    // Correspondences: extracted from the QoM table per the configured
-    // assignment strategy (default: best target per source node, the set P
-    // evaluated in Section 5). Pairs without label evidence are never
-    // reported (see QMatchConfig).
-    match::AssignmentInput assignment_input;
-    assignment_input.sources = &src;
-    assignment_input.targets = &tgt;
-    assignment_input.score = [&](size_t i, size_t j) { return qom[i * m + j]; };
-    if (config_.require_label_evidence) {
-      assignment_input.eligible = has_label_evidence;
-    }
-    assignment_input.threshold = config_.threshold;
-    assignment_input.ambiguity_margin = config_.ambiguity_margin;
-    analysis.result_.correspondences =
-        match::SelectCorrespondences(assignment_input, config_.assignment);
-    analysis.result_.schema_qom = qom[0];
-    return analysis;
-  }
-
-  // Stopped early: extract the monotone partial result. Completed rows are
+  // Correspondences: extracted from the QoM table per the configured
+  // assignment strategy (default: best target per source node, the set P
+  // evaluated in Section 5). Pairs without label evidence are never
+  // reported (see QMatchConfig).
+  //
+  // A stopped run yields the monotone partial result: completed rows are
   // bit-identical to the uninterrupted run (a row only reads strictly
-  // deeper rows, which were complete before it started), and kBestPerSource
-  // decides each source node from its own row alone — so restricting the
-  // assignment to completed rows reproduces exactly the correspondences the
-  // full run reports for those sources. The injective strategies compete
-  // across rows and cannot be restricted soundly; they report nothing.
-  QMATCH_COUNTER_ADD("qmatch.treematch.stopped_tables", 1);
-  const size_t completed = analysis.completed_rows_;
-  if (config_.assignment == match::AssignmentStrategy::kBestPerSource &&
-      completed > 0) {
-    std::vector<const xsd::SchemaNode*> done_sources;
-    std::vector<size_t> done_rows;
-    done_sources.reserve(completed);
-    done_rows.reserve(completed);
+  // deeper rows, which were complete before it started), and
+  // kBestPerSource decides each source node from its own row alone — so
+  // restricting the assignment to completed rows reproduces exactly the
+  // correspondences the full run reports for those sources. The injective
+  // strategies compete across rows and cannot be restricted soundly; they
+  // report nothing.
+  const bool complete = analysis.stop_reason_ == StopReason::kNone;
+  std::vector<const xsd::SchemaNode*> done_sources;
+  std::vector<size_t> done_rows;
+  if (!complete) {
+    QMATCH_COUNTER_ADD("qmatch.treematch.stopped_tables", 1);
     for (size_t i = 0; i < n; ++i) {
-      if (row_done[i] != 0) {
-        done_sources.push_back(src[i]);
-        done_rows.push_back(i);
-      }
+      if (row_done[i] == 0) continue;
+      done_sources.push_back(src[i]);
+      done_rows.push_back(i);
     }
-    match::AssignmentInput partial_input;
-    partial_input.sources = &done_sources;
-    partial_input.targets = &tgt;
-    partial_input.score = [&](size_t i, size_t j) {
-      return qom[done_rows[i] * m + j];
-    };
+  }
+  auto row = [&](size_t i) { return complete ? i : done_rows[i]; };
+  if (complete || (config_.assignment ==
+                       match::AssignmentStrategy::kBestPerSource &&
+                   !done_rows.empty())) {
+    match::AssignmentInput input;
+    input.sources = complete ? &src : &done_sources;
+    input.targets = &tgt;
+    input.score = [&](size_t i, size_t j) { return qom[row(i) * m + j]; };
     if (config_.require_label_evidence) {
-      partial_input.eligible = [&](size_t i, size_t j) {
-        return has_label_evidence(done_rows[i], j);
+      input.eligible = [&](size_t i, size_t j) {
+        return has_label_evidence(row(i), j);
       };
     }
-    partial_input.threshold = config_.threshold;
-    partial_input.ambiguity_margin = config_.ambiguity_margin;
+    input.threshold = config_.threshold;
+    input.ambiguity_margin = config_.ambiguity_margin;
     analysis.result_.correspondences =
-        match::SelectCorrespondences(partial_input, config_.assignment);
+        match::SelectCorrespondences(input, config_.assignment);
   }
   // The schema-level QoM lives in the root pair, which is computed last;
   // report it only when that row actually finished.

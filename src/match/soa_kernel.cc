@@ -42,16 +42,11 @@ uint8_t ToAxisByte(PropertyMatchClass cls) {
 constexpr uint8_t kTotalExactByte =
     static_cast<uint8_t>(qom::MatchCategory::kTotalExact);
 
-template <typename T>
-std::unique_ptr<T[]> Uninitialised(size_t count) {
-  return std::make_unique_for_overwrite<T[]>(count);
-}
-
 AxisMatrix MakeAxisMatrix(size_t rows, size_t cols) {
   AxisMatrix matrix;
   matrix.cols = cols;
-  matrix.score = Uninitialised<double>(rows * cols);
-  matrix.cls = Uninitialised<uint8_t>(rows * cols);
+  matrix.score = std::make_unique_for_overwrite<double[]>(rows * cols);
+  matrix.cls = std::make_unique_for_overwrite<uint8_t[]>(rows * cols);
   return matrix;
 }
 
@@ -79,11 +74,10 @@ struct ChildrenAxis {
 /// so a rebuilt cell's children axis is the filled one by construction.
 /// Inlined into the row fill's per-pair loop, where the row-invariant
 /// branches hoist out.
-[[gnu::always_inline]] inline ChildrenAxis ChildrenOf(const xsd::FlatSchema& source,
-                        const xsd::FlatSchema& target,
-                        const SoaKernelConfig& config, bool source_leaf,
-                        bool target_leaf, const double* qom,
-                        const uint8_t* category, size_t i, size_t j) {
+[[gnu::always_inline]] inline ChildrenAxis ChildrenOf(
+    const xsd::FlatSchema& source, const xsd::FlatSchema& target,
+    const SoaKernelConfig& config, bool source_leaf, bool target_leaf,
+    const double* qom, const uint8_t* category, size_t i, size_t j) {
   ChildrenAxis out;
   if (config.label_only) return out;
   if (source_leaf) {
@@ -143,9 +137,9 @@ struct ChildrenAxis {
       }
     }
   }
-  const double rw = qom_sum / child_total;       // Eq. 3
-  const double rs = matched / child_total;       // Eq. 4
-  out.value = std::min(1.0, (rw + rs) / 2.0);    // Eq. 5
+  const double rw = qom_sum / child_total;     // Eq. 3
+  const double rs = matched / child_total;     // Eq. 4
+  out.value = std::min(1.0, (rw + rs) / 2.0);  // Eq. 5
   out.matched = matched;
   if (matched <= 0.0) {
     out.coverage = qom::Coverage::kNone;
@@ -345,8 +339,8 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
 
   // The output columns, written directly by the row fill (never
   // zero-filled: only completed rows are ever read).
-  out_table.qom = Uninitialised<double>(n * m);
-  out_table.category = Uninitialised<uint8_t>(n * m);
+  out_table.qom = std::make_unique_for_overwrite<double[]>(n * m);
+  out_table.category = std::make_unique_for_overwrite<uint8_t[]>(n * m);
   double* qom_col = out_table.qom.get();
   uint8_t* cat_col = out_table.category.get();
 
