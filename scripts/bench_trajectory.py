@@ -79,11 +79,12 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     seeds = list(range(args.seed, args.seed + args.runs))
+    code = subprocess.run(["git", "describe", "--always", "--dirty"],
+                          stdout=subprocess.PIPE, text=True, cwd=ROOT)
     point = {
         "point": args.point,
-        "machine": "%s, %d CPUs, %s" % (platform.platform(),
-                                        os.cpu_count() or 0,
-                                        platform.python_compiler()),
+        "code": code.stdout.strip(),
+        "machine": "%s, %d CPUs" % (platform.platform(), os.cpu_count() or 0),
         "fig4_real_time_ms": fig4_rows(args.fig4),
         "perfbench": {"run_seconds": args.seconds, "seeds": seeds,
                       "workloads": {}},

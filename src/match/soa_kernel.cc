@@ -161,37 +161,29 @@ uint8_t PackChildren(qom::Coverage coverage, bool all_exact) {
                               (all_exact ? 1 : 0));
 }
 
-/// qom::Categorize tabulated over every (label, property, level class,
-/// packed children byte) input, so the combine pass looks a category up
-/// instead of calling out per pair. Filled by calling Categorize itself.
-struct CategoryTable {
-  static constexpr size_t kAxes = 3;  // AxisMatch values
-  std::array<uint8_t, kAxes * kAxes * kAxes * 8> category{};
+/// qom::Categorize tabulated over every input, indexed by
+/// CategoryIndex(label class, property class, level class, staged children
+/// byte), so the combine pass looks a category up instead of calling out
+/// per pair. Filled by calling Categorize itself.
+size_t CategoryIndex(size_t label, size_t properties, size_t level,
+                     uint8_t children) {
+  return ((label * 3 + properties) * 3 + level) * 8 + children;
+}
 
-  CategoryTable() {
-    for (size_t l = 0; l < kAxes; ++l) {
-      for (size_t p = 0; p < kAxes; ++p) {
-        for (size_t h = 0; h < kAxes; ++h) {
-          for (uint8_t cov = 0; cov < 3; ++cov) {
-            for (uint8_t exact = 0; exact < 2; ++exact) {
-              const auto coverage = static_cast<qom::Coverage>(cov);
-              category[Index(l, p, h, PackChildren(coverage, exact != 0))] =
-                  static_cast<uint8_t>(qom::Categorize(
-                      static_cast<qom::AxisMatch>(l),
-                      static_cast<qom::AxisMatch>(p),
-                      static_cast<qom::AxisMatch>(h), coverage, exact != 0));
-            }
-          }
-        }
-      }
-    }
+std::array<uint8_t, 27 * 8> MakeCategoryTable() {
+  std::array<uint8_t, 27 * 8> table{};
+  for (size_t k = 0; k < table.size(); ++k) {
+    const size_t axes = k / 8;
+    const auto children = static_cast<uint8_t>(k % 8);
+    if ((children >> 1) > 2) continue;  // not a Coverage value
+    table[k] = static_cast<uint8_t>(qom::Categorize(
+        static_cast<qom::AxisMatch>(axes / 9),
+        static_cast<qom::AxisMatch>(axes / 3 % 3),
+        static_cast<qom::AxisMatch>(axes % 3),
+        static_cast<qom::Coverage>(children >> 1), (children & 1) != 0));
   }
-
-  static size_t Index(size_t label, size_t properties, size_t level,
-                      uint8_t children) {
-    return ((label * kAxes + properties) * kAxes + level) * 8 + children;
-  }
-};
+  return table;
+}
 
 }  // namespace
 
@@ -353,7 +345,7 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
   // stop latch and hits the `treematch.pair` failpoint once per pair.
   // Returns false when the fill stopped before the row completed.
   const qom::Weights w = config.weights;
-  static const CategoryTable categories;
+  static const std::array<uint8_t, 27 * 8> categories = MakeCategoryTable();
   auto fill_row = [&](size_t i) -> bool {
     double* qom_row = qom_col + i * m;
     uint8_t* cat_row = cat_col + i * m;
@@ -407,8 +399,7 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
       const double total = w.label * lscore[b] + w.properties * pscore[q] +
                            w.level * hscore[h] + w.children * children;
       qom_row[j] = total;
-      cat_row[j] = categories.category[CategoryTable::Index(
-          lcls[b], pcls[q], hcls[h], staged)];
+      cat_row[j] = categories[CategoryIndex(lcls[b], pcls[q], hcls[h], staged)];
       if (table != nullptr) {
         qom::PairQoM& pair = table[i * m + j];
         pair.label = lscore[b];
