@@ -5,12 +5,13 @@ Usage (scripts/ci.sh perf runs this after the Fig. 4 gate):
 
     python3 scripts/bench_trajectory.py --point <id> \\
         --fig4 <bench_fig4_runtime --benchmark_format=json output> \\
-        [--runs 3] [--seconds 30] [--seed 401] --out BENCH_<id>.json
+        --out BENCH_<id>.json
 
-Each perfbench workload of BENCHMARK.json runs --runs times (seeds
-seed..seed+runs-1, untraced) through perfbench/run.py; the point records
-the quartiles of every end-to-end metric the runs report, next to the
-Fig. 4 rows in milliseconds. A run that fails is recorded by seed and
+Each perfbench workload of BENCHMARK.json runs three times, 30 s each at
+seeds 401-403, untraced, through perfbench/run.py. The run shape is fixed
+so that every trajectory point is comparable with every other. The point
+records the quartiles of every end-to-end metric the runs report, next to
+the Fig. 4 rows in milliseconds. A run that fails is recorded by seed and
 fails the script after the file is written.
 """
 
@@ -24,6 +25,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+SEEDS = [401, 402, 403]
+RUN_SECONDS = 30
 
 
 def fig4_rows(path):
@@ -70,15 +73,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--point", required=True)
     parser.add_argument("--fig4", required=True)
-    parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=401)
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seeds = list(range(args.seed, args.seed + args.runs))
     code = subprocess.run(["git", "describe", "--always", "--dirty"],
                           stdout=subprocess.PIPE, text=True, cwd=ROOT)
     point = {
@@ -86,15 +85,15 @@ def main():
         "code": code.stdout.strip(),
         "machine": "%s, %d CPUs" % (platform.platform(), os.cpu_count() or 0),
         "fig4_real_time_ms": fig4_rows(args.fig4),
-        "perfbench": {"run_seconds": args.seconds, "seeds": seeds,
+        "perfbench": {"run_seconds": RUN_SECONDS, "seeds": SEEDS,
                       "workloads": {}},
     }
     any_failed = False
     for workload in spec["workloads"]:
         name = workload["name"]
-        print("perfbench %s, seeds %s" % (name, seeds), file=sys.stderr,
+        print("perfbench %s, seeds %s" % (name, SEEDS), file=sys.stderr,
               flush=True)
-        values, failed = run_workload(name, seeds, args.seconds)
+        values, failed = run_workload(name, SEEDS, RUN_SECONDS)
         entry = {"end_to_end": {m: quartiles(v) for m, v in values.items()}}
         if failed:
             entry["failed_seeds"] = failed

@@ -23,7 +23,7 @@
 #                            # then writes the trajectory point BENCH_<id>.json
 #                            # (default id: dev): the Fig.4 rows and the
 #                            # perfbench medians of all three workloads
-#                            # (PERF_RUNS seeds x PERF_SECONDS s, default 3x30)
+#                            # (3 runs x 30 s each, seeds 401-403)
 #   scripts/ci.sh coverage   # --coverage build; enforces the line floor
 #   scripts/ci.sh all        # all of the above
 #   scripts/ci.sh loc [base] # added/removed/net production lines (src/ and
@@ -274,7 +274,6 @@ run_perf() {
   python3 scripts/check_perf.py bench/baselines.json < "${fig4}" || gate=$?
   ./build/bench/bench_warmstart
   python3 scripts/bench_trajectory.py --point "${point}" --fig4 "${fig4}" \
-    --runs "${PERF_RUNS:-3}" --seconds "${PERF_SECONDS:-30}" \
     --out "BENCH_${point}.json"
   return "${gate}"
 }
