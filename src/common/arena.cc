@@ -24,7 +24,7 @@ void Arena::AddBlock(size_t min_bytes) {
     throw ArenaExhausted(charged.message());
   }
   Block block;
-  block.data = std::make_unique_for_overwrite<unsigned char[]>(size);
+  block.data = std::make_unique<unsigned char[]>(size);
   block.size = size;
   blocks_.push_back(std::move(block));
   allocated_bytes_ += size;

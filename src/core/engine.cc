@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/arena.h"
 #include "fault/failpoint.h"
 #include "lingua/default_thesaurus.h"
 #include "match/soa_kernel.h"
@@ -475,9 +474,6 @@ EngineMatchResult MatchEngine::MatchRequest(const xsd::Schema& source,
   TreeMatchOptions tree;
   tree.mode = mode;
   tree.children_depth_cap = kChildrenDepthCap;
-  // The SoA kernel's scratch arena charges the same request budget as the
-  // table, block-by-block; exhaustion surfaces as ArenaExhausted below.
-  tree.arena_budget = &request_budget;
   try {
     QMatch::Analysis analysis =
         matcher_.Analyze(source, target, pool, &control, tree);
@@ -498,13 +494,6 @@ EngineMatchResult MatchEngine::MatchRequest(const xsd::Schema& source,
                            out.result.correspondences.size());
         break;
     }
-  } catch (const ArenaExhausted& e) {
-    // The kernel's scratch arena hit the request/process memory budget (or
-    // the arena.alloc failpoint): same typed rejection as the table charge.
-    out.status =
-        Status::ResourceExhausted(std::string("match arena: ") + e.what());
-    out.result = MatchResult{};
-    out.completed_rows = 0;
   } catch (const std::exception& e) {
     // A throwing failpoint (or any other internal throw) still produces a
     // typed response — no request escapes the status contract.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/arena.h"
 #include "common/string_util.h"
 #include "lingua/default_thesaurus.h"
 #include "lingua/name_match.h"
@@ -89,10 +88,10 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
   analysis.target_schema_ = &target;
   analysis.result_.algorithm = std::string(name());
   analysis.result_.mode = tree.mode;
-  const xsd::FlatSchema& sflat = source.Flat();
-  const xsd::FlatSchema& tflat = target.Flat();
-  analysis.source_flat_ = &sflat;
-  analysis.target_flat_ = &tflat;
+  analysis.source_flat_ = source.SharedFlat();
+  analysis.target_flat_ = target.SharedFlat();
+  const xsd::FlatSchema& sflat = *analysis.source_flat_;
+  const xsd::FlatSchema& tflat = *analysis.target_flat_;
   if (source.root() == nullptr || target.root() == nullptr) return analysis;
 
   // Degradation ladder (see MatchMode). kLabelOnly drops the children axis
@@ -148,15 +147,9 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
   std::vector<char>& row_done = analysis.row_done_;
   row_done.assign(n, 0);
   {
-    // The kernel's scratch comes from a per-request arena charged against
-    // the request's memory budget block-by-block (ArenaExhausted propagates
-    // to the engine, which maps it to kResourceExhausted). It lives only
-    // for the fill: its blocks and their charge are released before
-    // selection.
-    Arena arena(Arena::kDefaultBlockBytes, tree.arena_budget);
     match::SoaKernelResult run =
         match::SoaFillTable(sflat, tflat, kernel_config, nullptr, row_done,
-                            pool, control, &arena);
+                            pool, control, nullptr);
     analysis.stop_reason_ = run.stop;
     analysis.completed_rows_ = run.completed_rows;
     analysis.table_ = std::move(run.table);

@@ -2,12 +2,12 @@
 #define QMATCH_CORE_QMATCH_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/memory_budget.h"
 #include "common/thread_pool.h"
 #include "core/config.h"
 #include "lingua/thesaurus.h"
@@ -31,10 +31,6 @@ struct TreeMatchOptions {
   /// kCappedDepth only: nodes at this level or deeper are treated as
   /// leaves on the children axis (their subtrees are not recursed into).
   size_t children_depth_cap = 3;
-  /// Budget (borrowed, nullable) the table-fill kernel's scratch arena
-  /// charges block-by-block; exhaustion throws ArenaExhausted, which the
-  /// engine maps to kResourceExhausted.
-  MemoryBudget* arena_budget = nullptr;
 };
 
 /// QMatch — the paper's hybrid match algorithm (Section 4, Fig. 3).
@@ -85,7 +81,9 @@ class QMatch : public Matcher {
                                      ThreadPool* pool) const;
 
   /// Full per-pair analysis of one match run. The returned object borrows
-  /// nodes from both schemas, which must outlive it.
+  /// nodes from both schemas, which must outlive it; it shares both
+  /// schemas' preorder projections (Schema::SharedFlat), so re-finalizing a
+  /// schema afterwards does not invalidate it.
   class Analysis {
    public:
     /// The standard result (schema QoM + correspondences).
@@ -135,9 +133,9 @@ class QMatch : public Matcher {
 
    private:
     friend class QMatch;
-    /// Preorder projections of both schemas (borrowed from the schemas).
-    const xsd::FlatSchema* source_flat_ = nullptr;
-    const xsd::FlatSchema* target_flat_ = nullptr;
+    /// Preorder projections of both schemas, shared with the schemas.
+    std::shared_ptr<const xsd::FlatSchema> source_flat_;
+    std::shared_ptr<const xsd::FlatSchema> target_flat_;
     std::map<const xsd::SchemaNode*, size_t> source_index_;
     std::map<const xsd::SchemaNode*, size_t> target_index_;
     /// The configuration the table was filled with (no name matcher: the

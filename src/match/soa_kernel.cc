@@ -203,7 +203,7 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
                              const SoaKernelConfig& config,
                              qom::PairQoM* table, std::vector<char>& row_done,
                              ThreadPool* pool, const ExecControl* control,
-                             Arena* arena) {
+                             Arena* /*unused*/) {
   SoaKernelResult out;
   const size_t n = source.size();
   const size_t m = target.size();
@@ -228,8 +228,8 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
   };
 
   // ---- precompute stage -------------------------------------------------
-  // Everything below is allocated on the coordinating thread (the arena is
-  // not thread-safe) before rows fan out.
+  // Everything below is allocated on the coordinating thread before rows
+  // fan out.
   SoaTable& out_table = out.table;
   out_table.cols = m;
 
@@ -320,14 +320,14 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
 
   // Effective-leaf flags, so the row loops read one byte per node.
   auto leaf_flags = [&](const xsd::FlatSchema& flat) {
-    uint8_t* flags = arena->MakeArray<uint8_t>(flat.size());
+    std::vector<uint8_t> flags(flat.size());
     for (size_t i = 0; i < flat.size(); ++i) {
       flags[i] = EffectiveLeaf(flat, config, i) ? 1 : 0;
     }
     return flags;
   };
-  const uint8_t* source_leaf = leaf_flags(source);
-  const uint8_t* target_leaf = leaf_flags(target);
+  const std::vector<uint8_t> source_leaf = leaf_flags(source);
+  const std::vector<uint8_t> target_leaf = leaf_flags(target);
 
   // The output columns, written directly by the row fill (never
   // zero-filled: only completed rows are ever read).

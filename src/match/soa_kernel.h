@@ -87,8 +87,9 @@ struct SoaKernelResult {
 /// source.size()*target.size()) the fill also writes every completed
 /// pair's full PairQoM decomposition there.
 ///
-/// The effective-leaf flags come from `arena`, allocated on the calling
-/// thread before any fan-out to `pool`. `control` (nullable) is polled
+/// Everything is allocated on the calling thread before any fan-out to
+/// `pool`; `Arena*` is unused (nullable), kept so callers that pass one
+/// still build. `control` (nullable) is polled
 /// once per distinct source label while the label matrix fills (a trip
 /// there returns with no row filled) and per pair during each row's
 /// combine pass; on a trip the fill stops cooperatively and `row_done`

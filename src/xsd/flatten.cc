@@ -128,18 +128,20 @@ Schema ReconstructFromFlat(const FlatSchema& flat, std::string name) {
   return schema;
 }
 
-const FlatSchema& Schema::Flat() const {
+const FlatSchema& Schema::Flat() const { return *SharedFlat(); }
+
+std::shared_ptr<const FlatSchema> Schema::SharedFlat() const {
   std::mutex& mu = MemoMutex();
   {
     std::lock_guard<std::mutex> lock(mu);
-    if (flat_ != nullptr) return *flat_;
+    if (flat_ != nullptr) return flat_;
   }
   // Build outside the lock (the tree is immutable while matching); the
   // first finished build wins, concurrent losers are discarded.
   auto built = std::make_shared<const FlatSchema>(BuildFlatSchema(*this));
   std::lock_guard<std::mutex> lock(mu);
   if (flat_ == nullptr) flat_ = std::move(built);
-  return *flat_;
+  return flat_;
 }
 
 }  // namespace qmatch::xsd

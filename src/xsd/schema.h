@@ -215,6 +215,10 @@ class Schema {
   /// invalidation).
   const FlatSchema& Flat() const;
 
+  /// Flat() as a shared reference, for holders that must outlive a later
+  /// invalidation (QMatch::Analysis keeps both projections this way).
+  std::shared_ptr<const FlatSchema> SharedFlat() const;
+
   /// `SchemaFingerprint(*this)`, cached like Flat(): thread-safe, reset by
   /// Finalize/set_root/TakeRoot. The engine's cache key, once per schema.
   uint64_t Fingerprint() const;

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/cancel.h"
 #include "common/status.h"
 #include "core/qmatch.h"
@@ -100,12 +99,9 @@ TEST_F(EngineCorpusTest, OneOversizedEntryDegradesOnlyItsOwnSlot) {
   MatchEngineOptions options = EngineOptions(4);
   options.overload.request_budget_bytes = uint64_t{2} << 20;
   // The engine charges each job's exact table bytes up front (9 per node
-  // pair plus the distinct-pair matrices); the small job also needs the
-  // kernel arena's first block.
-  const uint64_t small_bytes =
-      match::SoaTable::Bytes(query.Flat(), good.Flat()) +
-      Arena::kDefaultBlockBytes;
-  ASSERT_LT(small_bytes, options.overload.request_budget_bytes);
+  // pair plus the distinct-pair matrices), the request's only charge.
+  ASSERT_LT(match::SoaTable::Bytes(query.Flat(), good.Flat()),
+            options.overload.request_budget_bytes);
   ASSERT_GT(match::SoaTable::Bytes(big_source.Flat(), big_target.Flat()),
             options.overload.request_budget_bytes);
   MatchEngine engine(options);

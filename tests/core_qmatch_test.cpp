@@ -264,6 +264,29 @@ TEST(QMatchTest, AnalysisPairLookupRejectsForeignNodes) {
   EXPECT_FALSE(analysis.PairByPath("/Nope", "/PurchaseOrder").has_value());
 }
 
+TEST(QMatchTest, AnalysisSurvivesReFinalizingTheSchemas) {
+  // The analysis shares both flattened projections, so re-finalizing a
+  // schema (which drops the schema's own copy) leaves its cells readable
+  // and unchanged.
+  QMatch matcher;
+  Schema po1 = datagen::MakePO1();
+  Schema po2 = datagen::MakePO2();
+  QMatch::Analysis analysis = matcher.Analyze(po1, po2);
+  const PairQoM root = analysis.Root();
+  const std::optional<PairQoM> leaf =
+      analysis.PairByPath("/PO/PurchaseInfo", "/PurchaseOrder");
+  ASSERT_TRUE(leaf.has_value());
+  po1.Finalize();
+  po2.Finalize();
+  EXPECT_EQ(analysis.Root().qom, root.qom);
+  EXPECT_EQ(analysis.Root().category, root.category);
+  const std::optional<PairQoM> again =
+      analysis.PairByPath("/PO/PurchaseInfo", "/PurchaseOrder");
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->qom, leaf->qom);
+  EXPECT_EQ(again->children, leaf->children);
+}
+
 TEST(QMatchTest, WithoutThesaurusStillMatchesIdenticalLabels) {
   QMatch matcher(QMatchConfig{}, /*thesaurus=*/nullptr);
   Schema po1 = datagen::MakePO1();

@@ -201,6 +201,76 @@ TEST(KernelDiffTest, ProteinTaskFullScale) {
               ModeOptions(MatchMode::kFull), {nullptr, &pool}, "Protein");
 }
 
+/// The kernel configuration QMatch::Analyze builds from a default
+/// QMatchConfig in kFull mode.
+match::SoaKernelConfig DefaultKernelConfig(
+    const lingua::NameMatcher& name_matcher) {
+  const QMatchConfig defaults;
+  match::SoaKernelConfig config;
+  config.weights = defaults.weights;
+  config.threshold = defaults.threshold;
+  config.best_match_accumulation =
+      defaults.child_accumulation == QMatchConfig::ChildAccumulation::kBestMatch;
+  config.level_graded = defaults.level_mode == QMatchConfig::LevelMode::kGraded;
+  config.leaf_to_inner_children_credit =
+      defaults.leaf_to_inner_children_credit;
+  config.name_matcher = &name_matcher;
+  config.property_options = defaults.property_options;
+  return config;
+}
+
+TEST(KernelDiffTest, FullCellTableOutputMatchesOracle) {
+  // SoaFillTable's optional `table` output (Analyze passes null; the
+  // served-path benchmark's layer replay passes a buffer) must hold every
+  // cell bit-identical to the oracle and to the cell SoaCell rebuilds from
+  // the columns, sequentially and across a pool.
+  const QMatch matcher;
+  const lingua::NameMatcher name_matcher(&lingua::DefaultThesaurus(),
+                                         matcher.config().name_options);
+  const match::SoaKernelConfig config = DefaultKernelConfig(name_matcher);
+  const std::vector<std::pair<xsd::Schema, xsd::Schema>> pairs = [] {
+    std::vector<std::pair<xsd::Schema, xsd::Schema>> out;
+    out.emplace_back(datagen::MakePO1(), datagen::MakePO2());
+    out.emplace_back(datagen::MakePir(), datagen::MakePdb());
+    return out;
+  }();
+  ThreadPool pool(4);
+  for (const auto& [source, target] : pairs) {
+    const std::vector<PairQoM> want =
+        MakeOracle(source, target)
+            .Table(matcher.config(), ModeOptions(MatchMode::kFull));
+    const xsd::FlatSchema& fs = source.Flat();
+    const xsd::FlatSchema& ft = target.Flat();
+    ASSERT_EQ(want.size(), fs.size() * ft.size());
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const std::string context = source.name() + " x " + target.name() +
+                                  (p == nullptr ? " sequential" : " pool");
+      std::vector<PairQoM> table(want.size());
+      std::vector<char> row_done(fs.size(), 0);
+      const match::SoaKernelResult run = match::SoaFillTable(
+          fs, ft, config, table.data(), row_done, p, nullptr, nullptr);
+      ASSERT_EQ(run.stop, StopReason::kNone) << context;
+      ASSERT_EQ(run.completed_rows, fs.size()) << context;
+      for (size_t i = 0; i < fs.size(); ++i) {
+        for (size_t j = 0; j < ft.size(); ++j) {
+          const PairQoM& got = table[i * ft.size() + j];
+          const PairQoM rebuilt =
+              match::SoaCell(fs, ft, config, run.table, i, j);
+          const PairQoM& oracle = want[i * ft.size() + j];
+          if (PairIdentical(got, oracle) && PairIdentical(rebuilt, oracle)) {
+            continue;
+          }
+          const std::string where = context + " pair (" + std::to_string(i) +
+                                    "," + std::to_string(j) + ")";
+          ExpectPairIdentical(got, oracle, where + " table");
+          ExpectPairIdentical(rebuilt, oracle, where + " SoaCell");
+          return;
+        }
+      }
+    }
+  }
+}
+
 struct GeneratedCase {
   std::string name;
   xsd::Schema source;
