@@ -1,11 +1,23 @@
-// Unit tests for the linguistic and structural baseline matchers.
+// Unit tests for the linguistic and structural baseline matchers, and the
+// bit-exact pins of every baseline's similarity matrix.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <string>
+
 #include "datagen/corpus.h"
 #include "lingua/default_thesaurus.h"
+#include "match/composite_matcher.h"
+#include "match/cupid_matcher.h"
+#include "match/instance_matcher.h"
 #include "match/linguistic_matcher.h"
 #include "match/structural_matcher.h"
+#include "support/docgen.h"
 #include "xsd/builder.h"
 
 namespace qmatch::match {
@@ -192,6 +204,172 @@ TEST(MatchResultTest, ToStringSortsByScore) {
   std::string text = matcher.Match(po1, po2).ToString();
   EXPECT_NE(text.find("linguistic"), std::string::npos);
   EXPECT_NE(text.find("/PO/OrderNo"), std::string::npos);
+}
+
+// --- Pinned similarity matrices ----------------------------------------
+//
+// FNV-1a over the matrix shape and the bit pattern of every cell: any
+// change to any baseline score, however small, changes the hash. The pins
+// were generated before the baselines moved onto the flat schema, so a
+// refactor of their recurrences must keep every cell bit-identical.
+
+uint64_t MatrixHash(const SimilarityMatrix& matrix) {
+  uint64_t hash = 1469598103934665603ull;
+  auto mix = [&hash](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  mix(matrix.source_count());
+  mix(matrix.target_count());
+  for (size_t i = 0; i < matrix.source_count(); ++i) {
+    for (size_t j = 0; j < matrix.target_count(); ++j) {
+      mix(std::bit_cast<uint64_t>(matrix.at(i, j)));
+    }
+  }
+  return hash;
+}
+
+std::string Hex(uint64_t value) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof(buffer), "0x%016" PRIx64, value);
+  return buffer;
+}
+
+/// Compares every computed hash with its pin; prints each mismatch (and
+/// each unpinned key) in the table's own syntax.
+void ExpectPinned(const std::map<std::string, uint64_t>& actual,
+                  const std::map<std::string, uint64_t>& pinned) {
+  for (const auto& [key, hash] : actual) {
+    auto it = pinned.find(key);
+    if (it == pinned.end()) {
+      ADD_FAILURE() << "unpinned: {\"" << key << "\", " << Hex(hash) << "},";
+    } else {
+      EXPECT_EQ(Hex(hash), Hex(it->second)) << key;
+    }
+  }
+  EXPECT_EQ(actual.size(), pinned.size());
+}
+
+TEST(BaselineMatrixPinTest, SchemaMatchersAreBitIdentical) {
+  const std::map<std::string, uint64_t> pinned = {
+      {"composite/Books/forward", 0x93632bc70bb5abd5},
+      {"composite/Books/reverse", 0xe4c0ec38d99c0c69},
+      {"composite/DCMD/forward", 0x0fb84cfe0f73276f},
+      {"composite/DCMD/reverse", 0x4cf2be796c830b63},
+      {"composite/LibraryHuman/forward", 0x161d3b8e270b0177},
+      {"composite/PO/forward", 0xc35a9c56a41595ef},
+      {"composite/PO/reverse", 0x81f04d672ff3ef77},
+      {"composite/Protein/forward", 0x3a114bdce9804378},
+      {"composite/Protein/reverse", 0xd376e066583ad64c},
+      {"composite/XBench/forward", 0xb65cdf3f912fa74c},
+      {"composite/XBench/reverse", 0x2a6d14e9fcbdf83c},
+      {"cupid/Books/forward", 0xd1b70a47adea933e},
+      {"cupid/Books/reverse", 0xe82a1c2809072a6a},
+      {"cupid/DCMD/forward", 0x4cecb95f9ef17373},
+      {"cupid/DCMD/reverse", 0x86b7c7bda6d3a6b3},
+      {"cupid/LibraryHuman/forward", 0xe5b320bad5300903},
+      {"cupid/PO/forward", 0x690d391888f1fa64},
+      {"cupid/PO/reverse", 0xaaf4b4f71ff3ae4c},
+      {"cupid/Protein/forward", 0xa05797e84588ff1f},
+      {"cupid/Protein/reverse", 0xd221a4a92ee943cf},
+      {"cupid/XBench/forward", 0x8f55585483c9e2e4},
+      {"cupid/XBench/reverse", 0xff6c1a2fef59a8b4},
+      {"linguistic/Books/forward", 0xffe76c7306becd89},
+      {"linguistic/Books/reverse", 0x5b26bbb0f85827f5},
+      {"linguistic/DCMD/forward", 0x413dfa476bab5f6c},
+      {"linguistic/DCMD/reverse", 0x2dbdfd3494bab8b0},
+      {"linguistic/LibraryHuman/forward", 0xab6c85119cf6d603},
+      {"linguistic/PO/forward", 0x216fd0f4db298896},
+      {"linguistic/PO/reverse", 0x3a74ee5cb002a146},
+      {"linguistic/Protein/forward", 0x8dbac1faabd0162e},
+      {"linguistic/Protein/reverse", 0x3272303c5dafbc6e},
+      {"linguistic/XBench/forward", 0xf7c328323193dd4e},
+      {"linguistic/XBench/reverse", 0x6af66ab013f1266a},
+      {"structural/Books/forward", 0xba4f70c111d5bcd7},
+      {"structural/Books/reverse", 0x833d15fd378c16db},
+      {"structural/DCMD/forward", 0x0184fbac0c2f48da},
+      {"structural/DCMD/reverse", 0xa5a467043ee846d6},
+      {"structural/LibraryHuman/forward", 0xc4e9fc80de25b057},
+      {"structural/PO/forward", 0x002469cbc4674677},
+      {"structural/PO/reverse", 0x8962b8acc97979f7},
+      {"structural/Protein/forward", 0xcadcffcee4cb6954},
+      {"structural/Protein/reverse", 0x7a1c0acf972adcd0},
+      {"structural/XBench/forward", 0xf125abc665c48883},
+      {"structural/XBench/reverse", 0xb766468405300a0f},
+  };
+
+  LinguisticMatcher linguistic(&lingua::DefaultThesaurus());
+  StructuralMatcher structural;
+  CupidMatcher cupid(&lingua::DefaultThesaurus());
+  CompositeMatcher composite({&linguistic, &structural});
+  const std::map<std::string, const Matcher*> matchers = {
+      {"linguistic", &linguistic},
+      {"structural", &structural},
+      {"cupid", &cupid},
+      {"composite", &composite},
+  };
+
+  std::map<std::string, uint64_t> actual;
+  auto pin = [&](const std::string& pair, const Schema& source,
+                 const Schema& target) {
+    for (const auto& [name, matcher] : matchers) {
+      actual[name + "/" + pair] =
+          MatrixHash(matcher->Similarity(source, target));
+    }
+  };
+  for (const datagen::MatchTask& task : datagen::Tasks()) {
+    Schema source = task.source();
+    Schema target = task.target();
+    pin(task.name + "/forward", source, target);
+    pin(task.name + "/reverse", target, source);
+  }
+  pin("LibraryHuman/forward", datagen::MakeLibrary(), datagen::MakeHuman());
+  ExpectPinned(actual, pinned);
+}
+
+TEST(BaselineMatrixPinTest, InstanceMatcherIsBitIdentical) {
+  const std::map<std::string, uint64_t> pinned = {
+      {"instance/Books/forward", 0x2264a105ac642549},
+      {"instance/Books/reverse", 0x99ef84c1f08faf21},
+      {"instance/PO/forward", 0x46687af4cf4b2871},
+      {"instance/PO/reverse", 0xa74293d9d746db01},
+  };
+
+  // Seeded sample documents: three per side, so value sets overlap
+  // partially and the inner-pair recurrence sees a mix of linked and
+  // unlinked leaves.
+  auto documents = [](const Schema& schema, uint64_t seed) {
+    std::vector<xml::XmlDocument> docs;
+    for (uint64_t k = 0; k < 3; ++k) {
+      datagen::DocGenOptions options;
+      options.seed = seed + k;
+      docs.push_back(datagen::GenerateDocument(schema, options));
+    }
+    return docs;
+  };
+  auto pointers = [](const std::vector<xml::XmlDocument>& docs) {
+    std::vector<const xml::XmlDocument*> out;
+    for (const xml::XmlDocument& doc : docs) out.push_back(&doc);
+    return out;
+  };
+
+  std::map<std::string, uint64_t> actual;
+  for (const datagen::MatchTask& task : datagen::Tasks()) {
+    if (task.name != "PO" && task.name != "Books") continue;
+    Schema source = task.source();
+    Schema target = task.target();
+    std::vector<xml::XmlDocument> source_docs = documents(source, 11);
+    std::vector<xml::XmlDocument> target_docs = documents(target, 11);
+    InstanceMatcher forward(pointers(source_docs), pointers(target_docs));
+    InstanceMatcher reverse(pointers(target_docs), pointers(source_docs));
+    actual["instance/" + task.name + "/forward"] =
+        MatrixHash(forward.Similarity(source, target));
+    actual["instance/" + task.name + "/reverse"] =
+        MatrixHash(reverse.Similarity(target, source));
+  }
+  ExpectPinned(actual, pinned);
 }
 
 }  // namespace
