@@ -5,8 +5,11 @@
 //
 // The paper's claim is about the *shape*: the hybrid algorithm is slower
 // than either individual algorithm (it runs both plus the QoM combination),
-// and all grow superlinearly with n·m. Absolute milliseconds differ from
-// the paper's (Java on a 2 GHz Pentium 4).
+// and all grow superlinearly with n·m. On a 4-core host the hybrid is the
+// slowest at Protein scale in every run; at the three small tasks it is
+// within noise of the linguistic baseline (EXPERIMENTS.md, Figure 4).
+// Absolute milliseconds differ from the paper's (Java on a 2 GHz
+// Pentium 4).
 //
 // google-benchmark binary: each benchmark matches one task with one
 // algorithm; the total element count is reported as a counter.

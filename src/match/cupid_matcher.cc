@@ -3,183 +3,97 @@
 #include "match/assignment.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <vector>
 
-#include "lingua/name_match.h"
+#include "match/linguistic_matcher.h"
 #include "match/structural_matcher.h"
 
 namespace qmatch::match {
 
-namespace {
-
-/// Flattened view of a schema with the per-node data the passes need.
-struct TreeView {
-  std::vector<const xsd::SchemaNode*> nodes;  // preorder
-  std::map<const xsd::SchemaNode*, size_t> index_of;
-  std::vector<int64_t> leaf_count;
-  std::vector<std::string> labels;
-
-  explicit TreeView(const xsd::Schema& schema) {
-    nodes = schema.AllNodes();
-    leaf_count.assign(nodes.size(), 0);
-    labels.reserve(nodes.size());
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      index_of[nodes[i]] = i;
-      labels.push_back(nodes[i]->label());
-    }
-    for (size_t i = nodes.size(); i-- > 0;) {
-      if (nodes[i]->IsLeaf()) {
-        leaf_count[i] = 1;
-      } else {
-        for (const auto& child : nodes[i]->children()) {
-          leaf_count[i] += leaf_count[index_of.at(child.get())];
-        }
-      }
-    }
-  }
-};
-
-}  // namespace
-
 SimilarityMatrix CupidMatcher::Similarity(const xsd::Schema& source,
                                           const xsd::Schema& target) const {
-  if (source.root() == nullptr || target.root() == nullptr) {
-    return SimilarityMatrix(source, target);
-  }
+  const xsd::FlatSchema& src = source.Flat();
+  const xsd::FlatSchema& tgt = target.Flat();
+  SimilarityMatrix matrix(src.nodes, tgt.nodes);
+  if (matrix.empty()) return matrix;
+  const size_t n = src.size();
+  const size_t m = tgt.size();
 
-  TreeView src(source);
-  TreeView tgt(target);
-  const size_t n = src.nodes.size();
-  const size_t m = tgt.nodes.size();
-
-  // Phase 1: linguistic similarity for every pair.
-  lingua::NameMatcher name_matcher(thesaurus_);
-  lingua::PairwiseLabelScorer scorer(name_matcher, src.labels, tgt.labels);
-  std::vector<double> lsim(n * m, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      lingua::LabelMatch lm = scorer.Match(i, j);
-      lsim[i * m + j] =
-          lm.cls == lingua::LabelMatchClass::kNone ? 0.0 : lm.score;
-    }
-  }
+  // Phase 1: linguistic similarity for every pair — the linguistic
+  // baseline's matrix (the same name matcher, default options).
+  const SimilarityMatrix lsim =
+      LinguisticMatcher(thesaurus_).Similarity(source, target);
 
   // Leaf wsim (datatype compatibility blended with lsim), then the
-  // structural pass. `compute` runs the bottom-up recurrences given the
+  // structural pass. `compute` runs the linked-leaf recurrence given the
   // current leaf wsim values and returns the full wsim table.
+  const std::vector<double> type_sim =
+      StructuralMatcher::LeafSimilarityByKey(src, tgt);
+  const size_t keys_t = tgt.prop_keys.size();
   std::vector<double> leaf_wsim(n * m, 0.0);
   for (size_t i = 0; i < n; ++i) {
-    if (!src.nodes[i]->IsLeaf()) continue;
+    if (!src.IsLeaf(i)) continue;
     for (size_t j = 0; j < m; ++j) {
-      if (!tgt.nodes[j]->IsLeaf()) continue;
-      double type_sim =
-          StructuralMatcher::LeafSimilarity(*src.nodes[i], *tgt.nodes[j]);
-      leaf_wsim[i * m + j] = options_.wstruct * type_sim +
-                             (1.0 - options_.wstruct) * lsim[i * m + j];
+      if (!tgt.IsLeaf(j)) continue;
+      const double leaf_sim =
+          type_sim[src.prop_id[i] * keys_t + tgt.prop_id[j]];
+      leaf_wsim[i * m + j] = options_.wstruct * leaf_sim +
+                             (1.0 - options_.wstruct) * lsim.at(i, j);
     }
   }
 
-  std::vector<int64_t> linked_src(n * m);
-  std::vector<int64_t> linked_tgt(n * m);
-  std::vector<double> wsim(n * m, 0.0);
-
   auto compute = [&]() {
-    std::fill(linked_src.begin(), linked_src.end(), 0);
-    std::fill(linked_tgt.begin(), linked_tgt.end(), 0);
-    for (size_t i = n; i-- > 0;) {
-      const xsd::SchemaNode* s = src.nodes[i];
-      for (size_t j = m; j-- > 0;) {
-        const xsd::SchemaNode* t = tgt.nodes[j];
-        const size_t at = i * m + j;
-        if (s->IsLeaf() && t->IsLeaf()) {
-          int64_t linked = leaf_wsim[at] >= options_.th_accept ? 1 : 0;
-          linked_src[at] = linked;
-          linked_tgt[at] = linked;
-          wsim[at] = leaf_wsim[at];
-          continue;
-        }
-        if (s->IsLeaf()) {
-          int64_t any = 0;
-          int64_t sum = 0;
-          for (const auto& tc : t->children()) {
-            size_t cj = i * m + tgt.index_of.at(tc.get());
-            any |= linked_src[cj] > 0 ? 1 : 0;
-            sum += linked_tgt[cj];
-          }
-          linked_src[at] = any;
-          linked_tgt[at] = sum;
-        } else if (t->IsLeaf()) {
-          int64_t any = 0;
-          int64_t sum = 0;
-          for (const auto& sc : s->children()) {
-            size_t ci = src.index_of.at(sc.get()) * m + j;
-            any |= linked_tgt[ci] > 0 ? 1 : 0;
-            sum += linked_src[ci];
-          }
-          linked_tgt[at] = any;
-          linked_src[at] = sum;
-        } else {
-          int64_t src_sum = 0;
-          for (const auto& sc : s->children()) {
-            src_sum += linked_src[src.index_of.at(sc.get()) * m + j];
-          }
-          linked_src[at] = src_sum;
-          int64_t tgt_sum = 0;
-          for (const auto& tc : t->children()) {
-            tgt_sum += linked_tgt[i * m + tgt.index_of.at(tc.get())];
-          }
-          linked_tgt[at] = tgt_sum;
-        }
-        double denominator =
-            static_cast<double>(src.leaf_count[i] + tgt.leaf_count[j]);
-        double ssim = denominator > 0.0
-                          ? static_cast<double>(linked_src[at] +
-                                                linked_tgt[at]) /
-                                denominator
-                          : 0.0;
-        wsim[at] = options_.wstruct * ssim +
-                   (1.0 - options_.wstruct) * lsim[at];
+    std::vector<double> wsim =
+        LinkedLeafFractions(src, tgt, [&](size_t i, size_t j) {
+          return leaf_wsim[i * m + j] >= options_.th_accept;
+        });
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < m; ++j) {
+        double& value = wsim[i * m + j];
+        value = src.IsLeaf(i) && tgt.IsLeaf(j)
+                    ? leaf_wsim[i * m + j]
+                    : options_.wstruct * value +
+                          (1.0 - options_.wstruct) * lsim.at(i, j);
       }
     }
+    return wsim;
   };
 
-  compute();
+  std::vector<double> wsim = compute();
 
   // Mutual reinforcement: leaves under highly similar inner pairs get a
   // boost, then one recompute (the original CUPID iterates). Skipped for
   // very large pair tables, where the leaf-pair sweep would dominate the
   // whole match (CUPID was never run at protein scale in the paper).
   if (n * m <= 100'000) {
-    // Collect the leaf index sets per subtree once.
-    auto leaves_under = [](const TreeView& view, size_t root_index) {
-      std::vector<size_t> out;
-      std::vector<const xsd::SchemaNode*> stack = {view.nodes[root_index]};
-      while (!stack.empty()) {
-        const xsd::SchemaNode* node = stack.back();
-        stack.pop_back();
-        if (node->IsLeaf()) {
-          out.push_back(view.index_of.at(node));
-          continue;
-        }
-        for (const auto& child : node->children()) {
-          stack.push_back(child.get());
-        }
+    // Preorder numbers each subtree contiguously: node i's subtree is
+    // [i, subtree_end[i]).
+    auto subtree_ends = [](const xsd::FlatSchema& flat) {
+      std::vector<uint32_t> end(flat.size());
+      for (size_t i = flat.size(); i-- > 0;) {
+        end[i] = flat.IsLeaf(i)
+                     ? static_cast<uint32_t>(i + 1)
+                     : end[flat.child_index[flat.child_begin[i + 1] - 1]];
       }
-      return out;
+      return end;
     };
+    const std::vector<uint32_t> end_s = subtree_ends(src);
+    const std::vector<uint32_t> end_t = subtree_ends(tgt);
     // Each leaf pair receives the increment at most once, no matter how
     // many similar ancestor pairs cover it (nested high-wsim subtrees
     // would otherwise compound the boost).
     std::vector<bool> boosted(n * m, false);
     bool any_boost = false;
     for (size_t i = 0; i < n; ++i) {
-      if (src.nodes[i]->IsLeaf()) continue;
+      if (src.IsLeaf(i)) continue;
       for (size_t j = 0; j < m; ++j) {
-        if (tgt.nodes[j]->IsLeaf()) continue;
+        if (tgt.IsLeaf(j)) continue;
         if (wsim[i * m + j] < options_.th_high) continue;
-        for (size_t li : leaves_under(src, i)) {
-          for (size_t lj : leaves_under(tgt, j)) {
+        for (size_t li = i; li < end_s[i]; ++li) {
+          if (!src.IsLeaf(li)) continue;
+          for (size_t lj = j; lj < end_t[j]; ++lj) {
+            if (!tgt.IsLeaf(lj)) continue;
             double& value = leaf_wsim[li * m + lj];
             if (value > 0.0 && !boosted[li * m + lj]) {
               boosted[li * m + lj] = true;
@@ -190,10 +104,9 @@ SimilarityMatrix CupidMatcher::Similarity(const xsd::Schema& source,
         }
       }
     }
-    if (any_boost) compute();
+    if (any_boost) wsim = compute();
   }
 
-  SimilarityMatrix matrix(src.nodes, tgt.nodes);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < m; ++j) {
       matrix.set(i, j, wsim[i * m + j]);

@@ -7,6 +7,7 @@
 
 #include "common/string_util.h"
 #include "match/assignment.h"
+#include "match/structural_matcher.h"
 
 namespace qmatch::match {
 
@@ -129,48 +130,15 @@ double InstanceMatcher::ValueSetSimilarity(const std::vector<std::string>& a,
 
 SimilarityMatrix InstanceMatcher::Similarity(const xsd::Schema& source,
                                              const xsd::Schema& target) const {
-  SimilarityMatrix matrix(source, target);
+  const xsd::FlatSchema& src = source.Flat();
+  const xsd::FlatSchema& tgt = target.Flat();
+  SimilarityMatrix matrix(src.nodes, tgt.nodes);
   if (matrix.empty()) return matrix;
 
   ValueTable source_values = CollectFromDocuments(
       source_docs_, source, options_.max_values_per_leaf);
   ValueTable target_values = CollectFromDocuments(
       target_docs_, target, options_.max_values_per_leaf);
-
-  const auto& src = matrix.sources();
-  const auto& tgt = matrix.targets();
-  const size_t n = src.size();
-  const size_t m = tgt.size();
-  std::map<const xsd::SchemaNode*, size_t> src_index;
-  std::map<const xsd::SchemaNode*, size_t> tgt_index;
-  std::vector<int64_t> src_leaves(n, 0);
-  std::vector<int64_t> tgt_leaves(m, 0);
-  for (size_t i = 0; i < n; ++i) src_index[src[i]] = i;
-  for (size_t j = 0; j < m; ++j) tgt_index[tgt[j]] = j;
-  for (size_t i = n; i-- > 0;) {
-    if (src[i]->IsLeaf()) {
-      src_leaves[i] = 1;
-    } else {
-      for (const auto& child : src[i]->children()) {
-        src_leaves[i] += src_leaves[src_index.at(child.get())];
-      }
-    }
-  }
-  for (size_t j = m; j-- > 0;) {
-    if (tgt[j]->IsLeaf()) {
-      tgt_leaves[j] = 1;
-    } else {
-      for (const auto& child : tgt[j]->children()) {
-        tgt_leaves[j] += tgt_leaves[tgt_index.at(child.get())];
-      }
-    }
-  }
-
-  // Leaf similarities + linked-leaf recurrence for inner pairs (same shape
-  // as StructuralMatcher's, with instance links).
-  std::vector<int64_t> linked_src(n * m, 0);
-  std::vector<int64_t> linked_tgt(n * m, 0);
-  auto at = [m](size_t i, size_t j) { return i * m + j; };
   static const std::vector<std::string> kNoValues;
   auto values_for = [](const ValueTable& table, const xsd::SchemaNode* node)
       -> const std::vector<std::string>& {
@@ -178,62 +146,30 @@ SimilarityMatrix InstanceMatcher::Similarity(const xsd::Schema& source,
     return it == table.end() ? kNoValues : it->second;
   };
 
-  for (size_t i = n; i-- > 0;) {
-    const xsd::SchemaNode* s = src[i];
-    for (size_t j = m; j-- > 0;) {
-      const xsd::SchemaNode* t = tgt[j];
-      if (s->IsLeaf() && t->IsLeaf()) {
-        double sim = ValueSetSimilarity(values_for(source_values, s),
-                                        values_for(target_values, t));
-        matrix.set(i, j, sim);
-        int64_t linked = sim >= options_.leaf_link_threshold ? 1 : 0;
-        linked_src[at(i, j)] = linked;
-        linked_tgt[at(i, j)] = linked;
-        continue;
-      }
-      if (s->IsLeaf()) {
-        int64_t any = 0;
-        int64_t sum = 0;
-        for (const auto& tc : t->children()) {
-          size_t cj = tgt_index.at(tc.get());
-          any |= linked_src[at(i, cj)] > 0 ? 1 : 0;
-          sum += linked_tgt[at(i, cj)];
-        }
-        linked_src[at(i, j)] = any;
-        linked_tgt[at(i, j)] = sum;
-      } else if (t->IsLeaf()) {
-        int64_t any = 0;
-        int64_t sum = 0;
-        for (const auto& sc : s->children()) {
-          size_t ci = src_index.at(sc.get());
-          any |= linked_tgt[at(ci, j)] > 0 ? 1 : 0;
-          sum += linked_src[at(ci, j)];
-        }
-        linked_tgt[at(i, j)] = any;
-        linked_src[at(i, j)] = sum;
-      } else {
-        int64_t src_sum = 0;
-        for (const auto& sc : s->children()) {
-          src_sum += linked_src[at(src_index.at(sc.get()), j)];
-        }
-        linked_src[at(i, j)] = src_sum;
-        int64_t tgt_sum = 0;
-        for (const auto& tc : t->children()) {
-          tgt_sum += linked_tgt[at(i, tgt_index.at(tc.get()))];
-        }
-        linked_tgt[at(i, j)] = tgt_sum;
-      }
-      double denominator =
-          static_cast<double>(src_leaves[i] + tgt_leaves[j]);
-      if (denominator > 0.0 && !(s->IsLeaf() && t->IsLeaf())) {
-        double sim = static_cast<double>(linked_src[at(i, j)] +
-                                         linked_tgt[at(i, j)]) /
-                     denominator;
-        // A leaf compared against a whole subtree must not outrank the
-        // direct leaf-to-leaf pair inside that subtree.
-        if (s->IsLeaf() != t->IsLeaf()) sim *= 0.5;
-        matrix.set(i, j, sim);
-      }
+  // Leaf pairs score their value overlap; inner pairs the linked-leaf
+  // fraction (the structural matcher's recurrence, with instance links).
+  const size_t n = src.size();
+  const size_t m = tgt.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (!src.IsLeaf(i)) continue;
+    for (size_t j = 0; j < m; ++j) {
+      if (!tgt.IsLeaf(j)) continue;
+      matrix.set(i, j,
+                 ValueSetSimilarity(values_for(source_values, src.nodes[i]),
+                                    values_for(target_values, tgt.nodes[j])));
+    }
+  }
+  const std::vector<double> fraction =
+      LinkedLeafFractions(src, tgt, [&](size_t i, size_t j) {
+        return matrix.at(i, j) >= options_.leaf_link_threshold;
+      });
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < m; ++j) {
+      if (src.IsLeaf(i) && tgt.IsLeaf(j)) continue;
+      // A leaf compared against a whole subtree must not outrank the
+      // direct leaf-to-leaf pair inside that subtree.
+      const double scale = src.IsLeaf(i) != tgt.IsLeaf(j) ? 0.5 : 1.0;
+      matrix.set(i, j, fraction[i * m + j] * scale);
     }
   }
   return matrix;

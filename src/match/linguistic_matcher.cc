@@ -2,32 +2,36 @@
 
 #include "match/assignment.h"
 
+#include <vector>
+
+#include "xsd/flatten.h"
+
 namespace qmatch::match {
 
 SimilarityMatrix LinguisticMatcher::Similarity(const xsd::Schema& source,
                                                const xsd::Schema& target) const {
-  SimilarityMatrix matrix(source, target);
+  const xsd::FlatSchema& src = source.Flat();
+  const xsd::FlatSchema& tgt = target.Flat();
+  SimilarityMatrix matrix(src.nodes, tgt.nodes);
   if (matrix.empty()) return matrix;
 
-  // Tokenise every label once and memoise token-pair similarities.
-  std::vector<std::string> source_labels;
-  source_labels.reserve(matrix.source_count());
-  for (const xsd::SchemaNode* s : matrix.sources()) {
-    source_labels.push_back(s->label());
-  }
-  std::vector<std::string> target_labels;
-  target_labels.reserve(matrix.target_count());
-  for (const xsd::SchemaNode* t : matrix.targets()) {
-    target_labels.push_back(t->label());
-  }
-  const lingua::PairwiseLabelScorer scorer(name_matcher_, source_labels,
-                                           target_labels);
-  for (size_t i = 0; i < matrix.source_count(); ++i) {
-    for (size_t j = 0; j < matrix.target_count(); ++j) {
-      lingua::LabelMatch lm = scorer.Match(i, j);
+  // Score each distinct label pair once, then expand by label id.
+  const lingua::PairwiseLabelScorer scorer(name_matcher_, src.labels,
+                                           tgt.labels);
+  const size_t labels_t = tgt.labels.size();
+  std::vector<double> label_sim(src.labels.size() * labels_t, 0.0);
+  for (size_t a = 0; a < src.labels.size(); ++a) {
+    for (size_t b = 0; b < labels_t; ++b) {
+      lingua::LabelMatch lm = scorer.Match(a, b);
       if (lm.cls != lingua::LabelMatchClass::kNone) {
-        matrix.set(i, j, lm.score);
+        label_sim[a * labels_t + b] = lm.score;
       }
+    }
+  }
+  for (size_t i = 0; i < src.size(); ++i) {
+    const double* row = label_sim.data() + src.label_id[i] * labels_t;
+    for (size_t j = 0; j < tgt.size(); ++j) {
+      matrix.set(i, j, row[tgt.label_id[j]]);
     }
   }
   return matrix;

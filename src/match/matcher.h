@@ -80,7 +80,11 @@ class Matcher {
   /// The full pairwise similarity matrix this algorithm scores from,
   /// *before* mapping selection (thresholds, ambiguity suppression,
   /// evidence gates). This is the representation COMA-style composition
-  /// aggregates. Both schemas must outlive the returned matrix.
+  /// aggregates. Rows and columns are the schemas' preorder
+  /// (`Schema::Flat().nodes`). Both schemas must outlive the returned
+  /// matrix, and a schema whose nodes were mutated in place must be
+  /// `Finalize`d before it is matched again: matchers read the cached
+  /// `Schema::Flat()` projection, which Finalize refreshes.
   virtual match::SimilarityMatrix Similarity(
       const xsd::Schema& source, const xsd::Schema& target) const = 0;
 };

@@ -3,8 +3,6 @@
 #include "match/assignment.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <map>
 #include <vector>
 
 namespace qmatch::match {
@@ -39,40 +37,6 @@ double OccursSimilarity(const xsd::SchemaNode& s, const xsd::SchemaNode& t) {
   return sim;
 }
 
-/// Precomputed per-schema node data: preorder index and subtree leaf count.
-struct NodeIndex {
-  std::vector<const xsd::SchemaNode*> nodes;
-  std::map<const xsd::SchemaNode*, size_t> index_of;
-  std::vector<int64_t> leaf_count;
-  std::vector<size_t> height;
-
-  explicit NodeIndex(const xsd::Schema& schema) {
-    nodes = schema.AllNodes();
-    leaf_count.resize(nodes.size(), 0);
-    height.resize(nodes.size(), 0);
-    for (size_t i = 0; i < nodes.size(); ++i) index_of[nodes[i]] = i;
-    // Preorder guarantees children appear after parents; accumulate leaf
-    // counts and heights in reverse.
-    for (size_t i = nodes.size(); i-- > 0;) {
-      const xsd::SchemaNode* node = nodes[i];
-      if (node->IsLeaf()) {
-        leaf_count[i] = 1;
-        height[i] = 0;
-      } else {
-        int64_t sum = 0;
-        size_t tallest = 0;
-        for (const auto& child : node->children()) {
-          size_t ci = index_of.at(child.get());
-          sum += leaf_count[ci];
-          tallest = std::max(tallest, height[ci] + 1);
-        }
-        leaf_count[i] = sum;
-        height[i] = tallest;
-      }
-    }
-  }
-};
-
 }  // namespace
 
 double StructuralMatcher::LeafSimilarity(const xsd::SchemaNode& s,
@@ -82,108 +46,76 @@ double StructuralMatcher::LeafSimilarity(const xsd::SchemaNode& s,
          0.25 * OccursSimilarity(s, t);
 }
 
-SimilarityMatrix StructuralMatcher::Similarity(const xsd::Schema& source,
-                                               const xsd::Schema& target) const {
-  if (source.root() == nullptr || target.root() == nullptr) {
-    return SimilarityMatrix(source, target);
-  }
-
-  NodeIndex src(source);
-  NodeIndex tgt(target);
-  SimilarityMatrix matrix(src.nodes, tgt.nodes);
-  const size_t n = src.nodes.size();
-  const size_t m = tgt.nodes.size();
-
-  // CUPID-style structural similarity: the fraction of leaves, on both
-  // sides, that are strongly linked to at least one leaf of the other
-  // subtree. Two bounded recurrences, computed bottom-up (reverse preorder
-  // ensures children come first):
-  //   linked_src[i][j] = |{source leaves in subtree(i) linked into subtree(j)}|
-  //   linked_tgt[i][j] = |{target leaves in subtree(j) linked into subtree(i)}|
-  std::vector<int64_t> linked_src(n * m, 0);
-  std::vector<int64_t> linked_tgt(n * m, 0);
-  auto src_at = [&](size_t i, size_t j) -> int64_t& {
-    return linked_src[i * m + j];
-  };
-  auto tgt_at = [&](size_t i, size_t j) -> int64_t& {
-    return linked_tgt[i * m + j];
-  };
-
-  for (size_t i = n; i-- > 0;) {
-    const xsd::SchemaNode* s = src.nodes[i];
-    for (size_t j = m; j-- > 0;) {
-      const xsd::SchemaNode* t = tgt.nodes[j];
-      if (s->IsLeaf() && t->IsLeaf()) {
-        int64_t linked =
-            LeafSimilarity(*s, *t) >= options_.leaf_link_threshold ? 1 : 0;
-        src_at(i, j) = linked;
-        tgt_at(i, j) = linked;
-      } else if (s->IsLeaf()) {
-        // One source leaf vs a target subtree: linked iff linked to any
-        // target child subtree; target-side count sums over children.
-        int64_t any = 0;
-        int64_t sum = 0;
-        for (const auto& tc : t->children()) {
-          size_t cj = tgt.index_of.at(tc.get());
-          any |= src_at(i, cj) > 0 ? 1 : 0;
-          sum += tgt_at(i, cj);
-        }
-        src_at(i, j) = any;
-        tgt_at(i, j) = sum;
-      } else if (t->IsLeaf()) {
-        int64_t any = 0;
-        int64_t sum = 0;
-        for (const auto& sc : s->children()) {
-          size_t ci = src.index_of.at(sc.get());
-          any |= tgt_at(ci, j) > 0 ? 1 : 0;
-          sum += src_at(ci, j);
-        }
-        tgt_at(i, j) = any;
-        src_at(i, j) = sum;
-      } else {
-        int64_t src_sum = 0;
-        for (const auto& sc : s->children()) {
-          src_sum += src_at(src.index_of.at(sc.get()), j);
-        }
-        src_at(i, j) = src_sum;
-        int64_t tgt_sum = 0;
-        for (const auto& tc : t->children()) {
-          tgt_sum += tgt_at(i, tgt.index_of.at(tc.get()));
-        }
-        tgt_at(i, j) = tgt_sum;
-      }
+std::vector<double> StructuralMatcher::LeafSimilarityByKey(
+    const xsd::FlatSchema& s, const xsd::FlatSchema& t) {
+  const size_t keys_t = t.prop_keys.size();
+  std::vector<double> sim(s.prop_keys.size() * keys_t);
+  for (size_t a = 0; a < s.prop_keys.size(); ++a) {
+    for (size_t b = 0; b < keys_t; ++b) {
+      sim[a * keys_t + b] =
+          LeafSimilarity(*s.nodes[s.prop_rep[a]], *t.nodes[t.prop_rep[b]]);
     }
   }
+  return sim;
+}
 
-  // Pair similarity: linked-leaf fraction + local shape blend.
-  auto pair_similarity = [&](size_t i, size_t j) {
-    const xsd::SchemaNode* s = src.nodes[i];
-    const xsd::SchemaNode* t = tgt.nodes[j];
-    if (s->IsLeaf() && t->IsLeaf()) return LeafSimilarity(*s, *t);
-    double denominator =
-        static_cast<double>(src.leaf_count[i] + tgt.leaf_count[j]);
-    double ssim =
-        denominator > 0.0
-            ? static_cast<double>(src_at(i, j) + tgt_at(i, j)) / denominator
-            : 0.0;
-    double count_s = static_cast<double>(s->child_count());
-    double count_t = static_cast<double>(t->child_count());
-    double child_sim = (count_s == 0.0 && count_t == 0.0)
-                           ? 1.0
-                           : std::min(count_s, count_t) /
-                                 std::max({count_s, count_t, 1.0});
-    size_t hs = src.height[i];
-    size_t ht = tgt.height[j];
-    double height_gap = static_cast<double>(hs > ht ? hs - ht : ht - hs);
-    double height_sim = 1.0 / (1.0 + height_gap);
-    double local = 0.5 * child_sim + 0.5 * height_sim;
-    return options_.subtree_weight * ssim +
-           (1.0 - options_.subtree_weight) * local;
+SimilarityMatrix StructuralMatcher::Similarity(const xsd::Schema& source,
+                                               const xsd::Schema& target) const {
+  const xsd::FlatSchema& src = source.Flat();
+  const xsd::FlatSchema& tgt = target.Flat();
+  SimilarityMatrix matrix(src.nodes, tgt.nodes);
+  if (matrix.empty()) return matrix;
+  const size_t n = src.size();
+  const size_t m = tgt.size();
+
+  const std::vector<double> leaf_sim = LeafSimilarityByKey(src, tgt);
+  const size_t keys_t = tgt.prop_keys.size();
+  auto leaf_similarity = [&](size_t i, size_t j) {
+    return leaf_sim[src.prop_id[i] * keys_t + tgt.prop_id[j]];
+  };
+  // CUPID-style structural similarity: the fraction of leaves, on both
+  // sides, that are strongly linked to at least one leaf of the other
+  // subtree.
+  const std::vector<double> ssim =
+      LinkedLeafFractions(src, tgt, [&](size_t i, size_t j) {
+        return leaf_similarity(i, j) >= options_.leaf_link_threshold;
+      });
+
+  // Subtree heights; reverse preorder visits children first.
+  auto heights = [](const xsd::FlatSchema& flat) {
+    std::vector<size_t> height(flat.size(), 0);
+    for (size_t i = flat.size(); i-- > 0;) {
+      for (uint32_t k = flat.child_begin[i]; k < flat.child_begin[i + 1];
+           ++k) {
+        height[i] = std::max(height[i], height[flat.child_index[k]] + 1);
+      }
+    }
+    return height;
+  };
+  const std::vector<size_t> height_s = heights(src);
+  const std::vector<size_t> height_t = heights(tgt);
+  auto child_count = [](const xsd::FlatSchema& flat, size_t i) {
+    return static_cast<double>(flat.child_begin[i + 1] - flat.child_begin[i]);
   };
 
+  // Pair similarity: linked-leaf fraction + local shape blend.
   for (size_t i = 0; i < n; ++i) {
+    const double count_s = child_count(src, i);
     for (size_t j = 0; j < m; ++j) {
-      matrix.set(i, j, pair_similarity(i, j));
+      const double count_t = child_count(tgt, j);
+      if (count_s == 0.0 && count_t == 0.0) {
+        matrix.set(i, j, leaf_similarity(i, j));
+        continue;
+      }
+      double child_sim = std::min(count_s, count_t) /
+                         std::max({count_s, count_t, 1.0});
+      size_t hs = height_s[i];
+      size_t ht = height_t[j];
+      double height_gap = static_cast<double>(hs > ht ? hs - ht : ht - hs);
+      double height_sim = 1.0 / (1.0 + height_gap);
+      double local = 0.5 * child_sim + 0.5 * height_sim;
+      matrix.set(i, j, options_.subtree_weight * ssim[i * m + j] +
+                           (1.0 - options_.subtree_weight) * local);
     }
   }
   return matrix;

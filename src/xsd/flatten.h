@@ -73,6 +73,8 @@ struct FlatSchema {
   uint32_t max_level = 0;
 
   size_t size() const { return nodes.size(); }
+  /// True when node i has no children (its CSR range is empty).
+  bool IsLeaf(size_t i) const { return child_begin[i] == child_begin[i + 1]; }
 };
 
 /// Flattens a finalised schema. An empty schema yields an empty FlatSchema.
