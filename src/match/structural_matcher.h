@@ -75,8 +75,8 @@ class StructuralMatcher : public Matcher {
 /// converse, and leaves_* are the subtree leaf counts. `leaf_linked(i, j)`
 /// says whether source leaf i and target leaf j are strongly linked; it is
 /// called once per leaf pair. A leaf × leaf cell holds that link (0 or 1),
-/// which callers replace by their own leaf score. The structural, CUPID and instance baselines all score inner
-/// pairs with this one recurrence.
+/// which callers replace by their own leaf score. The structural, CUPID
+/// and instance baselines all score inner pairs with this one recurrence.
 template <typename LeafLinked>
 std::vector<double> LinkedLeafFractions(const xsd::FlatSchema& source,
                                         const xsd::FlatSchema& target,
