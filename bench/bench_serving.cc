@@ -140,8 +140,11 @@ void BM_Serve_MatchPair_Warm_Protein(benchmark::State& state) {
 }
 BENCHMARK(BM_Serve_MatchPair_Warm_Protein)->Unit(benchmark::kMicrosecond);
 
-/// Full request cost over the wire: alternate the pair's direction so
-/// every iteration misses the result cache and pays the real match.
+/// Full request cost over the wire: every iteration misses the result
+/// cache and pays the real match. The daemon's matcher keeps its token-pair
+/// memo across requests, so after the first iteration the label matrix
+/// reads token scores from a warm memo: this row is a cold table fill with
+/// a warm lexicon, not a cold process.
 void BM_Serve_MatchPair_Cold_DCMD(benchmark::State& state) {
   net::Client client = ConnectOrDie(ColdHarness());
   for (auto _ : state) {

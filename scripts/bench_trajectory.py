@@ -11,7 +11,8 @@ Each perfbench workload of BENCHMARK.json runs three times, 30 s each at
 seeds 401-403, untraced, through perfbench/run.py. The run shape is fixed
 so that every trajectory point is comparable with every other. The point
 records the quartiles of every end-to-end metric the runs report, next to
-the Fig. 4 rows in milliseconds. A run that fails is recorded by seed and
+the Fig. 4 rows in milliseconds (each row's median over the bench's
+repetitions). A run that fails is recorded by seed and
 fails the script after the file is written.
 """
 
@@ -23,22 +24,19 @@ import statistics
 import subprocess
 import sys
 
+from check_perf import rows_ms
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 SEEDS = [401, 402, 403]
 RUN_SECONDS = 30
 
 
 def fig4_rows(path):
+    """Each row's median over the bench's repetitions (its single run when
+    it had none), in ms; read the way the Fig. 4 gate reads it."""
     with open(path) as fh:
         report = json.load(fh)
-    rows = {}
-    for bench in report.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        scale = UNIT_TO_MS[bench.get("time_unit", "ns")]
-        rows[bench["name"]] = round(bench["real_time"] * scale, 4)
-    return rows
+    return {name: round(ms, 4) for name, ms in rows_ms(report).items()}
 
 
 def run_workload(workload, seeds, seconds):

@@ -3,12 +3,16 @@
 
 Usage:
   ./build/bench/bench_fig4_runtime --benchmark_format=json \
+      --benchmark_repetitions=5 \
       | python3 scripts/check_perf.py bench/baselines.json
   ... | python3 scripts/check_perf.py --update bench/baselines.json
 
-Fails (exit 1) when any benchmark's real_time exceeds its baseline by more
-than the relative threshold (default 15%) plus a small absolute slack that
-keeps sub-millisecond rows from tripping on scheduler noise. Benchmarks
+Each row is read from its `median` aggregate when the run had
+repetitions (`--benchmark_repetitions=N`; `ci.sh perf` runs 5), else from
+its single run. Fails (exit 1) when any row's real_time exceeds its
+baseline by more than the relative threshold (default 15%) plus a small
+absolute slack that keeps sub-millisecond rows from tripping on scheduler
+noise. Benchmarks
 missing a baseline fail too — a new row must be recorded, not silently
 ungated. Speedups never fail; rerun with --update to ratchet them in.
 
@@ -28,15 +32,20 @@ UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
 
 def rows_ms(report):
-    out = {}
+    """{row name: real_time in ms}: the median aggregate of a repeated row,
+    else the row's single run."""
+    single = {}
+    median = {}
     for bench in report.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
         scale = UNIT_TO_MS.get(bench.get("time_unit", "ns"))
         if scale is None:
             raise SystemExit(f"unknown time_unit in {bench['name']}")
-        out[bench["name"]] = bench["real_time"] * scale
-    return out
+        ms = bench["real_time"] * scale
+        if bench.get("run_type") != "aggregate":
+            single[bench.get("run_name", bench["name"])] = ms
+        elif bench.get("aggregate_name") == "median":
+            median[bench["run_name"]] = ms
+    return {**single, **median}
 
 
 def main():

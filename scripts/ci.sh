@@ -53,18 +53,20 @@ run_default() {
 
 run_tsan() {
   # ThreadSanitizer: the parallel engine, thread pool (incl. the soak
-  # layer), the sharded metric/tracer paths and the schema memos (Flat,
-  # Fingerprint) must be race-free. Only the concurrency-relevant tests
+  # layer), the sharded metric/tracer paths, the schema memos (Flat,
+  # Fingerprint), the name matcher's token memo and the thesaurus's
+  # hypernym closures must be race-free. Only the concurrency-relevant tests
   # run here — TSan slows everything ~10x, and the rest of the suite is
   # single-threaded.
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DQMATCH_SANITIZE=thread
   cmake --build build-tsan -j "${JOBS}" \
         --target common_thread_pool_test common_thread_pool_soak_test \
-                 core_engine_test obs_test xsd_schema_test
+                 core_engine_test obs_test xsd_schema_test \
+                 lingua_thesaurus_test lingua_token_memo_test
   TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure \
-        -R 'common_thread_pool_test|common_thread_pool_soak_test|core_engine_test|obs_test|xsd_schema_test'
+        -R 'common_thread_pool_test|common_thread_pool_soak_test|core_engine_test|obs_test|xsd_schema_test|lingua_thesaurus_test|lingua_token_memo_test'
 }
 
 run_asan() {
@@ -255,11 +257,13 @@ run_ha() {
 
 # Perf regression gate: the Fig. 4 runtime bench (which includes the
 # Protein row the SoA kernel was built for) against the checked-in
-# baselines, failing on >15% regression per row, then the warm-start bench,
-# which exits nonzero unless every recovered answer is bit-identical and a
-# Protein cache hit is at least 100x faster than the cold match. Runs
+# baselines, failing on >15% regression of a row's median over five
+# repetitions, then the warm-start bench, which exits nonzero unless every
+# recovered answer is bit-identical and a Protein cache hit is at least
+# 100x faster than the cold match. Runs
 # uninstrumented in Release. After an intentional perf change, regenerate with
 #   ./build/bench/bench_fig4_runtime --benchmark_format=json \
+#       --benchmark_repetitions=5 \
 #       | python3 scripts/check_perf.py --update bench/baselines.json
 # and review the bench/baselines.json diff like any other code change.
 run_perf() {
@@ -267,7 +271,10 @@ run_perf() {
   local fig4="build/bench_fig4_runtime.json"
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build -j "${JOBS}" --target bench_fig4_runtime bench_warmstart
-  ./build/bench/bench_fig4_runtime --benchmark_format=json > "${fig4}"
+  # Five repetitions per row: the gate and the trajectory point read each
+  # row's median, since single runs of one binary spread wider than 15%.
+  ./build/bench/bench_fig4_runtime --benchmark_format=json \
+    --benchmark_repetitions=5 > "${fig4}"
   # The trajectory point records what was measured even when the gate
   # fails; the gate's verdict is still the mode's exit status.
   local gate=0

@@ -18,7 +18,8 @@ QMatch::QMatch(QMatchConfig config)
     : QMatch(std::move(config), &lingua::DefaultThesaurus()) {}
 
 QMatch::QMatch(QMatchConfig config, const lingua::Thesaurus* thesaurus)
-    : config_(std::move(config)), thesaurus_(thesaurus) {}
+    : config_(std::move(config)),
+      name_matcher_(thesaurus, config_.name_options) {}
 
 std::optional<PairQoM> QMatch::Analysis::Pair(
     const xsd::SchemaNode* source, const xsd::SchemaNode* target) const {
@@ -129,7 +130,6 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
   // The table fill (DESIGN.md §13): the SoA kernel batches Fig. 3's
   // memoised recursion over the schemas' flattened projections and hands
   // back the qom/category columns plus the distinct-pair axis matrices.
-  const lingua::NameMatcher name_matcher(thesaurus_, config_.name_options);
   match::SoaKernelConfig& kernel_config = analysis.kernel_config_;
   kernel_config.weights = weights;
   kernel_config.threshold = config_.threshold;
@@ -142,7 +142,7 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
   kernel_config.label_only = label_only;
   kernel_config.capped = tree.mode == MatchMode::kCappedDepth;
   kernel_config.children_depth_cap = tree.children_depth_cap;
-  kernel_config.name_matcher = &name_matcher;
+  kernel_config.name_matcher = &name_matcher_;
   kernel_config.property_options = config_.property_options;
   std::vector<char>& row_done = analysis.row_done_;
   row_done.assign(n, 0);
@@ -154,7 +154,7 @@ QMatch::Analysis QMatch::Analyze(const xsd::Schema& source,
     analysis.completed_rows_ = run.completed_rows;
     analysis.table_ = std::move(run.table);
   }
-  kernel_config.name_matcher = nullptr;  // local to this call
+  kernel_config.name_matcher = nullptr;  // the analysis may outlive us
 
   const double* qom = analysis.table_.qom.get();
   // The label-evidence gate reads the distinct-label class matrix.

@@ -10,6 +10,7 @@
 #include "common/cancel.h"
 #include "common/thread_pool.h"
 #include "core/config.h"
+#include "lingua/name_match.h"
 #include "lingua/thesaurus.h"
 #include "match/matcher.h"
 #include "match/soa_kernel.h"
@@ -183,7 +184,9 @@ class QMatch : public Matcher {
 
  private:
   QMatchConfig config_;
-  const lingua::Thesaurus* thesaurus_;
+  /// Built once from the thesaurus and `config_.name_options`: its token
+  /// memo carries token-pair scores across every Analyze of this matcher.
+  lingua::NameMatcher name_matcher_;
 };
 
 }  // namespace qmatch::core

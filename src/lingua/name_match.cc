@@ -1,11 +1,13 @@
 #include "lingua/name_match.h"
 
 #include <algorithm>
-#include <map>
+#include <mutex>
+#include <unordered_map>
 
 #include "common/string_util.h"
 #include "lingua/string_sim.h"
 #include "lingua/tokenize.h"
+#include "obs/obs.h"
 
 namespace qmatch::lingua {
 
@@ -126,13 +128,133 @@ LabelMatch NameMatcher::Match(std::string_view a, std::string_view b) const {
 }
 
 // ---------------------------------------------------------------------------
+// TokenMemo
+// ---------------------------------------------------------------------------
+
+TokenMemo& TokenMemo::operator=(const TokenMemo& /*other*/) {
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  Clear();
+  return *this;
+}
+
+uint32_t TokenMemo::Find(const std::string& token) const {
+  auto it = ids_.find(token);
+  return it == ids_.end() ? kNoId : it->second;
+}
+
+void TokenMemo::Clear() {
+  ids_.clear();
+  rows_.clear();
+}
+
+uint64_t TokenMemo::Read(const std::vector<std::string>& source,
+                         const std::vector<std::string>& target,
+                         size_t relation_count, double* sim, uint8_t* exact,
+                         uint8_t* unscored) const {
+  std::shared_lock<std::shared_mutex> lock(mutex_);
+  if (relation_count != relation_count_ || ids_.empty()) return 0;
+  const size_t nt = target.size();
+  std::vector<uint32_t> target_ids(nt);
+  // Memo id -> target slot, for copying a row's nonzero entries.
+  std::vector<uint32_t> slot_of(ids_.size(), kNoId);
+  for (size_t t = 0; t < nt; ++t) {
+    target_ids[t] = Find(target[t]);
+    if (target_ids[t] != kNoId) {
+      slot_of[target_ids[t]] = static_cast<uint32_t>(t);
+    }
+  }
+  uint64_t hits = 0;
+  for (size_t s = 0; s < source.size(); ++s) {
+    const uint32_t id = Find(source[s]);
+    if (id == kNoId) continue;
+    const Row& row = rows_[id];
+    for (size_t t = 0; t < nt; ++t) {
+      const uint32_t tid = target_ids[t];
+      if (tid == kNoId || tid / 64 >= row.scored.size()) continue;
+      if ((row.scored[tid / 64] >> (tid % 64)) & 1) {
+        unscored[s * nt + t] = 0;
+        ++hits;
+      }
+    }
+    for (const Entry& entry : row.nonzero) {
+      const uint32_t t = slot_of[entry.target];
+      if (t == kNoId) continue;
+      sim[s * nt + t] = entry.score;
+      exact[s * nt + t] = entry.exact;
+    }
+  }
+  return hits;
+}
+
+bool TokenMemo::InternAll(const std::vector<std::string>& source,
+                          const std::vector<std::string>& target,
+                          std::vector<uint32_t>& source_ids,
+                          std::vector<uint32_t>& target_ids) {
+  auto intern = [&](const std::vector<std::string>& tokens,
+                    std::vector<uint32_t>& ids) {
+    ids.clear();
+    for (const std::string& token : tokens) {
+      if (ids_.size() >= kMaxTokens && ids_.count(token) == 0) return false;
+      ids.push_back(
+          ids_.try_emplace(token, static_cast<uint32_t>(ids_.size()))
+              .first->second);
+    }
+    return true;
+  };
+  const bool fits = intern(source, source_ids) && intern(target, target_ids);
+  rows_.resize(ids_.size());
+  return fits;
+}
+
+bool TokenMemo::Publish(const std::vector<std::string>& source,
+                        const std::vector<std::string>& target,
+                        size_t relation_count, const double* sim,
+                        const uint8_t* exact, const uint8_t* scored) {
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  bool cleared = false;
+  if (relation_count != relation_count_) {
+    cleared = !ids_.empty();
+    Clear();
+    relation_count_ = relation_count;
+  }
+  std::vector<uint32_t> source_ids;
+  std::vector<uint32_t> target_ids;
+  if (!InternAll(source, target, source_ids, target_ids)) {
+    Clear();
+    cleared = true;
+    // A single scorer whose own vocabulary passes the cap is not memoised.
+    if (!InternAll(source, target, source_ids, target_ids)) {
+      Clear();
+      return true;
+    }
+  }
+  const size_t nt = target.size();
+  for (size_t s = 0; s < source.size(); ++s) {
+    Row& row = rows_[source_ids[s]];
+    for (size_t t = 0; t < nt; ++t) {
+      if (scored[s * nt + t] == 0) continue;
+      const uint32_t tid = target_ids[t];
+      if (tid / 64 >= row.scored.size()) row.scored.resize(tid / 64 + 1, 0);
+      uint64_t& word = row.scored[tid / 64];
+      const uint64_t bit = uint64_t{1} << (tid % 64);
+      if ((word & bit) != 0) continue;  // published meanwhile, same value
+      word |= bit;
+      if (sim[s * nt + t] != 0.0) {
+        row.nonzero.push_back(Entry{tid, exact[s * nt + t], sim[s * nt + t]});
+      }
+    }
+  }
+  return cleared;
+}
+
+// ---------------------------------------------------------------------------
 // PairwiseLabelScorer
 // ---------------------------------------------------------------------------
 
 namespace {
 
 size_t InternToken(const std::string& token, std::vector<std::string>& pool,
-                   std::map<std::string, size_t>& index) {
+                   std::unordered_map<std::string, size_t>& index) {
   auto it = index.find(token);
   if (it != index.end()) return it->second;
   size_t id = pool.size();
@@ -147,15 +269,16 @@ PairwiseLabelScorer::PairwiseLabelScorer(
     const NameMatcher& matcher, const std::vector<std::string>& source_labels,
     const std::vector<std::string>& target_labels, ThreadPool* pool)
     : matcher_(matcher) {
-  std::map<std::string, size_t> source_index;
-  std::map<std::string, size_t> target_index;
+  using Index = std::unordered_map<std::string, size_t>;
+  Index source_index;
+  Index target_index;
   // Canonical-form pool shared by both sides: two labels are string-equal
   // iff they intern to the same id, so the hot Match path compares ints.
-  std::map<std::string, size_t> canonical_index;
+  Index canonical_index;
   const Thesaurus* thesaurus = matcher.thesaurus();
   auto intern_label = [&](const std::string& label,
                           std::vector<std::string>& token_pool,
-                          std::map<std::string, size_t>& token_index) {
+                          Index& token_index) {
     PreparedLabel prepared = NameMatcher::Prepare(label);
     InternedLabel interned;
     interned.canonical = std::move(prepared.canonical);
@@ -178,23 +301,42 @@ PairwiseLabelScorer::PairwiseLabelScorer(
     target_.push_back(intern_label(label, target_tokens_, target_index));
   }
 
-  // Token-similarity table, one source-token row per task.
+  // Token-similarity table: remembered slots come from the matcher's memo,
+  // the rest are scored one source-token row per task and published.
   const size_t nt = target_tokens_.size();
-  token_sim_.resize(source_tokens_.size() * nt);
-  token_exact_.resize(token_sim_.size());
+  const size_t cells = source_tokens_.size() * nt;
+  token_sim_.assign(cells, 0.0);
+  token_exact_.assign(cells, 0);
+  std::vector<uint8_t> unscored(cells, 1);
+  const size_t relation_count =
+      thesaurus != nullptr ? thesaurus->RelationCount() : 0;
+  TokenMemo& memo = matcher.memo_;
+  const uint64_t hits =
+      memo.Read(source_tokens_, target_tokens_, relation_count,
+                token_sim_.data(), token_exact_.data(), unscored.data());
   auto fill_token_row = [&](size_t s) {
     for (size_t t = 0; t < nt; ++t) {
+      if (unscored[s * nt + t] == 0) continue;
       bool exact = false;
       token_sim_[s * nt + t] = matcher_.TokenSimilarity(
           source_tokens_[s], target_tokens_[t], &exact);
       token_exact_[s * nt + t] = exact ? 1 : 0;
     }
   };
-  if (pool != nullptr && pool->worker_count() > 0) {
-    pool->ParallelFor(source_tokens_.size(), fill_token_row);
-  } else {
-    for (size_t s = 0; s < source_tokens_.size(); ++s) fill_token_row(s);
+  [[maybe_unused]] bool cleared = false;
+  if (hits != cells) {
+    if (pool != nullptr && pool->worker_count() > 0) {
+      pool->ParallelFor(source_tokens_.size(), fill_token_row);
+    } else {
+      for (size_t s = 0; s < source_tokens_.size(); ++s) fill_token_row(s);
+    }
+    cleared = memo.Publish(source_tokens_, target_tokens_, relation_count,
+                           token_sim_.data(), token_exact_.data(),
+                           unscored.data());
   }
+  QMATCH_COUNTER_ADD("lingua.token_pairs_scored", cells - hits);
+  QMATCH_COUNTER_ADD("lingua.token_pairs_memo_hits", hits);
+  QMATCH_COUNTER_ADD("lingua.token_memo_clears", cleared ? 1 : 0);
 
   // Skip bitsets: a source label relates to every target token that has
   // nonzero similarity to one of its tokens.

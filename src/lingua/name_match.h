@@ -2,8 +2,10 @@
 #define QMATCH_LINGUA_NAME_MATCH_H_
 
 #include <cstdint>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -51,12 +53,81 @@ struct NameMatchOptions {
   double relaxed_threshold = 0.45;
 };
 
+/// A memo of NameMatcher::TokenSimilarity over ordered (source token,
+/// target token) pairs of canonical tokens, owned by one NameMatcher and so
+/// valid for exactly its (thesaurus, options) pair. PairwiseLabelScorer
+/// reads it and scores only the pairs it has never seen; each entry is the
+/// return value of that same pure call, so a warm scorer is bit-identical
+/// to a cold one.
+///
+/// Tokens intern to ids in an append-only vocabulary. Per source-token row
+/// it keeps a "scored" bitset over target ids plus the list of the row's
+/// nonzero (id, score, exact) entries: over 99% of token pairs score zero,
+/// and each of those costs one bit. The memo clears itself when the
+/// thesaurus's RelationCount() differs from the value it was filled under,
+/// and when the vocabulary would pass kMaxTokens (at most 8 MiB of scored
+/// bits). Reads take a shared lock, publishing an exclusive one. A copy
+/// starts empty.
+class TokenMemo {
+ public:
+  static constexpr size_t kMaxTokens = 8192;
+
+  TokenMemo() = default;
+  TokenMemo(const TokenMemo&) {}
+  TokenMemo& operator=(const TokenMemo&);
+
+  /// Fills the remembered cells of the row-major |source| x |target| tables
+  /// `sim` and `exact` and clears their `unscored` flags (the caller sets
+  /// every flag beforehand). Returns the number of cells filled.
+  uint64_t Read(const std::vector<std::string>& source,
+                const std::vector<std::string>& target, size_t relation_count,
+                double* sim, uint8_t* exact, uint8_t* unscored) const;
+
+  /// Remembers every cell whose `scored` flag is set. Returns true when the
+  /// memo cleared itself first.
+  bool Publish(const std::vector<std::string>& source,
+               const std::vector<std::string>& target, size_t relation_count,
+               const double* sim, const uint8_t* exact,
+               const uint8_t* scored);
+
+ private:
+  static constexpr uint32_t kNoId = UINT32_MAX;
+
+  struct Entry {
+    uint32_t target = 0;
+    uint8_t exact = 0;
+    double score = 0.0;
+  };
+  struct Row {
+    std::vector<uint64_t> scored;  // bit t: pair (row, target id t) known
+    std::vector<Entry> nonzero;
+  };
+
+  uint32_t Find(const std::string& token) const;
+  /// Interns every token of both lists; false when the vocabulary would
+  /// pass kMaxTokens.
+  bool InternAll(const std::vector<std::string>& source,
+                 const std::vector<std::string>& target,
+                 std::vector<uint32_t>& source_ids,
+                 std::vector<uint32_t>& target_ids);
+  void Clear();
+
+  mutable std::shared_mutex mutex_;
+  std::unordered_map<std::string, uint32_t> ids_;
+  std::vector<Row> rows_;  // by source token id
+  size_t relation_count_ = 0;
+};
+
 /// CUPID-style linguistic label matcher.
 ///
 /// Labels are canonicalised (tokenised, singularised), then compared first
 /// as whole terms against the thesaurus and second by a bipartite
 /// best-token-pair assignment where each token pair scores by thesaurus
 /// relation or, for out-of-vocabulary pairs, blended string similarity.
+///
+/// The matcher owns a TokenMemo, so every PairwiseLabelScorer built over it
+/// scores each token pair once for the matcher's lifetime. Const calls are
+/// safe from many threads at once.
 class NameMatcher {
  public:
   /// `thesaurus` may be null (pure string matching); it is borrowed and must
@@ -83,16 +154,21 @@ class NameMatcher {
   const Thesaurus* thesaurus() const { return thesaurus_; }
 
  private:
+  friend class PairwiseLabelScorer;
+
   const Thesaurus* thesaurus_;
   NameMatchOptions options_;
+  mutable TokenMemo memo_;
 };
 
 /// Precomputing façade for all-pairs label matching between two label lists.
 ///
 /// Schemas repeat a small token vocabulary across many labels, so the
-/// scorer interns every distinct token on each side and scores every
-/// (source token, target token) pair once, up front — turning the O(n·m)
-/// label loop's inner work into array lookups.
+/// scorer interns every distinct token on each side and looks every
+/// (source token, target token) pair up once, up front — turning the O(n·m)
+/// label loop's inner work into array lookups. Pairs the matcher's
+/// TokenMemo holds are copied from it; only the others are scored, and
+/// then published to the memo.
 ///
 /// Most label pairs share no related token at all, and those provably
 /// score {kNone, 0.0}. The scorer keeps one bitset per source label over the
@@ -102,10 +178,11 @@ class NameMatcher {
 class PairwiseLabelScorer {
  public:
   /// `matcher` is borrowed and must outlive the scorer. The token-similarity
-  /// table is filled here, on `pool` when one with workers is given: each
-  /// slot is a pure function of its token pair, so the table is
-  /// bit-identical for any worker count. Afterwards `Match` only reads, so
-  /// concurrent calls from many threads are safe.
+  /// table is filled here, the unmemoised slots on `pool` when one with
+  /// workers is given: each slot is a pure function of its token pair, so
+  /// the table is bit-identical for any worker count and any memo state.
+  /// Afterwards `Match` only reads, so concurrent calls from many threads
+  /// are safe.
   PairwiseLabelScorer(const NameMatcher& matcher,
                       const std::vector<std::string>& source_labels,
                       const std::vector<std::string>& target_labels,

@@ -1,7 +1,5 @@
 #include "lingua/thesaurus.h"
 
-#include <deque>
-
 #include "lingua/tokenize.h"
 
 namespace qmatch::lingua {
@@ -15,6 +13,7 @@ void Thesaurus::AddSynonym(std::string_view a, std::string_view b) {
   std::string cb = Canonical(b);
   if (ca.empty() || cb.empty() || ca == cb) return;
   ++relation_count_;
+  closures_.Invalidate();
   key_terms_.insert(ca);
   key_terms_.insert(cb);
   auto ia = synonym_group_of_.find(ca);
@@ -51,6 +50,7 @@ void Thesaurus::AddHypernym(std::string_view general,
   std::string s = Canonical(specific);
   if (g.empty() || s.empty() || g == s) return;
   ++relation_count_;
+  closures_.Invalidate();
   key_terms_.insert(g);
   hyponyms_[g].insert(s);
 }
@@ -98,12 +98,12 @@ bool Thesaurus::IsHypernymOf(std::string_view general,
   return IsHypernymOfCanonical(Canonical(general), Canonical(specific));
 }
 
-bool Thesaurus::IsHypernymOfCanonical(const std::string& g,
-                                      const std::string& s) const {
-  if (g.empty() || s.empty() || g == s) return false;
+std::unordered_set<std::string> Thesaurus::WalkHyponyms(
+    const std::string& g) const {
   // Bounded BFS down the hyponym links; synonyms of visited nodes are
   // considered equivalent.
   constexpr size_t kMaxDepth = 4;
+  std::unordered_set<std::string> reached;
   std::set<std::string> frontier = {g};
   if (const std::set<std::string>* group = SynonymSet(g)) {
     frontier.insert(group->begin(), group->end());
@@ -114,18 +114,47 @@ bool Thesaurus::IsHypernymOfCanonical(const std::string& g,
       auto it = hyponyms_.find(term);
       if (it == hyponyms_.end()) continue;
       for (const std::string& hypo : it->second) {
-        if (hypo == s) return true;
+        next.insert(hypo);
         if (const std::set<std::string>* group = SynonymSet(hypo)) {
-          if (group->count(s) > 0) return true;
           next.insert(group->begin(), group->end());
         }
-        next.insert(hypo);
       }
     }
-    if (next.empty()) return false;
+    if (next.empty()) break;
+    reached.insert(next.begin(), next.end());
     frontier = std::move(next);
   }
-  return false;
+  return reached;
+}
+
+const Thesaurus::HypernymClosures::Map& Thesaurus::HypernymClosures::Get(
+    const Thesaurus& thesaurus) const {
+  if (built_.load(std::memory_order_acquire)) return map_;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!built_.load(std::memory_order_relaxed)) {
+    // A walk starts from the general term and its synonyms, so every
+    // member of a synonym group shares one closure.
+    for (const auto& entry : thesaurus.hyponyms_) {
+      const std::string& general = entry.first;
+      if (map_.count(general) > 0) continue;
+      std::unordered_set<std::string> closure =
+          thesaurus.WalkHyponyms(general);
+      if (const std::set<std::string>* group = thesaurus.SynonymSet(general)) {
+        for (const std::string& member : *group) map_.emplace(member, closure);
+      }
+      map_.emplace(general, std::move(closure));
+    }
+    built_.store(true, std::memory_order_release);
+  }
+  return map_;
+}
+
+bool Thesaurus::IsHypernymOfCanonical(const std::string& g,
+                                      const std::string& s) const {
+  if (g.empty() || s.empty() || g == s) return false;
+  const HypernymClosures::Map& closures = closures_.Get(*this);
+  auto it = closures.find(g);
+  return it != closures.end() && it->second.count(s) > 0;
 }
 
 std::optional<std::string> Thesaurus::Expand(std::string_view term) const {
@@ -164,13 +193,17 @@ TermRelation Thesaurus::RelateCanonical(const std::string& ca,
   if (ca == cb) return TermRelation::kEqual;
 
   // Two out-of-vocabulary terms cannot relate (see MentionedCanonical):
-  // skip the table walks and the hypernym BFS entirely. This is the hot
-  // case for domain schemas, whose labels rarely appear in the thesaurus.
-  if (!MentionedCanonical(ca) && !MentionedCanonical(cb)) {
-    return TermRelation::kNone;
-  }
+  // skip the table walks entirely. This is the hot case for domain
+  // schemas, whose labels rarely appear in the thesaurus. Past it, each
+  // lookup runs only when the term its table is keyed by is mentioned
+  // (synonymy keys both sides), which changes no answer.
+  const bool mentioned_a = MentionedCanonical(ca);
+  const bool mentioned_b = MentionedCanonical(cb);
+  if (!mentioned_a && !mentioned_b) return TermRelation::kNone;
 
-  if (AreSynonymsCanonical(ca, cb)) return TermRelation::kSynonym;
+  if (mentioned_a && mentioned_b && AreSynonymsCanonical(ca, cb)) {
+    return TermRelation::kSynonym;
+  }
 
   // Acronyms: direct, or the expansion is a synonym of the other side.
   auto expands_to = [this](const std::map<std::string, std::set<std::string>>&
@@ -185,13 +218,25 @@ TermRelation Thesaurus::RelateCanonical(const std::string& ca,
     }
     return false;
   };
-  if (expands_to(acronyms_, ca, cb)) return TermRelation::kAcronym;
-  if (expands_to(acronyms_, cb, ca)) return TermRelation::kExpansion;
-  if (expands_to(abbreviations_, ca, cb)) return TermRelation::kAbbreviation;
-  if (expands_to(abbreviations_, cb, ca)) return TermRelation::kExpansion;
+  if (mentioned_a && expands_to(acronyms_, ca, cb)) {
+    return TermRelation::kAcronym;
+  }
+  if (mentioned_b && expands_to(acronyms_, cb, ca)) {
+    return TermRelation::kExpansion;
+  }
+  if (mentioned_a && expands_to(abbreviations_, ca, cb)) {
+    return TermRelation::kAbbreviation;
+  }
+  if (mentioned_b && expands_to(abbreviations_, cb, ca)) {
+    return TermRelation::kExpansion;
+  }
 
-  if (IsHypernymOfCanonical(ca, cb)) return TermRelation::kHypernym;
-  if (IsHypernymOfCanonical(cb, ca)) return TermRelation::kHyponym;
+  if (mentioned_a && IsHypernymOfCanonical(ca, cb)) {
+    return TermRelation::kHypernym;
+  }
+  if (mentioned_b && IsHypernymOfCanonical(cb, ca)) {
+    return TermRelation::kHyponym;
+  }
 
   return TermRelation::kNone;
 }

@@ -1,11 +1,14 @@
 #ifndef QMATCH_LINGUA_THESAURUS_H_
 #define QMATCH_LINGUA_THESAURUS_H_
 
+#include <atomic>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -32,6 +35,9 @@ enum class TermRelation {
 /// linguistic matcher consumed (see DESIGN.md §5). Terms are stored in the
 /// normalised form produced by `NormalizeLabel` (lower-case, space
 /// separated); all lookups normalise their inputs first.
+///
+/// Const lookups are safe from many threads at once; the Add* methods are
+/// not, and must not run concurrently with anything else.
 class Thesaurus {
  public:
   Thesaurus() = default;
@@ -66,7 +72,9 @@ class Thesaurus {
   bool AreSynonyms(std::string_view a, std::string_view b) const;
   bool AreSynonymsCanonical(const std::string& a, const std::string& b) const;
 
-  /// True if `general` is a (transitive) hypernym of `specific`.
+  /// True if `general` is a (transitive) hypernym of `specific`: `specific`
+  /// (or a synonym of it) lies at most four hyponym links below `general`
+  /// or one of its synonyms.
   bool IsHypernymOf(std::string_view general, std::string_view specific) const;
   bool IsHypernymOfCanonical(const std::string& general,
                              const std::string& specific) const;
@@ -75,23 +83,56 @@ class Thesaurus {
   /// abbreviation, else nullopt.
   std::optional<std::string> Expand(std::string_view term) const;
 
-  /// Number of stored relations (for tests and diagnostics).
+  /// Number of stored relations. It grows with every Add* not ignored,
+  /// which is how a NameMatcher's token memo detects a changed thesaurus.
   size_t RelationCount() const { return relation_count_; }
 
   /// True when `term` (already canonical) appears as a lookup key in any
   /// relation table. Every non-equal RelateCanonical outcome requires at
   /// least one side to be such a key (synonymy keys both sides; acronym /
-  /// abbreviation / expansion key the short form; the hypernym BFS starts
-  /// from the general term's key) — so two unmentioned terms relate kNone
-  /// without walking any table. One hash probe; the batch matchers call it
-  /// once per distinct term to pre-resolve out-of-vocabulary pairs.
+  /// abbreviation / expansion key the short form; a hypernym closure is
+  /// keyed by the general term or a synonym of it, both keys) — so two
+  /// unmentioned terms relate kNone without walking any table. One hash
+  /// probe; the batch matchers call it once per distinct term to
+  /// pre-resolve out-of-vocabulary pairs.
   bool MentionedCanonical(const std::string& term) const {
     return key_terms_.count(term) > 0;
   }
 
  private:
+  friend struct ThesaurusPeer;  // test oracle access to the tables
+
+  /// Every term the bounded hypernym walk reaches from a start term, for
+  /// each start term that reaches any: a closure set per term, built on the
+  /// first hypernym query after an Add* (under a mutex, so concurrent const
+  /// callers are safe) and read lock-free afterwards. Copies start unbuilt.
+  class HypernymClosures {
+   public:
+    using Map =
+        std::unordered_map<std::string, std::unordered_set<std::string>>;
+    HypernymClosures() = default;
+    HypernymClosures(const HypernymClosures&) {}
+    HypernymClosures& operator=(const HypernymClosures&) {
+      Invalidate();
+      return *this;
+    }
+    void Invalidate() {
+      built_.store(false, std::memory_order_relaxed);
+      map_.clear();
+    }
+    const Map& Get(const Thesaurus& thesaurus) const;
+
+   private:
+    mutable std::mutex mutex_;
+    mutable std::atomic<bool> built_{false};
+    mutable Map map_;  // written only under mutex_ while !built_
+  };
+
   std::string Canonical(std::string_view term) const;
   const std::set<std::string>* SynonymSet(const std::string& term) const;
+  /// The closure of `general`: the old per-query BFS, run once per term.
+  std::unordered_set<std::string> WalkHyponyms(
+      const std::string& general) const;
 
   // term -> id of its synonym group; groups hold normalised terms.
   std::map<std::string, size_t> synonym_group_of_;
@@ -105,6 +146,7 @@ class Thesaurus {
   // merges only ever add keys, so no removal is needed).
   std::unordered_set<std::string> key_terms_;
   size_t relation_count_ = 0;
+  HypernymClosures closures_;
 };
 
 }  // namespace qmatch::lingua
