@@ -1,6 +1,7 @@
 #include "lingua/name_match.h"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
 #include <unordered_map>
 
@@ -239,7 +240,8 @@ bool TokenMemo::Publish(const std::vector<std::string>& source,
       const uint64_t bit = uint64_t{1} << (tid % 64);
       if ((word & bit) != 0) continue;  // published meanwhile, same value
       word |= bit;
-      if (sim[s * nt + t] != 0.0) {
+      // Anything but +0.0 (the scorer's fill value) is kept, bit for bit.
+      if (std::bit_cast<uint64_t>(sim[s * nt + t]) != 0) {
         row.nonzero.push_back(Entry{tid, exact[s * nt + t], sim[s * nt + t]});
       }
     }
