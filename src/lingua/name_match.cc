@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
+#include <functional>
 #include <mutex>
 #include <unordered_map>
 
@@ -62,45 +64,44 @@ double NameMatcher::TokenSimilarity(const std::string& a, const std::string& b,
   return fuzzy >= options_.fuzzy_floor ? fuzzy : 0.0;
 }
 
-LabelMatch NameMatcher::Match(const PreparedLabel& a,
-                              const PreparedLabel& b) const {
-  if (a.canonical.empty() || b.canonical.empty()) {
-    return {LabelMatchClass::kNone, 0.0};
-  }
-  if (a.canonical == b.canonical) return {LabelMatchClass::kExact, 1.0};
+namespace {
 
-  // Whole-label thesaurus relation (handles multi-word terms such as
-  // "bill to" vs "billing address" and acronyms like "po").
-  if (thesaurus_ != nullptr) {
-    switch (thesaurus_->RelateCanonical(a.canonical, b.canonical)) {
-      case TermRelation::kEqual:
-      case TermRelation::kSynonym:
-        return {LabelMatchClass::kExact, options_.synonym_score};
-      case TermRelation::kHypernym:
-      case TermRelation::kHyponym:
-        return {LabelMatchClass::kRelaxed, options_.hypernym_score};
-      case TermRelation::kAcronym:
-      case TermRelation::kExpansion:
-        return {LabelMatchClass::kRelaxed, options_.acronym_score};
-      case TermRelation::kAbbreviation:
-        return {LabelMatchClass::kRelaxed, options_.abbreviation_score};
-      case TermRelation::kNone:
-        break;
-    }
+/// NameMatcher::Match once the labels are known non-empty and different:
+/// the whole-label thesaurus relation decides first (it handles multi-word
+/// terms such as "bill to" vs "billing address" and acronyms like "po");
+/// otherwise a bipartite best-pair token comparison, averaged over both
+/// directions (CUPID-style name similarity). `sim(forward, f, t, &exact)`
+/// is the similarity of the source label's token f to the target label's
+/// token t when `forward`, else of the target's token f to the source's
+/// token t.
+template <class Sim>
+LabelMatch ScoreLabels(TermRelation relation, size_t source_tokens,
+                       size_t target_tokens, const NameMatchOptions& options,
+                       Sim&& sim) {
+  switch (relation) {
+    case TermRelation::kEqual:
+    case TermRelation::kSynonym:
+      return {LabelMatchClass::kExact, options.synonym_score};
+    case TermRelation::kHypernym:
+    case TermRelation::kHyponym:
+      return {LabelMatchClass::kRelaxed, options.hypernym_score};
+    case TermRelation::kAcronym:
+    case TermRelation::kExpansion:
+      return {LabelMatchClass::kRelaxed, options.acronym_score};
+    case TermRelation::kAbbreviation:
+      return {LabelMatchClass::kRelaxed, options.abbreviation_score};
+    case TermRelation::kNone:
+      break;
   }
-
-  // Bipartite best-pair token comparison, averaged over both directions
-  // (CUPID-style name similarity).
   bool all_exact = true;
-  auto directional = [&](const std::vector<std::string>& from,
-                         const std::vector<std::string>& to) {
+  auto directional = [&](size_t from, size_t to, bool forward) {
     double sum = 0.0;
-    for (const std::string& ft : from) {
+    for (size_t f = 0; f < from; ++f) {
       double best = 0.0;
       bool best_exact = false;
-      for (const std::string& tt : to) {
+      for (size_t t = 0; t < to; ++t) {
         bool exact_kind = false;
-        double s = TokenSimilarity(ft, tt, &exact_kind);
+        const double s = sim(forward, f, t, &exact_kind);
         if (s > best) {
           best = s;
           best_exact = exact_kind;
@@ -109,19 +110,38 @@ LabelMatch NameMatcher::Match(const PreparedLabel& a,
       if (!best_exact || best < 1.0) all_exact = false;
       sum += best;
     }
-    return from.empty() ? 0.0 : sum / static_cast<double>(from.size());
+    return from == 0 ? 0.0 : sum / static_cast<double>(from);
   };
-  double score = (directional(a.tokens, b.tokens) +
-                  directional(b.tokens, a.tokens)) /
-                 2.0;
-
-  if (score >= options_.exact_threshold && all_exact) {
+  const double score = (directional(source_tokens, target_tokens, true) +
+                        directional(target_tokens, source_tokens, false)) /
+                       2.0;
+  if (score >= options.exact_threshold && all_exact) {
     return {LabelMatchClass::kExact, 1.0};
   }
-  if (score >= options_.relaxed_threshold) {
+  if (score >= options.relaxed_threshold) {
     return {LabelMatchClass::kRelaxed, score};
   }
   return {LabelMatchClass::kNone, score};
+}
+
+}  // namespace
+
+LabelMatch NameMatcher::Match(const PreparedLabel& a,
+                              const PreparedLabel& b) const {
+  if (a.canonical.empty() || b.canonical.empty()) {
+    return {LabelMatchClass::kNone, 0.0};
+  }
+  if (a.canonical == b.canonical) return {LabelMatchClass::kExact, 1.0};
+  const TermRelation relation =
+      thesaurus_ != nullptr
+          ? thesaurus_->RelateCanonical(a.canonical, b.canonical)
+          : TermRelation::kNone;
+  return ScoreLabels(
+      relation, a.tokens.size(), b.tokens.size(), options_,
+      [&](bool forward, size_t f, size_t t, bool* exact) {
+        return forward ? TokenSimilarity(a.tokens[f], b.tokens[t], exact)
+                       : TokenSimilarity(b.tokens[f], a.tokens[t], exact);
+      });
 }
 
 LabelMatch NameMatcher::Match(std::string_view a, std::string_view b) const {
@@ -138,115 +158,203 @@ TokenMemo& TokenMemo::operator=(const TokenMemo& /*other*/) {
   return *this;
 }
 
-uint32_t TokenMemo::Find(const std::string& token) const {
-  auto it = ids_.find(token);
-  return it == ids_.end() ? kNoId : it->second;
-}
-
 void TokenMemo::Clear() {
   ids_.clear();
+  token_text_.clear();
   rows_.clear();
+  labels_.clear();
+  canonical_ids_.clear();
+  canonicals_.clear();
+  ++generation_;
 }
 
-uint64_t TokenMemo::Read(const std::vector<std::string>& source,
-                         const std::vector<std::string>& target,
-                         size_t relation_count, double* sim, uint8_t* exact,
-                         uint8_t* unscored) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  if (relation_count != relation_count_ || ids_.empty()) return 0;
-  const size_t nt = target.size();
-  std::vector<uint32_t> target_ids(nt);
-  // Memo id -> target slot, for copying a row's nonzero entries.
-  std::vector<uint32_t> slot_of(ids_.size(), kNoId);
-  for (size_t t = 0; t < nt; ++t) {
-    target_ids[t] = Find(target[t]);
-    if (target_ids[t] != kNoId) {
-      slot_of[target_ids[t]] = static_cast<uint32_t>(t);
+uint32_t TokenMemo::InternCanonical(const std::string& canonical) {
+  auto [it, inserted] = canonical_ids_.try_emplace(
+      canonical, static_cast<uint32_t>(canonicals_.size()));
+  if (inserted) canonicals_.emplace_back();
+  return it->second;
+}
+
+bool TokenMemo::Intern(const Thesaurus* thesaurus,
+                       const std::vector<std::string>& labels,
+                       size_t max_tokens, size_t max_labels) {
+  for (const std::string& label : labels) {
+    if (labels_.count(label) > 0) continue;
+    if (labels_.size() >= max_labels) return false;
+    const PreparedLabel prepared = NameMatcher::Prepare(label);
+    Label entry;
+    for (const std::string& token : prepared.tokens) {
+      auto it = ids_.find(token);
+      if (it == ids_.end()) {
+        if (ids_.size() >= max_tokens) return false;
+        it = ids_.emplace(token, static_cast<uint32_t>(ids_.size())).first;
+        token_text_.push_back(&it->first);
+        rows_.emplace_back();
+      }
+      entry.tokens.push_back(it->second);
     }
+    entry.canonical = InternCanonical(prepared.canonical);
+    if (!canonicals_[entry.canonical].resolved) {
+      // Empty unless the canonical is thesaurus-mentioned.
+      const std::string& term = prepared.canonical;
+      std::vector<Relation> related;
+      if (thesaurus != nullptr) {
+        for (const std::string& other : thesaurus->RelatedCanonicals(term)) {
+          related.push_back({InternCanonical(other),
+                             thesaurus->RelateCanonical(term, other),
+                             thesaurus->RelateCanonical(other, term)});
+        }
+      }
+      std::sort(related.begin(), related.end(),
+                [](const Relation& x, const Relation& y) {
+                  return x.canonical < y.canonical;
+                });
+      Canonical& canonical = canonicals_[entry.canonical];
+      canonical.resolved = true;
+      canonical.related = std::move(related);
+    }
+    labels_.emplace(label, std::move(entry));
   }
-  uint64_t hits = 0;
-  for (size_t s = 0; s < source.size(); ++s) {
-    const uint32_t id = Find(source[s]);
-    if (id == kNoId) continue;
-    const Row& row = rows_[id];
+  return true;
+}
+
+bool TokenMemo::FillSide(const std::vector<std::string>& labels, Side& side,
+                         std::vector<uint32_t>& side_of) const {
+  side = Side{};
+  side_of.assign(ids_.size(), kNoId);
+  side.canonical.reserve(labels.size());
+  side.token_begin.reserve(labels.size() + 1);
+  side.related_begin.reserve(labels.size() + 1);
+  side.token_begin.push_back(0);
+  side.related_begin.push_back(0);
+  for (const std::string& label : labels) {
+    auto it = labels_.find(label);
+    if (it == labels_.end()) return false;
+    const Label& entry = it->second;
+    const Canonical& canonical = canonicals_[entry.canonical];
+    side.canonical.push_back(entry.canonical);
+    for (const uint32_t id : entry.tokens) {
+      if (side_of[id] == kNoId) {
+        side_of[id] = static_cast<uint32_t>(side.vocabulary.size());
+        side.vocabulary.push_back(id);
+      }
+      side.tokens.push_back(side_of[id]);
+    }
+    side.token_begin.push_back(static_cast<uint32_t>(side.tokens.size()));
+    side.related.insert(side.related.end(), canonical.related.begin(),
+                        canonical.related.end());
+    side.related_begin.push_back(static_cast<uint32_t>(side.related.size()));
+  }
+  return true;
+}
+
+bool TokenMemo::Fill(const std::vector<std::string>& source,
+                     const std::vector<std::string>& target,
+                     View& view) const {
+  std::vector<uint32_t> source_of;
+  std::vector<uint32_t> target_of;
+  if (!FillSide(source, view.source, source_of) ||
+      !FillSide(target, view.target, target_of)) {
+    return false;
+  }
+  const size_t ns = view.source.vocabulary.size();
+  const size_t nt = view.target.vocabulary.size();
+  view.sim.assign(ns * nt, 0.0);
+  view.exact.assign(ns * nt, 0);
+  view.unscored.assign(ns * nt, 1);
+  view.hits = 0;
+  for (size_t s = 0; s < ns; ++s) {
+    const Row& row = rows_[view.source.vocabulary[s]];
     for (size_t t = 0; t < nt; ++t) {
-      const uint32_t tid = target_ids[t];
-      if (tid == kNoId || tid / 64 >= row.scored.size()) continue;
-      if ((row.scored[tid / 64] >> (tid % 64)) & 1) {
-        unscored[s * nt + t] = 0;
-        ++hits;
+      const uint32_t tid = view.target.vocabulary[t];
+      if (tid / 64 < row.scored.size() &&
+          ((row.scored[tid / 64] >> (tid % 64)) & 1) != 0) {
+        view.unscored[s * nt + t] = 0;
+        ++view.hits;
       }
     }
     for (const Entry& entry : row.nonzero) {
-      const uint32_t t = slot_of[entry.target];
+      const uint32_t t = target_of[entry.target];
       if (t == kNoId) continue;
-      sim[s * nt + t] = entry.score;
-      exact[s * nt + t] = entry.exact;
+      view.sim[s * nt + t] = entry.score;
+      view.exact[s * nt + t] = entry.exact;
     }
   }
-  return hits;
-}
-
-bool TokenMemo::InternAll(const std::vector<std::string>& source,
-                          const std::vector<std::string>& target,
-                          std::vector<uint32_t>& source_ids,
-                          std::vector<uint32_t>& target_ids) {
-  auto intern = [&](const std::vector<std::string>& tokens,
-                    std::vector<uint32_t>& ids) {
-    ids.clear();
-    for (const std::string& token : tokens) {
-      if (ids_.size() >= kMaxTokens && ids_.count(token) == 0) return false;
-      ids.push_back(
-          ids_.try_emplace(token, static_cast<uint32_t>(ids_.size()))
-              .first->second);
+  if (view.hits != ns * nt) {
+    for (Side* side : {&view.source, &view.target}) {
+      side->text.reserve(side->vocabulary.size());
+      for (const uint32_t id : side->vocabulary) {
+        side->text.push_back(*token_text_[id]);
+      }
     }
-    return true;
-  };
-  const bool fits = intern(source, source_ids) && intern(target, target_ids);
-  rows_.resize(ids_.size());
-  return fits;
+  }
+  view.generation = generation_;
+  return true;
 }
 
-bool TokenMemo::Publish(const std::vector<std::string>& source,
-                        const std::vector<std::string>& target,
-                        size_t relation_count, const double* sim,
-                        const uint8_t* exact, const uint8_t* scored) {
+TokenMemo::View TokenMemo::Resolve(const Thesaurus* thesaurus,
+                                   const std::vector<std::string>& source,
+                                   const std::vector<std::string>& target) {
+  const size_t relation_count =
+      thesaurus != nullptr ? thesaurus->RelationCount() : 0;
+  View view;
+  {
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    if (relation_count == relation_count_ && Fill(source, target, view)) {
+      return view;
+    }
+  }
+  auto intern = [&](TokenMemo& memo, size_t max_tokens, size_t max_labels) {
+    return memo.Intern(thesaurus, source, max_tokens, max_labels) &&
+           memo.Intern(thesaurus, target, max_tokens, max_labels);
+  };
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  bool cleared = false;
   if (relation_count != relation_count_) {
-    cleared = !ids_.empty();
+    view.cleared = !ids_.empty() || !labels_.empty();
     Clear();
     relation_count_ = relation_count;
   }
-  std::vector<uint32_t> source_ids;
-  std::vector<uint32_t> target_ids;
-  if (!InternAll(source, target, source_ids, target_ids)) {
+  if (!intern(*this, kMaxTokens, kMaxLabels)) {
     Clear();
-    cleared = true;
-    // A single scorer whose own vocabulary passes the cap is not memoised.
-    if (!InternAll(source, target, source_ids, target_ids)) {
+    view.cleared = true;
+    if (!intern(*this, kMaxTokens, kMaxLabels)) {
+      // The labels alone pass a cap: resolve them in a private memo and
+      // remember nothing.
       Clear();
-      return true;
+      lock.unlock();
+      TokenMemo own;
+      intern(own, SIZE_MAX, SIZE_MAX);
+      own.Fill(source, target, view);
+      view.memoised = false;
+      return view;
     }
   }
-  const size_t nt = target.size();
-  for (size_t s = 0; s < source.size(); ++s) {
-    Row& row = rows_[source_ids[s]];
+  Fill(source, target, view);
+  return view;
+}
+
+void TokenMemo::Publish(const View& view) {
+  if (!view.memoised) return;
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  if (view.generation != generation_) return;
+  const size_t nt = view.target.vocabulary.size();
+  for (size_t s = 0; s < view.source.vocabulary.size(); ++s) {
+    Row& row = rows_[view.source.vocabulary[s]];
     for (size_t t = 0; t < nt; ++t) {
-      if (scored[s * nt + t] == 0) continue;
-      const uint32_t tid = target_ids[t];
+      const size_t cell = s * nt + t;
+      if (view.unscored[cell] == 0) continue;
+      const uint32_t tid = view.target.vocabulary[t];
       if (tid / 64 >= row.scored.size()) row.scored.resize(tid / 64 + 1, 0);
       uint64_t& word = row.scored[tid / 64];
       const uint64_t bit = uint64_t{1} << (tid % 64);
       if ((word & bit) != 0) continue;  // published meanwhile, same value
       word |= bit;
       // Anything but +0.0 (the scorer's fill value) is kept, bit for bit.
-      if (std::bit_cast<uint64_t>(sim[s * nt + t]) != 0) {
-        row.nonzero.push_back(Entry{tid, exact[s * nt + t], sim[s * nt + t]});
+      if (std::bit_cast<uint64_t>(view.sim[cell]) != 0) {
+        row.nonzero.push_back(Entry{tid, view.exact[cell], view.sim[cell]});
       }
     }
   }
-  return cleared;
 }
 
 // ---------------------------------------------------------------------------
@@ -255,190 +363,203 @@ bool TokenMemo::Publish(const std::vector<std::string>& source,
 
 namespace {
 
-size_t InternToken(const std::string& token, std::vector<std::string>& pool,
-                   std::unordered_map<std::string, size_t>& index) {
-  auto it = index.find(token);
-  if (it != index.end()) return it->second;
-  size_t id = pool.size();
-  pool.push_back(token);
-  index.emplace(token, id);
-  return id;
-}
+/// Compressed rows: for each key < `keys`, the values of the (key, value)
+/// pairs `emit` produces, in emission order.
+struct Postings {
+  std::vector<uint32_t> begin;
+  std::vector<uint32_t> values;
+
+  template <class Emit>
+  Postings(size_t keys, Emit&& emit) : begin(keys + 1, 0) {
+    emit([&](uint32_t key, uint32_t) { ++begin[key + 1]; });
+    for (size_t k = 0; k < keys; ++k) begin[k + 1] += begin[k];
+    values.resize(begin[keys]);
+    std::vector<uint32_t> cursor(begin.begin(), begin.end() - 1);
+    emit([&](uint32_t key, uint32_t value) { values[cursor[key]++] = value; });
+  }
+
+  template <class Visit>
+  void ForEach(uint32_t key, Visit&& visit) const {
+    for (uint32_t k = begin[key]; k < begin[key + 1]; ++k) visit(values[k]);
+  }
+};
 
 }  // namespace
 
 PairwiseLabelScorer::PairwiseLabelScorer(
     const NameMatcher& matcher, const std::vector<std::string>& source_labels,
-    const std::vector<std::string>& target_labels, ThreadPool* pool)
-    : matcher_(matcher) {
-  using Index = std::unordered_map<std::string, size_t>;
-  Index source_index;
-  Index target_index;
-  // Canonical-form pool shared by both sides: two labels are string-equal
-  // iff they intern to the same id, so the hot Match path compares ints.
-  Index canonical_index;
-  const Thesaurus* thesaurus = matcher.thesaurus();
-  auto intern_label = [&](const std::string& label,
-                          std::vector<std::string>& token_pool,
-                          Index& token_index) {
-    PreparedLabel prepared = NameMatcher::Prepare(label);
-    InternedLabel interned;
-    interned.canonical = std::move(prepared.canonical);
-    for (const std::string& token : prepared.tokens) {
-      interned.token_ids.push_back(InternToken(token, token_pool, token_index));
-    }
-    interned.canonical_id =
-        canonical_index.try_emplace(interned.canonical, canonical_index.size())
-            .first->second;
-    interned.mentioned =
-        thesaurus != nullptr && thesaurus->MentionedCanonical(interned.canonical);
-    return interned;
-  };
-  source_.reserve(source_labels.size());
-  for (const std::string& label : source_labels) {
-    source_.push_back(intern_label(label, source_tokens_, source_index));
-  }
-  target_.reserve(target_labels.size());
-  for (const std::string& label : target_labels) {
-    target_.push_back(intern_label(label, target_tokens_, target_index));
-  }
-
-  // Token-similarity table: remembered slots come from the matcher's memo,
-  // the rest are scored one source-token row per task and published.
-  const size_t nt = target_tokens_.size();
-  const size_t cells = source_tokens_.size() * nt;
-  token_sim_.assign(cells, 0.0);
-  token_exact_.assign(cells, 0);
-  std::vector<uint8_t> unscored(cells, 1);
-  const size_t relation_count =
-      thesaurus != nullptr ? thesaurus->RelationCount() : 0;
-  TokenMemo& memo = matcher.memo_;
-  const uint64_t hits =
-      memo.Read(source_tokens_, target_tokens_, relation_count,
-                token_sim_.data(), token_exact_.data(), unscored.data());
-  auto fill_token_row = [&](size_t s) {
-    for (size_t t = 0; t < nt; ++t) {
-      if (unscored[s * nt + t] == 0) continue;
-      bool exact = false;
-      token_sim_[s * nt + t] = matcher_.TokenSimilarity(
-          source_tokens_[s], target_tokens_[t], &exact);
-      token_exact_[s * nt + t] = exact ? 1 : 0;
-    }
-  };
-  [[maybe_unused]] bool cleared = false;
-  if (hits != cells) {
+    const std::vector<std::string>& target_labels, ThreadPool* pool) {
+  TokenMemo::View view = matcher.memo_.Resolve(
+      matcher.thesaurus(), source_labels, target_labels);
+  const TokenMemo::Side& source = view.source;
+  const TokenMemo::Side& target = view.target;
+  auto run = [&](size_t count, const std::function<void(size_t)>& body) {
     if (pool != nullptr && pool->worker_count() > 0) {
-      pool->ParallelFor(source_tokens_.size(), fill_token_row);
+      pool->ParallelFor(count, body);
     } else {
-      for (size_t s = 0; s < source_tokens_.size(); ++s) fill_token_row(s);
+      for (size_t k = 0; k < count; ++k) body(k);
     }
-    cleared = memo.Publish(source_tokens_, target_tokens_, relation_count,
-                           token_sim_.data(), token_exact_.data(),
-                           unscored.data());
-  }
-  QMATCH_COUNTER_ADD("lingua.token_pairs_scored", cells - hits);
-  QMATCH_COUNTER_ADD("lingua.token_pairs_memo_hits", hits);
-  QMATCH_COUNTER_ADD("lingua.token_memo_clears", cleared ? 1 : 0);
-
-  // Skip bitsets: a source label relates to every target token that has
-  // nonzero similarity to one of its tokens.
-  const NameMatchOptions& options = matcher_.options();
-  skip_enabled_ =
-      options.relaxed_threshold > 0.0 && options.exact_threshold > 0.0;
-  words_ = (nt + 63) / 64;
-  related_.assign(source_.size() * words_, 0);
-  for (size_t i = 0; i < source_.size(); ++i) {
-    uint64_t* bits = related_.data() + i * words_;
-    for (size_t s : source_[i].token_ids) {
-      for (size_t t = 0; t < nt; ++t) {
-        if (token_sim_[s * nt + t] > 0.0) {
-          bits[t / 64] |= uint64_t{1} << (t % 64);
-        }
-      }
-    }
-  }
-}
-
-bool PairwiseLabelScorer::Related(size_t i, const InternedLabel& b) const {
-  const uint64_t* bits = related_.data() + i * words_;
-  for (size_t t : b.token_ids) {
-    if ((bits[t / 64] >> (t % 64)) & 1) return true;
-  }
-  return false;
-}
-
-LabelMatch PairwiseLabelScorer::Match(size_t i, size_t j,
-                                      uint64_t* skipped) const {
-  const InternedLabel& a = source_[i];
-  const InternedLabel& b = target_[j];
-  const NameMatchOptions& options = matcher_.options();
-  if (a.canonical.empty() || b.canonical.empty()) {
-    return {LabelMatchClass::kNone, 0.0};
-  }
-  if (a.canonical_id == b.canonical_id) return {LabelMatchClass::kExact, 1.0};
-
-  // Whole-label thesaurus relation — skipped when neither canonical is
-  // mentioned in the thesaurus, where RelateCanonical is kNone by
-  // construction (see Thesaurus::MentionedCanonical). If, in addition, no
-  // token pair of the two labels has nonzero similarity, every best-token
-  // score below is 0.0, the token-set score is exactly 0.0 and (both
-  // thresholds being positive) the pair classifies {kNone, 0.0}: return
-  // that without scoring.
-  const bool mentioned = a.mentioned || b.mentioned;
-  if (!mentioned && skip_enabled_ && !Related(i, b)) {
-    if (skipped != nullptr) ++*skipped;
-    return {LabelMatchClass::kNone, 0.0};
-  }
-  if (const Thesaurus* thesaurus = mentioned ? matcher_.thesaurus() : nullptr) {
-    switch (thesaurus->RelateCanonical(a.canonical, b.canonical)) {
-      case TermRelation::kEqual:
-      case TermRelation::kSynonym:
-        return {LabelMatchClass::kExact, options.synonym_score};
-      case TermRelation::kHypernym:
-      case TermRelation::kHyponym:
-        return {LabelMatchClass::kRelaxed, options.hypernym_score};
-      case TermRelation::kAcronym:
-      case TermRelation::kExpansion:
-        return {LabelMatchClass::kRelaxed, options.acronym_score};
-      case TermRelation::kAbbreviation:
-        return {LabelMatchClass::kRelaxed, options.abbreviation_score};
-      case TermRelation::kNone:
-        break;
-    }
-  }
-
-  const size_t nt = target_tokens_.size();
-  bool all_exact = true;
-  auto directional = [&](const std::vector<size_t>& from,
-                         const std::vector<size_t>& to, bool forward) {
-    double sum = 0.0;
-    for (size_t ft : from) {
-      double best = 0.0;
-      bool best_exact = false;
-      for (size_t tt : to) {
-        const size_t slot = forward ? ft * nt + tt : tt * nt + ft;
-        const double s = token_sim_[slot];
-        if (s > best) {
-          best = s;
-          best_exact = token_exact_[slot] != 0;
-        }
-      }
-      if (!best_exact || best < 1.0) all_exact = false;
-      sum += best;
-    }
-    return from.empty() ? 0.0 : sum / static_cast<double>(from.size());
   };
-  double score = (directional(a.token_ids, b.token_ids, true) +
-                  directional(b.token_ids, a.token_ids, false)) /
-                 2.0;
 
-  if (score >= options.exact_threshold && all_exact) {
-    return {LabelMatchClass::kExact, 1.0};
+  // Token-pair table: the cells the memo did not hold are scored, one
+  // source-token row per task, and published.
+  const size_t ns = source.vocabulary.size();
+  const size_t nt = target.vocabulary.size();
+  if (view.hits != ns * nt) {
+    run(ns, [&](size_t s) {
+      for (size_t t = 0; t < nt; ++t) {
+        if (view.unscored[s * nt + t] == 0) continue;
+        bool exact = false;
+        view.sim[s * nt + t] =
+            matcher.TokenSimilarity(source.text[s], target.text[t], &exact);
+        view.exact[s * nt + t] = exact ? 1 : 0;
+      }
+    });
+    matcher.memo_.Publish(view);
   }
-  if (score >= options.relaxed_threshold) {
-    return {LabelMatchClass::kRelaxed, score};
+  QMATCH_COUNTER_ADD("lingua.token_pairs_scored", ns * nt - view.hits);
+  QMATCH_COUNTER_ADD("lingua.token_pairs_memo_hits", view.hits);
+  QMATCH_COUNTER_ADD("lingua.token_memo_clears", view.cleared ? 1 : 0);
+
+  const NameMatchOptions& options = matcher.options();
+  // A pair whose token pairs all score zero has token-set score +0.0 and
+  // is never all-exact, so only the relaxed threshold decides its class.
+  background_ = {0.0 >= options.relaxed_threshold ? LabelMatchClass::kRelaxed
+                                                  : LabelMatchClass::kNone,
+                 0.0};
+
+  // The join's indexes over the target labels: token -> labels holding it,
+  // canonical -> labels, thesaurus-related canonical -> labels relating to
+  // it; and per source token, the target tokens it scores nonzero with.
+  const auto ml = static_cast<uint32_t>(target.canonical.size());
+  auto has_tokens = [](const TokenMemo::Side& side, size_t label) {
+    return side.token_begin[label] != side.token_begin[label + 1];
+  };
+  const Postings by_token(nt, [&](auto&& add) {
+    for (uint32_t b = 0; b < ml; ++b) {
+      for (uint32_t k = target.token_begin[b]; k < target.token_begin[b + 1];
+           ++k) {
+        add(target.tokens[k], b);
+      }
+    }
+  });
+  using Keyed = std::pair<uint32_t, uint32_t>;  // (canonical id, label)
+  std::vector<Keyed> by_canonical;
+  std::vector<Keyed> by_relation;
+  for (uint32_t b = 0; b < ml; ++b) {
+    by_canonical.emplace_back(target.canonical[b], b);
+    for (uint32_t k = target.related_begin[b]; k < target.related_begin[b + 1];
+         ++k) {
+      by_relation.emplace_back(target.related[k].canonical, b);
+    }
   }
-  return {LabelMatchClass::kNone, score};
+  std::sort(by_canonical.begin(), by_canonical.end());
+  std::sort(by_relation.begin(), by_relation.end());
+  auto for_key = [](const std::vector<Keyed>& index, uint32_t key,
+                    auto&& visit) {
+    for (auto it = std::lower_bound(index.begin(), index.end(), Keyed{key, 0});
+         it != index.end() && it->first == key; ++it) {
+      visit(it->second);
+    }
+  };
+  const Postings nonzero(ns, [&](auto&& add) {
+    for (uint32_t s = 0; s < ns; ++s) {
+      for (uint32_t t = 0; t < nt; ++t) {
+        if (view.sim[s * nt + t] > 0.0) add(s, t);
+      }
+    }
+  });
+
+  // The whole-label thesaurus relation, cached per mentioned canonical: by
+  // RelatedCanonicals' guarantee, a pair found in neither label's list
+  // relates kNone.
+  auto find_relation = [](const TokenMemo::Side& side, size_t label,
+                          uint32_t canonical) -> const TokenMemo::Relation* {
+    const auto first = side.related.begin() + side.related_begin[label];
+    const auto last = side.related.begin() + side.related_begin[label + 1];
+    const auto it = std::lower_bound(
+        first, last, canonical,
+        [](const TokenMemo::Relation& r, uint32_t c) { return r.canonical < c; });
+    return it != last && it->canonical == canonical ? &*it : nullptr;
+  };
+  auto relation = [&](size_t a, size_t b) {
+    if (const auto* r = find_relation(source, a, target.canonical[b])) {
+      return r->to;
+    }
+    if (const auto* r = find_relation(target, b, source.canonical[a])) {
+      return r->from;
+    }
+    return TermRelation::kNone;
+  };
+
+  // NameMatcher::Match on the resolved labels.
+  auto score = [&](size_t a, size_t b) -> LabelMatch {
+    if (!has_tokens(source, a) || !has_tokens(target, b)) {
+      return {LabelMatchClass::kNone, 0.0};
+    }
+    if (source.canonical[a] == target.canonical[b]) {
+      return {LabelMatchClass::kExact, 1.0};
+    }
+    const uint32_t* at = source.tokens.data() + source.token_begin[a];
+    const uint32_t* bt = target.tokens.data() + target.token_begin[b];
+    return ScoreLabels(
+        relation(a, b), source.token_begin[a + 1] - source.token_begin[a],
+        target.token_begin[b + 1] - target.token_begin[b], options,
+        [&](bool forward, size_t f, size_t t, bool* exact) {
+          const size_t slot = forward ? size_t{at[f]} * nt + bt[t]
+                                      : size_t{at[t]} * nt + bt[f];
+          *exact = view.exact[slot] != 0;
+          return view.sim[slot];
+        });
+  };
+
+  // Labels without tokens always match {kNone, 0.0}: candidates of every
+  // pair while that differs from the background.
+  std::vector<uint32_t> tokenless_targets;
+  const bool background_none = background_.cls == LabelMatchClass::kNone;
+  for (uint32_t b = 0; b < ml && !background_none; ++b) {
+    if (!has_tokens(target, b)) tokenless_targets.push_back(b);
+  }
+
+  rows_.resize(source.canonical.size());
+  run(rows_.size(), [&](size_t a) {
+    std::vector<uint32_t> candidates;
+    auto add = [&](uint32_t b) { candidates.push_back(b); };
+    if (!has_tokens(source, a)) {
+      if (!background_none) {
+        for (uint32_t b = 0; b < ml; ++b) candidates.push_back(b);
+      }
+    } else {
+      for (uint32_t k = source.token_begin[a]; k < source.token_begin[a + 1];
+           ++k) {
+        nonzero.ForEach(source.tokens[k],
+                        [&](uint32_t t) { by_token.ForEach(t, add); });
+      }
+      for_key(by_canonical, source.canonical[a], add);
+      for (uint32_t k = source.related_begin[a]; k < source.related_begin[a + 1];
+           ++k) {
+        for_key(by_canonical, source.related[k].canonical, add);
+      }
+      for_key(by_relation, source.canonical[a], add);
+      candidates.insert(candidates.end(), tokenless_targets.begin(),
+                        tokenless_targets.end());
+    }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    std::vector<Scored>& row = rows_[a];
+    row.reserve(candidates.size());
+    for (const uint32_t b : candidates) row.push_back({b, score(a, b)});
+  });
+  for (const std::vector<Scored>& row : rows_) scored_ += row.size();
+}
+
+LabelMatch PairwiseLabelScorer::Match(size_t i, size_t j) const {
+  const std::vector<Scored>& row = rows_[i];
+  const auto it = std::lower_bound(
+      row.begin(), row.end(), j,
+      [](const Scored& scored, size_t target) { return scored.target < target; });
+  return it != row.end() && it->target == j ? it->match : background_;
 }
 
 }  // namespace qmatch::lingua

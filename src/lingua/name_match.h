@@ -54,41 +54,82 @@ struct NameMatchOptions {
 };
 
 /// A memo of NameMatcher::TokenSimilarity over ordered (source token,
-/// target token) pairs of canonical tokens, owned by one NameMatcher and so
-/// valid for exactly its (thesaurus, options) pair. PairwiseLabelScorer
-/// reads it and scores only the pairs it has never seen; each entry is the
-/// return value of that same pure call, so a warm scorer is bit-identical
-/// to a cold one.
+/// target token) pairs of canonical tokens, plus every label the matcher has
+/// prepared, owned by one NameMatcher and so valid for exactly its
+/// (thesaurus, options) pair. PairwiseLabelScorer resolves its labels here
+/// and scores only the token pairs the memo has never seen; each entry is
+/// the return value of that same pure call, so a warm scorer is
+/// bit-identical to a cold one.
 ///
 /// Tokens intern to ids in an append-only vocabulary. Per source-token row
 /// it keeps a "scored" bitset over target ids plus the list of the row's
 /// nonzero (id, score, exact) entries: over 99% of token pairs score zero,
-/// and each of those costs one bit. The memo clears itself when the
-/// thesaurus's RelationCount() differs from the value it was filled under,
-/// and when the vocabulary would pass kMaxTokens (at most 8 MiB of scored
-/// bits). Reads take a shared lock, publishing an exclusive one. A copy
-/// starts empty.
+/// and each of those costs one bit. Each label string is prepared once: its
+/// canonical form interned to an id shared by all labels, its tokens as
+/// vocabulary ids, and for a thesaurus-mentioned canonical the thesaurus
+/// relation of it to each term of Thesaurus::RelatedCanonicals, both ways
+/// (an unmentioned canonical relates to nothing, so its list is empty).
+/// The memo clears itself when the thesaurus's RelationCount() differs from
+/// the value it was filled under, and when the vocabulary would pass
+/// kMaxTokens (at most 8 MiB of scored bits) or the labels kMaxLabels. Reads
+/// take a shared lock, interning new labels and publishing an exclusive
+/// one. A copy starts empty.
 class TokenMemo {
  public:
   static constexpr size_t kMaxTokens = 8192;
+  static constexpr size_t kMaxLabels = 16384;
 
   TokenMemo() = default;
   TokenMemo(const TokenMemo&) {}
   TokenMemo& operator=(const TokenMemo&);
 
-  /// Fills the remembered cells of the row-major |source| x |target| tables
-  /// `sim` and `exact` and clears their `unscored` flags (the caller sets
-  /// every flag beforehand). Returns the number of cells filled.
-  uint64_t Read(const std::vector<std::string>& source,
-                const std::vector<std::string>& target, size_t relation_count,
-                double* sim, uint8_t* exact, uint8_t* unscored) const;
+  /// A mentioned canonical's thesaurus relation to another canonical:
+  /// `to` = RelateCanonical(this, other), `from` = RelateCanonical(other,
+  /// this).
+  struct Relation {
+    uint32_t canonical = 0;
+    TermRelation to = TermRelation::kNone;
+    TermRelation from = TermRelation::kNone;
+  };
 
-  /// Remembers every cell whose `scored` flag is set. Returns true when the
-  /// memo cleared itself first.
-  bool Publish(const std::vector<std::string>& source,
-               const std::vector<std::string>& target, size_t relation_count,
-               const double* sim, const uint8_t* exact,
-               const uint8_t* scored);
+  /// One label list, resolved. Side token ids are dense per list.
+  struct Side {
+    std::vector<uint32_t> canonical;   // per label: canonical id
+    std::vector<uint32_t> token_begin; // per label + 1: CSR into `tokens`
+    std::vector<uint32_t> tokens;      // side token ids
+    std::vector<uint32_t> related_begin;  // per label + 1: CSR into `related`
+    std::vector<Relation> related;     // by canonical id, per label
+    std::vector<uint32_t> vocabulary;  // side token id -> memo token id
+    std::vector<std::string> text;     // side token id -> token, only when
+                                       // the table has unscored cells
+  };
+
+  /// A scorer's labels and the source-major token-pair table over the two
+  /// sides' tokens, remembered cells filled and their `unscored` flags
+  /// cleared.
+  struct View {
+    Side source;
+    Side target;
+    std::vector<double> sim;
+    std::vector<uint8_t> exact;
+    std::vector<uint8_t> unscored;
+    uint64_t hits = 0;       // cells filled from the memo
+    bool cleared = false;    // the memo cleared itself on the way
+    bool memoised = true;    // false: the labels alone pass a cap
+    uint64_t generation = 0;
+  };
+
+  /// Resolves both label lists, preparing the labels it has not seen.
+  /// Labels whose own vocabulary passes a cap resolve in a private memo
+  /// and are not remembered.
+  View Resolve(const Thesaurus* thesaurus,
+               const std::vector<std::string>& source,
+               const std::vector<std::string>& target);
+
+  /// Remembers the cells of `view`'s table that are still flagged
+  /// unscored, which the caller has since scored. A no-op when the memo
+  /// cleared after `view` was resolved.
+  void Publish(const View& view);
 
  private:
   static constexpr uint32_t kNoId = UINT32_MAX;
@@ -102,20 +143,38 @@ class TokenMemo {
     std::vector<uint64_t> scored;  // bit t: pair (row, target id t) known
     std::vector<Entry> nonzero;
   };
+  struct Label {
+    uint32_t canonical = 0;
+    std::vector<uint32_t> tokens;  // memo token ids
+  };
+  struct Canonical {
+    bool resolved = false;  // `related` is set
+    /// Sorted by canonical id; empty unless the canonical is mentioned.
+    std::vector<Relation> related;
+  };
 
-  uint32_t Find(const std::string& token) const;
-  /// Interns every token of both lists; false when the vocabulary would
-  /// pass kMaxTokens.
-  bool InternAll(const std::vector<std::string>& source,
-                 const std::vector<std::string>& target,
-                 std::vector<uint32_t>& source_ids,
-                 std::vector<uint32_t>& target_ids);
+  /// Prepares every label of `labels` not yet cached; false when that
+  /// would pass `max_tokens` or `max_labels`.
+  bool Intern(const Thesaurus* thesaurus,
+              const std::vector<std::string>& labels, size_t max_tokens,
+              size_t max_labels);
+  uint32_t InternCanonical(const std::string& canonical);
+  /// Fills `view` from cached labels; false when one is not cached.
+  bool Fill(const std::vector<std::string>& source,
+            const std::vector<std::string>& target, View& view) const;
+  bool FillSide(const std::vector<std::string>& labels, Side& side,
+                std::vector<uint32_t>& side_of) const;
   void Clear();
 
   mutable std::shared_mutex mutex_;
   std::unordered_map<std::string, uint32_t> ids_;
-  std::vector<Row> rows_;  // by source token id
+  std::vector<const std::string*> token_text_;  // by id: the key in ids_
+  std::vector<Row> rows_;                       // by source token id
+  std::unordered_map<std::string, Label> labels_;
+  std::unordered_map<std::string, uint32_t> canonical_ids_;
+  std::vector<Canonical> canonicals_;
   size_t relation_count_ = 0;
+  uint64_t generation_ = 0;  // bumped by every Clear
 };
 
 /// CUPID-style linguistic label matcher.
@@ -161,72 +220,61 @@ class NameMatcher {
   mutable TokenMemo memo_;
 };
 
-/// Precomputing façade for all-pairs label matching between two label lists.
+/// All-pairs label matching between two label lists by sparse join: only
+/// the pairs that can score are scored.
 ///
-/// Schemas repeat a small token vocabulary across many labels, so the
-/// scorer interns every distinct token on each side and looks every
-/// (source token, target token) pair up once, up front — turning the O(n·m)
-/// label loop's inner work into array lookups. Pairs the matcher's
-/// TokenMemo holds are copied from it; only the others are scored, and
-/// then published to the memo.
+/// A pair of labels scores anything but {background, +0.0} only when their
+/// canonicals are equal, when the thesaurus relates the two canonicals, or
+/// when some token pair of the two has nonzero similarity: otherwise every
+/// best-token score is 0.0, the token-set score is exactly +0.0, and its
+/// class is background() — kNone while relaxed_threshold is positive.
+/// The constructor enumerates exactly those candidates for each source
+/// label: the target labels reached through per-target-token postings from
+/// the label's tokens' nonzero token pairs, the target labels with the same
+/// canonical, and the thesaurus relation candidates in both directions (the
+/// targets whose canonical is in the label's RelatedCanonicals, and the
+/// targets whose RelatedCanonicals hold the label's canonical). It scores
+/// those and keeps them, sorted by target, as the sparse result.
 ///
-/// Most label pairs share no related token at all, and those provably
-/// score {kNone, 0.0}. The scorer keeps one bitset per source label over the
-/// target token vocabulary (bit t set when target token t has nonzero
-/// similarity to one of the label's tokens), and `Match` returns such pairs
-/// without scoring them: an exact, lossless filter.
+/// Labels are resolved through the matcher's TokenMemo, so each label
+/// string is prepared once per matcher, and only the token pairs the memo
+/// has never seen are scored, then published to it.
 class PairwiseLabelScorer {
  public:
-  /// `matcher` is borrowed and must outlive the scorer. The token-similarity
-  /// table is filled here, the unmemoised slots on `pool` when one with
-  /// workers is given: each slot is a pure function of its token pair, so
-  /// the table is bit-identical for any worker count and any memo state.
-  /// Afterwards `Match` only reads, so concurrent calls from many threads
-  /// are safe.
+  /// A scored candidate of one source label.
+  struct Scored {
+    uint32_t target = 0;
+    LabelMatch match;
+  };
+
+  /// `matcher` is borrowed only for the call. Unmemoised token pairs and
+  /// the candidates are scored on `pool` when one with workers is given:
+  /// each is a pure function of its pair, so the result is bit-identical
+  /// for any worker count and any memo state. Afterwards the scorer only
+  /// reads, so concurrent calls from many threads are safe.
   PairwiseLabelScorer(const NameMatcher& matcher,
                       const std::vector<std::string>& source_labels,
                       const std::vector<std::string>& target_labels,
                       ThreadPool* pool = nullptr);
 
   /// Label match of source label #i vs target label #j — bit-identical to
-  /// NameMatcher::Match on the two labels. When the pair is skipped as a
-  /// provable {kNone, 0.0} and `skipped` is non-null, `*skipped` is
-  /// incremented (the caller sums and publishes the count).
-  LabelMatch Match(size_t i, size_t j, uint64_t* skipped = nullptr) const;
+  /// NameMatcher::Match on the two labels.
+  LabelMatch Match(size_t i, size_t j) const;
+
+  /// Source label #i's candidates with their matches, by ascending target.
+  const std::vector<Scored>& Row(size_t i) const { return rows_[i]; }
+
+  /// The match of every pair that is not a candidate: score +0.0, class
+  /// kNone unless relaxed_threshold <= 0.
+  LabelMatch background() const { return background_; }
+
+  /// Number of candidates scored (the sum of the rows' sizes).
+  size_t scored() const { return scored_; }
 
  private:
-  struct InternedLabel {
-    std::string canonical;
-    std::vector<size_t> token_ids;
-    /// Id of `canonical` in a pool shared by both sides, so label equality
-    /// is one integer compare in the pair loop.
-    size_t canonical_id = 0;
-    /// Pre-resolved Thesaurus::MentionedCanonical(canonical): when neither
-    /// side of a pair is mentioned, the whole-label thesaurus relation is
-    /// provably kNone and Match skips the lookup entirely.
-    bool mentioned = false;
-  };
-
-  /// True when some token of target label `b` has nonzero similarity to a
-  /// token of source label #i (the skip bitset test).
-  bool Related(size_t i, const InternedLabel& b) const;
-
-  const NameMatcher& matcher_;
-  std::vector<InternedLabel> source_;
-  std::vector<InternedLabel> target_;
-  std::vector<std::string> source_tokens_;
-  std::vector<std::string> target_tokens_;
-  // (source token id * |target tokens| + target token id) -> similarity and
-  // exact-kind flag (equality or synonymy).
-  std::vector<double> token_sim_;
-  std::vector<uint8_t> token_exact_;
-  /// Skip bitsets: words_ 64-bit words per source label, bit t of label i
-  /// set when target token t relates to one of label i's tokens.
-  size_t words_ = 0;
-  std::vector<uint64_t> related_;
-  /// The skip is exact only while a 0.0 token-set score classifies kNone,
-  /// i.e. both classification thresholds are positive.
-  bool skip_enabled_ = false;
+  std::vector<std::vector<Scored>> rows_;
+  LabelMatch background_;
+  size_t scored_ = 0;
 };
 
 }  // namespace qmatch::lingua

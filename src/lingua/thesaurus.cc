@@ -157,6 +157,32 @@ bool Thesaurus::IsHypernymOfCanonical(const std::string& g,
   return it != closures.end() && it->second.count(s) > 0;
 }
 
+std::vector<std::string> Thesaurus::RelatedCanonicals(
+    const std::string& term) const {
+  if (!MentionedCanonical(term)) return {};
+  std::set<std::string> related;
+  auto add_group = [&](const std::string& member) {
+    if (const std::set<std::string>* group = SynonymSet(member)) {
+      related.insert(group->begin(), group->end());
+    }
+  };
+  add_group(term);
+  for (const auto* table : {&acronyms_, &abbreviations_}) {
+    auto it = table->find(term);
+    if (it == table->end()) continue;
+    for (const std::string& expansion : it->second) {
+      related.insert(expansion);
+      add_group(expansion);
+    }
+  }
+  const HypernymClosures::Map& closures = closures_.Get(*this);
+  if (auto it = closures.find(term); it != closures.end()) {
+    related.insert(it->second.begin(), it->second.end());
+  }
+  related.erase(term);
+  return {related.begin(), related.end()};
+}
+
 std::optional<std::string> Thesaurus::Expand(std::string_view term) const {
   std::string t = Canonical(term);
   if (auto it = acronyms_.find(t); it != acronyms_.end() && !it->second.empty()) {

@@ -66,6 +66,15 @@ class Thesaurus {
   /// matchers that prepare labels once per node.
   TermRelation RelateCanonical(const std::string& a, const std::string& b) const;
 
+  /// The terms other than `term` (canonical) that its own table entries
+  /// relate it to: its synonym group, its acronym and abbreviation
+  /// expansions with their synonym groups, and its hypernym closure, sorted.
+  /// Empty when `term` is not mentioned. For any a != b, RelateCanonical(a,
+  /// b) != kNone implies b is in RelatedCanonicals(a) or a is in
+  /// RelatedCanonicals(b), which is what lets a label join enumerate the
+  /// related pairs instead of testing every pair.
+  std::vector<std::string> RelatedCanonicals(const std::string& term) const;
+
   /// Expansion lookup for an already canonical term (see Expand).
   std::optional<std::string> ExpandCanonical(const std::string& term) const;
 

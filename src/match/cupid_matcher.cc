@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "match/linguistic_matcher.h"
 #include "match/structural_matcher.h"
 
 namespace qmatch::match {
@@ -22,8 +21,7 @@ SimilarityMatrix CupidMatcher::Similarity(const xsd::Schema& source,
 
   // Phase 1: linguistic similarity for every pair — the linguistic
   // baseline's matrix (the same name matcher, default options).
-  const SimilarityMatrix lsim =
-      LinguisticMatcher(thesaurus_).Similarity(source, target);
+  const SimilarityMatrix lsim = linguistic_.Similarity(source, target);
 
   // Leaf wsim (datatype compatibility blended with lsim), then the
   // structural pass. `compute` runs the linked-leaf recurrence given the

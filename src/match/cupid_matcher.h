@@ -2,6 +2,7 @@
 #define QMATCH_MATCH_CUPID_MATCHER_H_
 
 #include "lingua/thesaurus.h"
+#include "match/linguistic_matcher.h"
 #include "match/matcher.h"
 
 namespace qmatch::match {
@@ -44,7 +45,7 @@ class CupidMatcher : public Matcher {
       : CupidMatcher(thesaurus, Options()) {}
   /// `thesaurus` is borrowed (may be null) and must outlive the matcher.
   CupidMatcher(const lingua::Thesaurus* thesaurus, Options options)
-      : thesaurus_(thesaurus), options_(options) {}
+      : linguistic_(thesaurus), options_(options) {}
 
   std::string_view name() const override { return "cupid"; }
 
@@ -56,7 +57,8 @@ class CupidMatcher : public Matcher {
                               const xsd::Schema& target) const override;
 
  private:
-  const lingua::Thesaurus* thesaurus_;
+  /// Phase 1's matcher, kept so its token memo serves every call.
+  LinguisticMatcher linguistic_;
   Options options_;
 };
 

@@ -18,13 +18,13 @@ SimilarityMatrix LinguisticMatcher::Similarity(const xsd::Schema& source,
   // Score each distinct label pair once, then expand by label id.
   const lingua::PairwiseLabelScorer scorer(name_matcher_, src.labels,
                                            tgt.labels);
+  // Pairs outside the scorer's rows score +0.0, whatever their class.
   const size_t labels_t = tgt.labels.size();
   std::vector<double> label_sim(src.labels.size() * labels_t, 0.0);
   for (size_t a = 0; a < src.labels.size(); ++a) {
-    for (size_t b = 0; b < labels_t; ++b) {
-      lingua::LabelMatch lm = scorer.Match(a, b);
-      if (lm.cls != lingua::LabelMatchClass::kNone) {
-        label_sim[a * labels_t + b] = lm.score;
+    for (const lingua::PairwiseLabelScorer::Scored& scored : scorer.Row(a)) {
+      if (scored.match.cls != lingua::LabelMatchClass::kNone) {
+        label_sim[a * labels_t + scored.target] = scored.match.score;
       }
     }
   }

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "xsd/flatten.h"
 #include "xsd/schema.h"
 
 namespace qmatch::match {
@@ -50,9 +51,20 @@ struct PropertyMatchOptions {
 ///  - kind: element vs attribute mismatch -> relaxed.
 /// The axis is exact iff all compared properties are exact; none only when
 /// a majority-weighted score falls below the relaxed consensus.
+///
+/// This is MatchPropertyKeys on the two nodes' packed descriptors, plus the
+/// verdict list.
 PropertyMatch MatchProperties(const xsd::SchemaNode& source,
                               const xsd::SchemaNode& target,
                               const PropertyMatchOptions& options = {});
+
+/// The properties axis of two packed descriptors (the fields of a node
+/// MatchProperties reads): the same class and score, with `verdicts` left
+/// empty, so a call allocates nothing. The match kernel's property matrix
+/// calls this once per distinct descriptor pair.
+PropertyMatch MatchPropertyKeys(const xsd::FlatSchema::PropertyKey& source,
+                                const xsd::FlatSchema::PropertyKey& target,
+                                const PropertyMatchOptions& options = {});
 
 }  // namespace qmatch::match
 

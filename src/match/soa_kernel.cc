@@ -240,51 +240,45 @@ SoaKernelResult SoaFillTable(const xsd::FlatSchema& source,
   out_table.label = MakeAxisMatrix(nl, ml);
   double* label_score = out_table.label.score.get();
   uint8_t* label_cls = out_table.label.cls.get();
-  // Each label cell and each token-similarity slot is a pure function of
-  // its pair, so a parallel fill is bit-identical to the sequential one
-  // for any worker count.
+  // Each token-pair slot and each scored candidate is a pure function of
+  // its pair, so a parallel scorer is bit-identical to the sequential one
+  // for any worker count. Every cell that is not a candidate is the
+  // scorer's background.
   const bool parallel_labels =
       pool != nullptr && pool->worker_count() > 0 && nl * ml >= 4096;
   const lingua::PairwiseLabelScorer scorer(*config.name_matcher, source.labels,
                                            target.labels,
                                            parallel_labels ? pool : nullptr);
-  // The label matrix is the precompute stage's token work, so it polls the
-  // stop latch once per distinct source label.
-  auto fill_label_row = [&](size_t a) {
-    if (should_stop()) return;
-    double* score_row = label_score + a * ml;
-    uint8_t* cls_row = label_cls + a * ml;
-    uint64_t skipped = 0;
-    for (size_t b = 0; b < ml; ++b) {
-      const lingua::LabelMatch lm = scorer.Match(a, b, &skipped);
-      score_row[b] = lm.cls == lingua::LabelMatchClass::kNone ? 0.0 : lm.score;
-      cls_row[b] = ToAxisByte(lm.cls);
+  QMATCH_COUNTER_ADD("lingua.label_pairs_scored", scorer.scored());
+  std::fill_n(label_score, nl * ml, 0.0);  // the background scores +0.0
+  std::fill_n(label_cls, nl * ml, ToAxisByte(scorer.background().cls));
+  for (size_t a = 0; a < nl; ++a) {
+    for (const lingua::PairwiseLabelScorer::Scored& scored : scorer.Row(a)) {
+      const lingua::LabelMatch& lm = scored.match;
+      label_score[a * ml + scored.target] =
+          lm.cls == lingua::LabelMatchClass::kNone ? 0.0 : lm.score;
+      label_cls[a * ml + scored.target] = ToAxisByte(lm.cls);
     }
-    QMATCH_COUNTER_ADD("lingua.label_pairs_skipped", skipped);
-  };
-  if (parallel_labels) {
-    pool->ParallelFor(nl, fill_label_row);
-  } else {
-    for (size_t a = 0; a < nl; ++a) fill_label_row(a);
   }
-  if (stop.load(std::memory_order_relaxed) != 0) {
+  // The label stage polls the stop latch once; a trip there returns with no
+  // row filled.
+  if (should_stop()) {
     out.stop = static_cast<StopReason>(stop.load(std::memory_order_relaxed));
     return out;  // no row ran: an empty partial
   }
 
-  // Property-axis matrix over distinct packed descriptors, evaluated on
-  // representative nodes (the descriptor captures every field the matcher
-  // reads, so any representative gives the pair's exact value).
+  // Property-axis matrix over distinct packed descriptors: the axis is a
+  // pure function of a descriptor pair, scored without allocating.
   const size_t np = source.prop_keys.size();
   const size_t mp = target.prop_keys.size();
   out_table.properties = MakeAxisMatrix(np, mp);
   double* prop_score = out_table.properties.score.get();
   uint8_t* prop_cls = out_table.properties.cls.get();
   auto fill_prop_row = [&](size_t p) {
-    const xsd::SchemaNode& rep = *source.nodes[source.prop_rep[p]];
+    const xsd::FlatSchema::PropertyKey& key = source.prop_keys[p];
     for (size_t q = 0; q < mp; ++q) {
-      const PropertyMatch pm = MatchProperties(
-          rep, *target.nodes[target.prop_rep[q]], config.property_options);
+      const PropertyMatch pm = MatchPropertyKeys(key, target.prop_keys[q],
+                                                 config.property_options);
       prop_score[p * mp + q] = pm.score;
       prop_cls[p * mp + q] = ToAxisByte(pm.cls);
     }

@@ -78,8 +78,9 @@ struct SoaKernelResult {
 /// differential oracle: every axis value is the same pure function
 /// evaluated on the same inputs, and child QoMs are summed in tree order.
 /// The kernel only *deduplicates*: label matches are computed once per
-/// distinct (source label, target label), property matches once per
-/// distinct packed-descriptor pair, and level matches once per distinct
+/// distinct (source label, target label) that can score (the rest are the
+/// label scorer's background), property matches once per distinct
+/// packed-descriptor pair, and level matches once per distinct
 /// (source level, target level), then broadcast through the interned id
 /// columns.
 ///
@@ -89,10 +90,9 @@ struct SoaKernelResult {
 ///
 /// Everything is allocated on the calling thread before any fan-out to
 /// `pool`; `Arena*` is unused (nullable), kept so callers that pass one
-/// still build. `control` (nullable) is polled
-/// once per distinct source label while the label matrix fills (a trip
-/// there returns with no row filled) and per pair during each row's
-/// combine pass; on a trip the fill stops cooperatively and `row_done`
+/// still build. `control` (nullable) is polled once after the label
+/// matrix (a trip there returns with no row filled) and per pair during
+/// each row's combine pass; on a trip the fill stops cooperatively and `row_done`
 /// marks exactly the source rows whose every cell is complete (the
 /// monotone-partial contract of DESIGN.md §10). The `treematch.pair`
 /// failpoint fires once per computed pair, the chaos suite's hook for

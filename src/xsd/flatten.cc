@@ -8,14 +8,11 @@
 
 namespace qmatch::xsd {
 
-namespace {
-
-/// The property-descriptor projection of one node. `type_name` is only
-/// discriminating when the type is kUnknown (user-defined types compare by
-/// written name — see match::CompareTypeProperty); for known types it is
-/// dropped so that cosmetically different spellings of the same lattice
-/// type intern to one descriptor.
-FlatSchema::PropertyKey KeyOf(const SchemaNode& node) {
+// `type_name` is only discriminating when the type is kUnknown
+// (user-defined types compare by written name); for known types it is
+// dropped so that cosmetically different spellings of the same lattice type
+// intern to one descriptor.
+FlatSchema::PropertyKey PropertyKeyOf(const SchemaNode& node) {
   FlatSchema::PropertyKey key;
   key.kind = node.kind();
   key.type = node.type();
@@ -27,8 +24,6 @@ FlatSchema::PropertyKey KeyOf(const SchemaNode& node) {
   key.nillable = node.nillable();
   return key;
 }
-
-}  // namespace
 
 FlatSchema BuildFlatSchema(const Schema& schema) {
   FlatSchema flat;
@@ -62,7 +57,7 @@ FlatSchema BuildFlatSchema(const Schema& schema) {
     flat.label_id.push_back(label_it->second);
 
     const auto [prop_it, prop_fresh] = prop_ids.try_emplace(
-        KeyOf(*node), static_cast<uint32_t>(flat.prop_keys.size()));
+        PropertyKeyOf(*node), static_cast<uint32_t>(flat.prop_keys.size()));
     if (prop_fresh) {
       flat.prop_keys.push_back(prop_it->first);
       flat.prop_rep.push_back(static_cast<uint32_t>(i));

@@ -77,6 +77,11 @@ struct FlatSchema {
   bool IsLeaf(size_t i) const { return child_begin[i] == child_begin[i + 1]; }
 };
 
+/// The packed property descriptor of one node: its kind, type, order,
+/// occurrence bounds and nillable flag. `type_name` is kept only for kUnknown
+/// types, the one case the property axis compares written type names.
+FlatSchema::PropertyKey PropertyKeyOf(const SchemaNode& node);
+
 /// Flattens a finalised schema. An empty schema yields an empty FlatSchema.
 /// Prefer `Schema::Flat()`, which caches the result on the schema.
 FlatSchema BuildFlatSchema(const Schema& schema);

@@ -115,6 +115,22 @@ XsdType PrimitiveAncestor(XsdType type) {
 }
 
 TypeRelation CompareTypes(XsdType lhs, XsdType rhs) {
+  static const std::array<TypeRelation, kXsdTypeCount * kXsdTypeCount>
+      table = [] {
+        std::array<TypeRelation, kXsdTypeCount * kXsdTypeCount> relations{};
+        for (size_t a = 0; a < kXsdTypeCount; ++a) {
+          for (size_t b = 0; b < kXsdTypeCount; ++b) {
+            relations[a * kXsdTypeCount + b] = LatticeTypeRelation(
+                static_cast<XsdType>(a), static_cast<XsdType>(b));
+          }
+        }
+        return relations;
+      }();
+  return table[static_cast<size_t>(lhs) * kXsdTypeCount +
+               static_cast<size_t>(rhs)];
+}
+
+TypeRelation LatticeTypeRelation(XsdType lhs, XsdType rhs) {
   if (lhs == rhs) return TypeRelation::kEqual;
   if (lhs == XsdType::kUnknown || rhs == XsdType::kUnknown) {
     return TypeRelation::kUnrelated;

@@ -1,6 +1,7 @@
 #ifndef QMATCH_XSD_TYPES_H_
 #define QMATCH_XSD_TYPES_H_
 
+#include <cstddef>
 #include <string_view>
 
 namespace qmatch::xsd {
@@ -86,9 +87,18 @@ bool IsAncestorType(XsdType general, XsdType specific);
 /// The primitive ancestor of `type` (string for ID, decimal for int, ...).
 XsdType PrimitiveAncestor(XsdType type);
 
+/// Number of XsdType values (kUnknown .. kPositiveInteger).
+inline constexpr size_t kXsdTypeCount =
+    static_cast<size_t>(XsdType::kPositiveInteger) + 1;
+
 /// Classifies the relation between two types. Unknown types compare
-/// kUnrelated unless equal.
+/// kUnrelated unless equal. Answers from a kXsdTypeCount² table filled once
+/// by LatticeTypeRelation.
 TypeRelation CompareTypes(XsdType lhs, XsdType rhs);
+
+/// The derivation-lattice walk CompareTypes tabulates: equality, then the
+/// ancestor chains both ways, then the primitive families.
+TypeRelation LatticeTypeRelation(XsdType lhs, XsdType rhs);
 
 /// Number of derivation steps between `type` and its ancestor `ancestor`;
 /// -1 when `ancestor` is not on the chain.

@@ -1,12 +1,14 @@
 // Unit and property tests for the CUPID-style name matcher and the
-// precomputing pairwise scorer (including its exact non-match skip).
+// pairwise scorer's sparse join, against the dense matcher as the oracle.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -163,7 +165,7 @@ TEST_P(ScorerConsistencyTest, ScorerEqualsDirectMatcher) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ScorerConsistencyTest,
                          ::testing::Values(11u, 22u, 33u, 44u));
 
-// --- The exact non-match skip ---------------------------------------------
+// --- The sparse join ---------------------------------------------------------
 
 bool SameBits(const LabelMatch& a, const LabelMatch& b) {
   return a.cls == b.cls &&
@@ -175,79 +177,78 @@ bool Mentioned(const std::string& label) {
       NameMatcher::Prepare(label).canonical);
 }
 
-/// Checks every pair of `source` x `target` and returns how many the
-/// scorer skipped. A skipped pair must come back {kNone, +0.0}, involve no
-/// thesaurus-mentioned label, and score exactly +0.0 in a scorer whose skip
-/// cannot fire (relaxed_threshold = 0, otherwise the same configuration):
-/// so the un-skipped path, under the real positive thresholds, classifies
-/// it {kNone, 0.0} too. Every `direct_stride`-th pair (0 = none) is also
-/// compared bit for bit with NameMatcher::Match on the raw labels.
-uint64_t CheckSkip(const std::vector<std::string>& source,
-                   const std::vector<std::string>& target,
-                   size_t direct_stride, const std::string& context) {
-  const NameMatcher matcher(&DefaultThesaurus());
-  NameMatchOptions no_skip_options;
-  no_skip_options.relaxed_threshold = 0.0;
-  const NameMatcher no_skip_matcher(&DefaultThesaurus(), no_skip_options);
+/// The oracle: every pair of `source` x `target` read from the scorer —
+/// through `Match` and through the sparse rows plus the background — equals
+/// the dense NameMatcher::Match on the prepared labels, bit for bit. The
+/// source rows are split over four threads. Returns the number of
+/// candidates the scorer scored.
+size_t ExpectSparseEqualsDense(const NameMatcher& matcher,
+                               const std::vector<std::string>& source,
+                               const std::vector<std::string>& target,
+                               const std::string& context) {
   const PairwiseLabelScorer scorer(matcher, source, target);
-  const PairwiseLabelScorer no_skip(no_skip_matcher, source, target);
-  std::vector<bool> source_mentioned;
-  std::vector<bool> target_mentioned;
-  for (const std::string& label : source) {
-    source_mentioned.push_back(Mentioned(label));
-  }
+  std::vector<PreparedLabel> prepared_target;
   for (const std::string& label : target) {
-    target_mentioned.push_back(Mentioned(label));
+    prepared_target.push_back(NameMatcher::Prepare(label));
   }
-  uint64_t skipped = 0;
-  size_t pair = 0;
-  for (size_t i = 0; i < source.size(); ++i) {
-    for (size_t j = 0; j < target.size(); ++j, ++pair) {
-      uint64_t was_skipped = 0;
-      const LabelMatch got = scorer.Match(i, j, &was_skipped);
-      auto where = [&] {
-        return context + ": " + source[i] + " vs " + target[j];
-      };
-      if (was_skipped != 0) {
-        ++skipped;
-        EXPECT_TRUE(SameBits(got, LabelMatch{LabelMatchClass::kNone, 0.0}))
-            << where();
-        EXPECT_FALSE(source_mentioned[i] || target_mentioned[j]) << where();
-        uint64_t never = 0;
-        const LabelMatch full = no_skip.Match(i, j, &never);
-        EXPECT_EQ(never, 0u) << where();
-        EXPECT_EQ(std::bit_cast<uint64_t>(full.score), uint64_t{0})
-            << where();
+  constexpr size_t kThreads = 4;
+  std::vector<std::string> mismatch(kThreads);  // first one per thread
+  auto check_rows = [&](size_t first) {
+    std::vector<LabelMatch> row(target.size());
+    for (size_t i = first; i < source.size(); i += kThreads) {
+      const PreparedLabel a = NameMatcher::Prepare(source[i]);
+      std::fill(row.begin(), row.end(), scorer.background());
+      const std::vector<PairwiseLabelScorer::Scored>& sparse = scorer.Row(i);
+      for (size_t k = 0; k < sparse.size(); ++k) {
+        if (k > 0 && sparse[k].target <= sparse[k - 1].target) {
+          mismatch[first] = "row of " + source[i] + " is not ascending";
+          return;
+        }
+        row[sparse[k].target] = sparse[k].match;
       }
-      if (direct_stride != 0 && pair % direct_stride == 0) {
-        EXPECT_TRUE(SameBits(got, matcher.Match(source[i], target[j])))
-            << where();
+      for (size_t j = 0; j < target.size(); ++j) {
+        const LabelMatch want = matcher.Match(a, prepared_target[j]);
+        if (!SameBits(scorer.Match(i, j), want) || !SameBits(row[j], want)) {
+          mismatch[first] = source[i] + " vs " + target[j] + ": scored " +
+                            std::to_string(scorer.Match(i, j).score) +
+                            ", dense " + std::to_string(want.score);
+          return;
+        }
       }
-      if (::testing::Test::HasFailure()) return skipped;
     }
+  };
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kThreads; ++w) threads.emplace_back(check_rows, w);
+  for (std::thread& thread : threads) thread.join();
+  for (const std::string& message : mismatch) {
+    EXPECT_TRUE(message.empty()) << context << ": " << message;
   }
-  return skipped;
+  return scorer.scored();
 }
 
-TEST(LabelSkipTest, ExactOverEveryCorpusLabelPair) {
-  // Every distinct label of the paper corpus against every other (PDB
-  // included): ~6.6M pairs, every skipped one checked, a stride compared
-  // with the direct matcher.
+std::vector<std::string> CorpusLabels() {
   std::set<std::string> labels;
   for (const datagen::CorpusEntry& entry : datagen::Corpus()) {
     const xsd::Schema schema = entry.make();
     labels.insert(schema.Flat().labels.begin(), schema.Flat().labels.end());
   }
-  const std::vector<std::string> all(labels.begin(), labels.end());
-  const uint64_t skipped = CheckSkip(all, all, 997, "corpus");
-  EXPECT_GT(skipped, all.size() * all.size() / 2) << "the skip is the norm";
+  return {labels.begin(), labels.end()};
 }
 
-TEST(LabelSkipTest, ExactOnSeededGeneratedPairs) {
+TEST(SparseJoinTest, ExactOverEveryCorpusLabelPair) {
+  // Every distinct label of the paper corpus against every other, PDB
+  // included, so both directions of every pair.
+  const std::vector<std::string> all = CorpusLabels();
+  const NameMatcher matcher(&DefaultThesaurus());
+  const size_t scored = ExpectSparseEqualsDense(matcher, all, all, "corpus");
+  EXPECT_LT(scored, all.size() * all.size() / 10) << "the join is sparse";
+}
+
+TEST(SparseJoinTest, ExactOnSeededGeneratedPairs) {
   const datagen::Domain domains[] = {
       datagen::Domain::kGeneric, datagen::Domain::kCommerce,
       datagen::Domain::kBibliographic, datagen::Domain::kProtein};
-  uint64_t skipped = 0;
+  const NameMatcher matcher(&DefaultThesaurus());
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     datagen::GeneratorOptions options;
     options.seed = seed;
@@ -257,86 +258,122 @@ TEST(LabelSkipTest, ExactOnSeededGeneratedPairs) {
     options.seed = seed + 100;
     options.domain = domains[(seed + 1) % 4];
     const xsd::Schema target = datagen::GenerateSchema(options);
-    // Small enough to compare every pair with the direct matcher.
-    skipped += CheckSkip(source.Flat().labels, target.Flat().labels, 1,
-                         "generated seed " + std::to_string(seed));
+    const std::string context = "generated seed " + std::to_string(seed);
+    ExpectSparseEqualsDense(matcher, source.Flat().labels,
+                            target.Flat().labels, context);
+    ExpectSparseEqualsDense(matcher, target.Flat().labels,
+                            source.Flat().labels, context + " reversed");
     if (HasFailure()) return;
   }
-  EXPECT_GT(skipped, 0u);
 }
 
-TEST(LabelSkipTest, ExactOnProtein) {
+TEST(SparseJoinTest, ExactOnProtein) {
   const xsd::Schema pir = datagen::MakePir();
   const xsd::Schema pdb = datagen::MakePdb();
-  const uint64_t skipped =
-      CheckSkip(pir.Flat().labels, pdb.Flat().labels, 211, "protein");
-  EXPECT_GT(skipped, 0u);
+  const NameMatcher matcher(&DefaultThesaurus());
+  const size_t scored = ExpectSparseEqualsDense(
+      matcher, pir.Flat().labels, pdb.Flat().labels, "protein");
+  EXPECT_LT(scored, pir.Flat().labels.size() * pdb.Flat().labels.size() / 10);
 }
 
-TEST(LabelSkipTest, NeverFiresWithNonPositiveThresholds) {
+TEST(SparseJoinTest, ExactPastTheMemoCap) {
+  // A label list whose own vocabulary passes TokenMemo::kMaxTokens is
+  // resolved outside the memo; a second one then fits only after a clear.
+  // Distinct letter-only tokens ("q" + four consonants), two per label.
+  auto token = [](size_t k) {
+    static const char kLetters[] = "bcdfghjklmnpqrtvwxz";
+    std::string out = "q";
+    for (size_t digit = 0; digit < 4; ++digit, k /= sizeof(kLetters) - 1) {
+      out += kLetters[k % (sizeof(kLetters) - 1)];
+    }
+    return out;
+  };
+  std::vector<std::string> source;
+  for (size_t k = 0; k < TokenMemo::kMaxTokens + 64; k += 2) {
+    source.push_back(token(k) + "_" + token(k + 1));
+  }
+  source.push_back("ShipToAddress");
+  source.push_back("UOM");
+  const std::vector<std::string> target = {"Address", "UnitOfMeasure",
+                                           token(7), "Price", "PO"};
+  const NameMatcher matcher(&DefaultThesaurus());
+  ExpectSparseEqualsDense(matcher, source, target, "past the cap");
+  ExpectSparseEqualsDense(matcher, target, source, "past the cap, reversed");
+  ExpectSparseEqualsDense(matcher, target, target, "after the cap");
+}
+
+TEST(SparseJoinTest, ExactAtNonPositiveThresholds) {
+  // With relaxed_threshold <= 0 a pair with no related token is
+  // {kRelaxed, +0.0}, not {kNone, +0.0}; labels without tokens stay kNone.
+  std::vector<std::string> source = {"OrderNo", "", "__", "UOM", "Zqxv"};
+  std::vector<std::string> target = {"PurchaseOrderNumber", "--", "Zqxv",
+                                     "UnitOfMeasure", "Xylophone", ""};
   const xsd::Schema pir = datagen::MakePir();
-  const xsd::Schema pdb = datagen::MakePdb();
+  source.insert(source.end(), pir.Flat().labels.begin(),
+                pir.Flat().labels.begin() + 40);
+  target.insert(target.end(), pir.Flat().labels.begin() + 20,
+                pir.Flat().labels.end());
   NameMatchOptions zero_relaxed;
   zero_relaxed.relaxed_threshold = 0.0;
+  NameMatchOptions negative_relaxed;
+  negative_relaxed.relaxed_threshold = -0.5;
   NameMatchOptions zero_exact;
   zero_exact.exact_threshold = 0.0;
-  for (const NameMatchOptions& options : {zero_relaxed, zero_exact}) {
+  for (const NameMatchOptions& options :
+       {zero_relaxed, negative_relaxed, zero_exact}) {
     const NameMatcher matcher(&DefaultThesaurus(), options);
-    const PairwiseLabelScorer scorer(matcher, pir.Flat().labels,
-                                     pdb.Flat().labels);
-    uint64_t skipped = 0;
-    for (size_t i = 0; i < pir.Flat().labels.size(); ++i) {
-      for (size_t j = 0; j < pdb.Flat().labels.size(); ++j) {
-        (void)scorer.Match(i, j, &skipped);
-      }
-    }
-    EXPECT_EQ(skipped, 0u);
+    ExpectSparseEqualsDense(matcher, source, target, "thresholds");
+    ExpectSparseEqualsDense(matcher, target, source, "thresholds, reversed");
   }
+  const NameMatcher zero(&DefaultThesaurus(), zero_relaxed);
+  const PairwiseLabelScorer scorer(zero, source, target);
+  EXPECT_EQ(scorer.background().cls, LabelMatchClass::kRelaxed);
+  EXPECT_TRUE(SameBits(scorer.Match(1, 0), LabelMatch{}));  // "" vs any
 }
 
-TEST(LabelSkipTest, NeverFiresForMentionedLabels) {
+TEST(SparseJoinTest, ExactForMentionedOnlyLabels) {
   // "PO" and "UOM" are thesaurus terms whose tokens relate to nothing on
-  // the other side: without the mentioned rule they would be skipped.
-  const std::vector<std::string> source = {"PO", "UOM", "Zqxv"};
-  const std::vector<std::string> target = {"Xylophone", "Qwerty", "Zqxv"};
+  // the other side: they match "PurchaseOrder" and "UnitOfMeasure" only
+  // through the thesaurus, found from the short form's relations (forward)
+  // or from the target's (reverse), and are not scored against anything
+  // else.
+  const std::vector<std::string> source = {"PO", "UOM", "Zqxv",
+                                           "UnitOfMeasure"};
+  const std::vector<std::string> target = {"Xylophone", "PurchaseOrder",
+                                           "UnitOfMeasure", "Zqxv", "UOM"};
   ASSERT_TRUE(Mentioned("PO"));
   ASSERT_TRUE(Mentioned("UOM"));
   const NameMatcher matcher(&DefaultThesaurus());
+  ExpectSparseEqualsDense(matcher, source, target, "mentioned");
+  ExpectSparseEqualsDense(matcher, target, source, "mentioned, reversed");
   const PairwiseLabelScorer scorer(matcher, source, target);
-  for (size_t i = 0; i < 2; ++i) {
-    for (size_t j = 0; j < target.size(); ++j) {
-      uint64_t skipped = 0;
-      const LabelMatch got = scorer.Match(i, j, &skipped);
-      EXPECT_EQ(skipped, 0u) << source[i] << " vs " << target[j];
-      EXPECT_TRUE(SameBits(got, matcher.Match(source[i], target[j])));
+  EXPECT_NE(scorer.Match(0, 1).cls, LabelMatchClass::kNone);  // PO
+  EXPECT_NE(scorer.Match(1, 2).cls, LabelMatchClass::kNone);  // UOM
+  EXPECT_NE(scorer.Match(3, 4).cls, LabelMatchClass::kNone);  // reverse
+  for (size_t i = 0; i < source.size(); ++i) {
+    for (const PairwiseLabelScorer::Scored& scored : scorer.Row(i)) {
+      EXPECT_NE(scored.target, 0u) << source[i] << " was scored against "
+                                   << target[0];
     }
   }
-  uint64_t skipped = 0;
-  (void)scorer.Match(2, 0, &skipped);  // unmentioned, unrelated: skipped
-  EXPECT_EQ(skipped, 1u);
 }
 
 #if QMATCH_OBS_ENABLED
-TEST(LabelSkipTest, KernelCountsSkippedPairs) {
-  // lingua.label_pairs_skipped counts the label matrix's skips: one per
-  // skipped distinct label pair of the table.
+TEST(SparseJoinTest, KernelCountsScoredPairs) {
+  // lingua.label_pairs_scored counts the candidates the label matrix
+  // scored: one per scored distinct label pair of the table.
   const xsd::Schema pir = datagen::MakePir();
   const xsd::Schema pdb = datagen::MakePdb();
   const core::QMatch matcher;
   const NameMatcher names(&DefaultThesaurus(), matcher.config().name_options);
   const PairwiseLabelScorer scorer(names, pir.Flat().labels,
                                    pdb.Flat().labels);
-  uint64_t expected = 0;
-  for (size_t i = 0; i < pir.Flat().labels.size(); ++i) {
-    for (size_t j = 0; j < pdb.Flat().labels.size(); ++j) {
-      (void)scorer.Match(i, j, &expected);
-    }
-  }
   obs::Counter& counter =
-      obs::Registry::Global().GetCounter("lingua.label_pairs_skipped");
+      obs::Registry::Global().GetCounter("lingua.label_pairs_scored");
   const uint64_t before = counter.Value();
   (void)matcher.Analyze(pir, pdb);
-  EXPECT_EQ(counter.Value() - before, expected);
+  EXPECT_EQ(counter.Value() - before, scorer.scored());
+  EXPECT_GT(scorer.scored(), 0u);
 }
 #endif  // QMATCH_OBS_ENABLED
 

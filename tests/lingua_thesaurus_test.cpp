@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -284,6 +285,34 @@ TEST(DefaultThesaurusTest, RelateMatchesBfsOracleOnEveryTermPair) {
       AllTerms(t, {"zzyzx", "order line", "protein", "xyzzy code"});
   ASSERT_GT(terms.size(), 100u);
   EXPECT_GT(ExpectOracleAgrees(t, terms), 0u);
+}
+
+TEST(DefaultThesaurusTest, RelatedCanonicalsCoverEveryRelatedPair) {
+  // The label join's guarantee: a pair of distinct terms that relates at
+  // all is found from one of its two terms' RelatedCanonicals.
+  const Thesaurus& t = DefaultThesaurus();
+  const std::vector<std::string> terms =
+      AllTerms(t, {"zzyzx", "order line", "protein", "xyzzy code"});
+  std::map<std::string, std::set<std::string>> related;
+  for (const std::string& term : terms) {
+    const std::vector<std::string> list = t.RelatedCanonicals(term);
+    EXPECT_TRUE(std::is_sorted(list.begin(), list.end())) << term;
+    EXPECT_EQ(std::count(list.begin(), list.end(), term), 0) << term;
+    if (!t.MentionedCanonical(term)) {
+      EXPECT_TRUE(list.empty()) << term;
+    }
+    related[term].insert(list.begin(), list.end());
+  }
+  size_t relating = 0;
+  for (const std::string& a : terms) {
+    for (const std::string& b : terms) {
+      if (a == b || t.RelateCanonical(a, b) == TermRelation::kNone) continue;
+      ++relating;
+      EXPECT_TRUE(related[a].count(b) > 0 || related[b].count(a) > 0)
+          << a << " vs " << b;
+    }
+  }
+  EXPECT_GT(relating, 100u);
 }
 
 TEST(DefaultThesaurusTest, IsSubstantial) {

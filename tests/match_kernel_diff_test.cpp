@@ -17,6 +17,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -33,6 +34,8 @@
 #include "fault/failpoint.h"
 #include "lingua/default_thesaurus.h"
 #include "lingua/name_match.h"
+#include "match/property_matcher.h"
+#include "match/soa_kernel.h"
 #include "qmatch_oracle.h"
 #include "xsd/parser.h"
 #include "xsd/schema.h"
@@ -217,6 +220,118 @@ match::SoaKernelConfig DefaultKernelConfig(
   config.name_matcher = &name_matcher;
   config.property_options = defaults.property_options;
   return config;
+}
+
+// --- The property axis --------------------------------------------------------
+
+/// The 12 data/schemas plus 8 seeded generated schemas.
+std::vector<xsd::Schema> PropertyCorpus() {
+  std::vector<xsd::Schema> schemas = LoadSmallCorpus();
+  for (const char* file : {"PIR.xsd", "PDB.xsd"}) {
+    Result<std::string> text =
+        ReadFile(std::string(QMATCH_SOURCE_DIR) + "/data/schemas/" + file);
+    EXPECT_TRUE(text.ok()) << file;
+    schemas.push_back(std::move(xsd::ParseSchema(text.value())).value());
+  }
+  const datagen::Domain domains[] = {
+      datagen::Domain::kGeneric, datagen::Domain::kCommerce,
+      datagen::Domain::kBibliographic, datagen::Domain::kProtein};
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    datagen::GeneratorOptions options;
+    options.seed = seed;
+    options.element_count = 80;
+    options.domain = domains[seed % 4];
+    schemas.push_back(datagen::GenerateSchema(options));
+  }
+  return schemas;
+}
+
+/// All 32 combinations of the five compare_* flags, each with
+/// relaxed_credit 0.5 and 0.3.
+std::vector<match::PropertyMatchOptions> EveryPropertyOptionSet() {
+  std::vector<match::PropertyMatchOptions> sets;
+  for (unsigned flags = 0; flags < 32; ++flags) {
+    for (double credit : {0.5, 0.3}) {
+      match::PropertyMatchOptions options;
+      options.compare_kind = (flags & 1) != 0;
+      options.compare_type = (flags & 2) != 0;
+      options.compare_order = (flags & 4) != 0;
+      options.compare_occurs = (flags & 8) != 0;
+      options.compare_nillable = (flags & 16) != 0;
+      options.relaxed_credit = credit;
+      sets.push_back(options);
+    }
+  }
+  return sets;
+}
+
+bool SameProperty(const match::PropertyMatch& a,
+                  const match::PropertyMatch& b) {
+  return a.cls == b.cls && BitEqual(a.score, b.score);
+}
+
+TEST(KernelDiffTest, PropertyKeyScoreEqualsMatchPropertiesOnEveryKeyPair) {
+  // The kernel scores the property axis on packed descriptors; over every
+  // ordered pair of the distinct descriptors of the whole corpus, under
+  // every option set, that equals MatchProperties on representative nodes.
+  const std::vector<xsd::Schema> schemas = PropertyCorpus();
+  std::map<xsd::FlatSchema::PropertyKey, const xsd::SchemaNode*> reps;
+  for (const xsd::Schema& schema : schemas) {
+    const xsd::FlatSchema& flat = schema.Flat();
+    for (size_t k = 0; k < flat.prop_keys.size(); ++k) {
+      reps.emplace(flat.prop_keys[k], flat.nodes[flat.prop_rep[k]]);
+    }
+  }
+  ASSERT_GT(reps.size(), 20u);
+  for (const match::PropertyMatchOptions& options : EveryPropertyOptionSet()) {
+    for (const auto& [source_key, source_node] : reps) {
+      for (const auto& [target_key, target_node] : reps) {
+        const match::PropertyMatch want =
+            match::MatchProperties(*source_node, *target_node, options);
+        const match::PropertyMatch got =
+            match::MatchPropertyKeys(source_key, target_key, options);
+        ASSERT_TRUE(SameProperty(got, want))
+            << source_node->Path() << " vs " << target_node->Path();
+        ASSERT_TRUE(got.verdicts.empty());
+      }
+    }
+  }
+}
+
+TEST(KernelDiffTest, KernelPropertyMatrixEqualsMatchProperties) {
+  // The kernel's property matrix itself, under every option set, on
+  // neighbouring pairs of the corpus (PIR and PDB aside: their tables
+  // would dominate the run for no added axis coverage).
+  std::vector<xsd::Schema> schemas = PropertyCorpus();
+  schemas.erase(schemas.begin() + 10, schemas.begin() + 12);
+  const QMatch matcher;
+  const lingua::NameMatcher name_matcher(&lingua::DefaultThesaurus(),
+                                         matcher.config().name_options);
+  match::SoaKernelConfig config = DefaultKernelConfig(name_matcher);
+  for (const match::PropertyMatchOptions& options : EveryPropertyOptionSet()) {
+    config.property_options = options;
+    for (size_t k = 0; k < schemas.size(); ++k) {
+      const xsd::FlatSchema& fs = schemas[k].Flat();
+      const xsd::FlatSchema& ft = schemas[(k + 1) % schemas.size()].Flat();
+      std::vector<char> row_done(fs.size(), 0);
+      const match::SoaKernelResult run = match::SoaFillTable(
+          fs, ft, config, nullptr, row_done, nullptr, nullptr, nullptr);
+      const match::AxisMatrix& cells = run.table.properties;
+      for (size_t p = 0; p < fs.prop_keys.size(); ++p) {
+        for (size_t q = 0; q < ft.prop_keys.size(); ++q) {
+          const match::PropertyMatch want = match::MatchProperties(
+              *fs.nodes[fs.prop_rep[p]], *ft.nodes[ft.prop_rep[q]], options);
+          ASSERT_TRUE(BitEqual(cells.score[p * cells.cols + q], want.score));
+          ASSERT_EQ(static_cast<qom::AxisMatch>(cells.cls[p * cells.cols + q]),
+                    want.cls == match::PropertyMatchClass::kExact
+                        ? qom::AxisMatch::kExact
+                    : want.cls == match::PropertyMatchClass::kRelaxed
+                        ? qom::AxisMatch::kRelaxed
+                        : qom::AxisMatch::kNone);
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelDiffTest, FullCellTableOutputMatchesOracle) {

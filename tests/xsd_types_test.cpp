@@ -141,6 +141,20 @@ TEST(XsdTypesTest, CompareTypesIsAntisymmetric) {
   }
 }
 
+TEST(XsdTypesTest, CompareTypesTableEqualsTheLatticeWalk) {
+  // Every ordered pair of the kXsdTypeCount types, kUnknown included.
+  for (size_t a = 0; a < kXsdTypeCount; ++a) {
+    for (size_t b = 0; b < kXsdTypeCount; ++b) {
+      const auto lhs = static_cast<XsdType>(a);
+      const auto rhs = static_cast<XsdType>(b);
+      EXPECT_EQ(CompareTypes(lhs, rhs), LatticeTypeRelation(lhs, rhs))
+          << TypeName(lhs) << " vs " << TypeName(rhs);
+    }
+  }
+  EXPECT_EQ(kXsdTypeCount,
+            static_cast<size_t>(XsdType::kPositiveInteger) + 1);
+}
+
 TEST(XsdTypesTest, DerivationDistance) {
   EXPECT_EQ(DerivationDistance(XsdType::kInt, XsdType::kInt), 0);
   EXPECT_EQ(DerivationDistance(XsdType::kLong, XsdType::kInt), 1);
